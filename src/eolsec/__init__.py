@@ -11,6 +11,7 @@ capacities and discrete-event Monte Carlo beyond enumeration reach.
 from .ctmc import (
     BlockingReport,
     ModelVariant,
+    NegativeStationaryMass,
     NoConvergence,
     NotIrreducible,
     RateMatrix,
@@ -18,7 +19,6 @@ from .ctmc import (
     VariantKind,
     assemble_generator,
     blocking_report,
-    dense_stationary_oracle,
     solve_stationary,
 )
 from .link import (
@@ -77,6 +77,7 @@ __all__ = [
     "EventCounts",
     "MetricEstimate",
     "ModelVariant",
+    "NegativeStationaryMass",
     "NoConvergence",
     "NonIntegerRpRatio",
     "NotIrreducible",
@@ -99,7 +100,6 @@ __all__ = [
     "connection_spans",
     "count_matching_rearrangements",
     "count_states",
-    "dense_stationary_oracle",
     "dump_states",
     "feasible_patterns",
     "free_fragments",

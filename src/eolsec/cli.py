@@ -15,7 +15,7 @@ import logging
 import sys
 from pathlib import Path
 
-from .ctmc import NoConvergence, NotIrreducible
+from .ctmc import NegativeStationaryMass, NoConvergence, NotIrreducible
 from .experiment import ConfigError, load_config, run_experiments
 from .link import DemandProfile
 from .statespace import SpaceOptions, StateBudgetExceeded, build_state_space, dump_states
@@ -109,7 +109,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, StateBudgetExceeded) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (NoConvergence, NotIrreducible) as exc:
+    except (NoConvergence, NegativeStationaryMass, NotIrreducible) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except OSError as exc:

@@ -21,15 +21,17 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
-from scipy.sparse.linalg import spsolve
+from scipy.sparse.linalg import splu
 
-from .link import Classification, DemandProfile, classify, placements, removals
+from .link import DemandProfile
 from .statespace import StateSpace
 
 DEFAULT_SOLVER_TOL = 1e-10
+# Minimum-degree ordering on A^T + A keeps the LU of the bordered balance
+# system near the size of Q; the default COLAMD fills it almost completely.
+SOLVER_METHOD = "splu:MMD_AT_PLUS_A"
 
 
 class VariantKind(str, Enum):
@@ -87,6 +89,21 @@ class NoConvergence(RuntimeError):
         self.residual = residual
         super().__init__(f"solver residual {residual:.3e} after {iterations} refinement steps")
 
+    def __reduce__(self):
+        return type(self), (self.iterations, self.residual)
+
+
+class NegativeStationaryMass(RuntimeError):
+    """The solved distribution has a state with mass below round-off."""
+
+    def __init__(self, state: int, mass: float):
+        self.state = state
+        self.mass = mass
+        super().__init__(f"stationary mass {mass:.3e} of state {state} is negative beyond round-off")
+
+    def __reduce__(self):
+        return type(self), (self.state, self.mass)
+
 
 @dataclass
 class RateMatrix:
@@ -105,8 +122,19 @@ class RateMatrix:
 
 @dataclass(frozen=True)
 class StationaryDistribution:
+    """Solution of pi Q = 0 plus the solver's diagnostics.
+
+    ``lu_nnz`` counts the nonzeros of the L and U factors; ``refinements``
+    the iterative-refinement steps taken to meet the residual gate.
+    """
+
     pi: np.ndarray
     residual: float
+    method: str
+    dimension: int
+    nnz: int
+    lu_nnz: int
+    refinements: int
 
 
 @dataclass(frozen=True)
@@ -134,63 +162,24 @@ def assemble_generator(space: StateSpace, profile: DemandProfile, variant: Model
     n_r = space.num_raas if variant.has_randomization else 0
     n_d = space.num_daas if variant.has_defrag else 0
     dim = n_sa + n_r + n_d
-    lam = profile.arrival_rates
-    mu = profile.service_rates
-    lam_s = variant.randomization_rate
-    mu_d = variant.reconfig_rate
-
-    rows: list[int] = []
-    cols: list[int] = []
-    vals: list[float] = []
-
-    def add(i: int, j: int, rate: float) -> None:
-        if rate != 0.0:
-            rows.append(i)
-            cols.append(j)
-            vals.append(rate)
-
-    for i, arr in enumerate(space.arrangements):
-        pat = space.state_patterns[i]
-        for k in range(1, profile.num_classes + 1):
-            outcome = classify(arr, k, profile)
-            if outcome is Classification.ACCEPT:
-                targets = placements(arr, k, profile)
-                rate = lam[k - 1] / len(targets)
-                for target in targets:
-                    add(i, space.index_of[target], rate)
-            elif outcome is Classification.FRAG_BLOCKED and variant.has_defrag:
-                add(i, n_sa + n_r + space.daas_index[pat], lam[k - 1])
-            # blocked arrivals otherwise cause no transition (lost calls)
-            if pat[k - 1]:
-                for target, mult in removals(arr, k, profile):
-                    add(i, space.index_of[target], mu[k - 1] * mult)
-        if variant.has_randomization and pat in space.raas_index:
-            add(i, n_sa + space.raas_index[pat], lam_s)
-
-    if variant.has_randomization:
-        for v, pat in enumerate(space.raas_patterns):
-            members = space.pattern_groups[pat]
-            rate = mu_d / len(members)
-            for j in members:
-                add(n_sa + v, j, rate)
-
-    if variant.has_defrag:
-        for v in range(space.num_daas):
-            targets = space.defrag_targets[v]
-            rate = mu_d / len(targets)
-            for j in targets:
-                add(n_sa + n_r + v, j, rate)
-
-    q = sp.coo_matrix((vals, (rows, cols)), shape=(dim, dim)).tocsr()
+    lam = np.asarray(profile.arrival_rates, dtype=float)
+    # A zero rate switches its transitions off: regular has no
+    # reconfiguration rates, and only randomized-defrag enters defrag
+    # states; otherwise blocked arrivals cause no transition (lost calls).
+    defrag = 1.0 if variant.has_defrag else 0.0
+    t = space.transitions
+    rates = t.rates(
+        lam,
+        lam * defrag,
+        np.asarray(profile.service_rates, dtype=float),
+        variant.randomization_rate,
+        variant.reconfig_rate,
+        variant.reconfig_rate * defrag,
+    )
+    live = rates != 0.0
+    q = sp.coo_matrix((rates[live], (t.row[live], t.col[live])), shape=(dim, dim)).tocsr()
     q = q + sp.diags(-np.asarray(q.sum(axis=1)).ravel(), format="csr")
     return RateMatrix(matrix=q, variant=variant, num_regular=n_sa, num_raas=n_r, num_daas=n_d)
-
-
-def is_strongly_connected(rm: RateMatrix) -> bool:
-    adjacency = rm.matrix.copy()
-    adjacency.setdiag(0)
-    n_comp, _ = connected_components(adjacency, directed=True, connection="strong")
-    return n_comp == 1
 
 
 def _terminal_states(q: sp.csr_matrix) -> np.ndarray:
@@ -218,9 +207,11 @@ def _terminal_states(q: sp.csr_matrix) -> np.ndarray:
 def solve_stationary(rm: RateMatrix, tol: float = DEFAULT_SOLVER_TOL) -> StationaryDistribution:
     """Solve pi Q = 0 with sum(pi) = 1 by sparse LU.
 
-    The last balance equation is replaced by the normalization constraint.
-    One step of iterative refinement is applied if the residual exceeds
-    ``tol``; failure to reach ``tol`` raises NoConvergence.
+    The last balance equation is replaced by the normalization constraint
+    and the system is factored once.  Up to three steps of iterative
+    refinement reuse the factor while the residual exceeds ``tol``;
+    failure to reach ``tol`` raises NoConvergence, and a clearly negative
+    mass raises NegativeStationaryMass.
     """
     q = rm.matrix
     n = q.shape[0]
@@ -234,7 +225,8 @@ def solve_stationary(rm: RateMatrix, tol: float = DEFAULT_SOLVER_TOL) -> Station
     b = np.zeros(m)
     b[m - 1] = 1.0
 
-    x = spsolve(a, b)
+    lu = splu(a, permc_spec="MMD_AT_PLUS_A")
+    x = lu.solve(b)
     pi = np.zeros(n)
     pi[keep] = x
 
@@ -244,8 +236,7 @@ def solve_stationary(rm: RateMatrix, tol: float = DEFAULT_SOLVER_TOL) -> Station
     res = residual_of(pi)
     iterations = 0
     while res > tol and iterations < 3:
-        r = b - a @ x
-        x = x + spsolve(a, r)
+        x = x + lu.solve(b - a @ x)
         pi = np.zeros(n)
         pi[keep] = x
         res = residual_of(pi)
@@ -253,23 +244,20 @@ def solve_stationary(rm: RateMatrix, tol: float = DEFAULT_SOLVER_TOL) -> Station
     if res > tol:
         raise NoConvergence(iterations, res)
 
-    if float(pi.min()) < -1e-14:
-        raise NoConvergence(iterations, res)
+    worst = int(np.argmin(pi))
+    if pi[worst] < -1e-14:
+        raise NegativeStationaryMass(worst, float(pi[worst]))
     pi = np.clip(pi, 0.0, None)
     pi /= pi.sum()
-    return StationaryDistribution(pi=pi, residual=residual_of(pi))
-
-
-def dense_stationary_oracle(rm: RateMatrix) -> np.ndarray:
-    """Independent dense solve: least squares on [Q^T; 1] x = [0; 1]."""
-    q = rm.matrix.toarray()
-    n = q.shape[0]
-    a = np.vstack([q.T, np.ones((1, n))])
-    b = np.zeros(n + 1)
-    b[n] = 1.0
-    x, *_ = scipy.linalg.lstsq(a, b, lapack_driver="gelsy")
-    x = np.clip(x, 0.0, None)
-    return x / x.sum()
+    return StationaryDistribution(
+        pi=pi,
+        residual=residual_of(pi),
+        method=SOLVER_METHOD,
+        dimension=n,
+        nnz=int(q.nnz),
+        lu_nnz=int(lu.L.nnz + lu.U.nnz),
+        refinements=iterations,
+    )
 
 
 def blocking_report(

@@ -284,6 +284,8 @@ def _compute_cell(spec: CellSpec) -> dict:
                 cfg.capacity, cfg.demands, cfg.randomize_empty, cfg.state_budget
             )
         except StateBudgetExceeded as exc:
+            if cfg.sim_arrivals is None and cfg.sim_horizon is None:
+                raise  # no Monte Carlo budget to fall back on
             log.warning("cell %d: %s; falling back to mc", spec.ordinal, exc)
             summary["warnings"].append(f"analytic engine unavailable: {exc}")
             engines = ["mc"]
@@ -314,6 +316,13 @@ def _compute_cell(spec: CellSpec) -> dict:
                 "rcb": report.reconfiguration_blocking,
                 "bp": report.overall_blocking,
                 "residual": dist.residual,
+                "solver": {
+                    "method": dist.method,
+                    "dimension": dist.dimension,
+                    "nnz": dist.nnz,
+                    "lu_nnz": dist.lu_nnz,
+                    "refinements": dist.refinements,
+                },
             }
             row_metrics = {
                 "rb": report.resource_blocking,

@@ -13,8 +13,12 @@ the all-free state.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterator, TextIO
+
+import numpy as np
 
 from .link import (
     Arrangement,
@@ -22,9 +26,14 @@ from .link import (
     DemandProfile,
     classify,
     is_defragmented,
+    placements,
+    removals,
 )
 
-DEFAULT_STATE_BUDGET = 5_000_000
+# Regular states the exact engine is known to finish (demands (4,6,8), C=28:
+# 32,765 states solve in about 40 s and 1 GB); beyond it analytic falls back
+# to Monte Carlo.
+DEFAULT_STATE_BUDGET = 35_000
 
 
 class StateBudgetExceeded(RuntimeError):
@@ -37,6 +46,9 @@ class StateBudgetExceeded(RuntimeError):
             f"state space would hold {predicted_states} regular states, budget is {budget}; "
             "use the Monte Carlo engine instead"
         )
+
+    def __reduce__(self):
+        return type(self), (self.predicted_states, self.budget)
 
 
 @dataclass(frozen=True)
@@ -98,6 +110,44 @@ def _token_sequences(counts: list[int]) -> Iterator[tuple[int, ...]]:
     yield from rec()
 
 
+@dataclass(frozen=True)
+class TransitionStructure:
+    """Rate-free transitions of every model variant over one state space.
+
+    Entry ``e`` moves state ``row[e]`` to state ``col[e]`` at rate
+    ``base[kind[e]] * mult[e] / div[e]``; ``rates`` lays out ``base``.
+    Entries are in assembly order; global indices follow the full
+    [regular | randomization | defrag] layout.
+    """
+
+    row: np.ndarray
+    col: np.ndarray
+    kind: np.ndarray
+    mult: np.ndarray
+    div: np.ndarray
+
+    def rates(
+        self,
+        arrival: np.ndarray,
+        defrag_arrival: np.ndarray,
+        service: np.ndarray,
+        randomization: float,
+        randomization_return: float,
+        defrag_return: float,
+    ) -> np.ndarray:
+        """Rate of every entry; a zero rate means the transition is absent.
+
+        Per class: accepted arrivals, fragmentation-blocked arrivals (which
+        enter a defrag state) and departures; then the rate into
+        randomization states and the rates out of randomization and
+        defrag states.
+        """
+        base = np.concatenate([
+            arrival, defrag_arrival, service, [randomization, randomization_return, defrag_return],
+        ])
+        return base[self.kind] * self.mult / self.div
+
+
 @dataclass
 class StateSpace:
     """Indexed regular states plus the derived randomization/defrag structure.
@@ -143,6 +193,40 @@ class StateSpace:
     def gamma_of(self, pat: tuple[int, ...]) -> tuple[int, ...]:
         """Indices of all regular states with pattern ``pat`` (empty if unrealizable)."""
         return self.pattern_groups.get(tuple(pat), ())
+
+    @cached_property
+    def transitions(self) -> TransitionStructure:
+        """The transition structure, derived on first use."""
+        profile = self.profile
+        K = profile.num_classes
+        randomize, return_raas, return_daas = 3 * K, 3 * K + 1, 3 * K + 2
+        n_sa = self.num_regular
+        n_r = self.num_raas
+        entries = array("q")  # flat (row, col, kind, mult, div) records
+        for i, arr in enumerate(self.arrangements):
+            pat = self.state_patterns[i]
+            for k in range(1, K + 1):
+                outcome = classify(arr, k, profile)
+                if outcome is Classification.ACCEPT:
+                    targets = placements(arr, k, profile)
+                    for target in targets:
+                        entries.extend((i, self.index_of[target], k - 1, 1, len(targets)))
+                elif outcome is Classification.FRAG_BLOCKED:
+                    entries.extend((i, n_sa + n_r + self.daas_index[pat], K + k - 1, 1, 1))
+                if pat[k - 1]:
+                    for target, mult in removals(arr, k, profile):
+                        entries.extend((i, self.index_of[target], 2 * K + k - 1, mult, 1))
+            if pat in self.raas_index:
+                entries.extend((i, n_sa + self.raas_index[pat], randomize, 1, 1))
+        for v, pat in enumerate(self.raas_patterns):
+            members = self.pattern_groups[pat]
+            for j in members:
+                entries.extend((n_sa + v, j, return_raas, 1, len(members)))
+        for v, targets in enumerate(self.defrag_targets):
+            for j in targets:
+                entries.extend((n_sa + n_r + v, j, return_daas, 1, len(targets)))
+        row, col, kind, mult, div = np.frombuffer(entries, dtype=np.int64).reshape(-1, 5).T.copy()
+        return TransitionStructure(row=row, col=col, kind=kind, mult=mult, div=div)
 
 
 def build_state_space(profile: DemandProfile, options: SpaceOptions | None = None) -> StateSpace:

@@ -1,0 +1,88 @@
+"""Independent reference implementations the exact engine is checked against."""
+
+from __future__ import annotations
+
+import numpy as np
+import scipy.linalg
+import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
+
+from eolsec.ctmc import ModelVariant, RateMatrix
+from eolsec.link import Classification, DemandProfile, classify, placements, removals
+from eolsec.statespace import StateSpace
+
+
+def loop_generator(space: StateSpace, profile: DemandProfile, variant: ModelVariant) -> RateMatrix:
+    """Generator assembled transition by transition, one Python call each."""
+    n_sa = space.num_regular
+    n_r = space.num_raas if variant.has_randomization else 0
+    n_d = space.num_daas if variant.has_defrag else 0
+    dim = n_sa + n_r + n_d
+    lam = profile.arrival_rates
+    mu = profile.service_rates
+    lam_s = variant.randomization_rate
+    mu_d = variant.reconfig_rate
+
+    rows: list[int] = []
+    cols: list[int] = []
+    vals: list[float] = []
+
+    def add(i: int, j: int, rate: float) -> None:
+        if rate != 0.0:
+            rows.append(i)
+            cols.append(j)
+            vals.append(rate)
+
+    for i, arr in enumerate(space.arrangements):
+        pat = space.state_patterns[i]
+        for k in range(1, profile.num_classes + 1):
+            outcome = classify(arr, k, profile)
+            if outcome is Classification.ACCEPT:
+                targets = placements(arr, k, profile)
+                rate = lam[k - 1] / len(targets)
+                for target in targets:
+                    add(i, space.index_of[target], rate)
+            elif outcome is Classification.FRAG_BLOCKED and variant.has_defrag:
+                add(i, n_sa + n_r + space.daas_index[pat], lam[k - 1])
+            if pat[k - 1]:
+                for target, mult in removals(arr, k, profile):
+                    add(i, space.index_of[target], mu[k - 1] * mult)
+        if variant.has_randomization and pat in space.raas_index:
+            add(i, n_sa + space.raas_index[pat], lam_s)
+
+    if variant.has_randomization:
+        for v, pat in enumerate(space.raas_patterns):
+            members = space.pattern_groups[pat]
+            rate = mu_d / len(members)
+            for j in members:
+                add(n_sa + v, j, rate)
+
+    if variant.has_defrag:
+        for v in range(space.num_daas):
+            targets = space.defrag_targets[v]
+            rate = mu_d / len(targets)
+            for j in targets:
+                add(n_sa + n_r + v, j, rate)
+
+    q = sp.coo_matrix((vals, (rows, cols)), shape=(dim, dim)).tocsr()
+    q = q + sp.diags(-np.asarray(q.sum(axis=1)).ravel(), format="csr")
+    return RateMatrix(matrix=q, variant=variant, num_regular=n_sa, num_raas=n_r, num_daas=n_d)
+
+
+def is_strongly_connected(rm: RateMatrix) -> bool:
+    adjacency = rm.matrix.copy()
+    adjacency.setdiag(0)
+    n_comp, _ = connected_components(adjacency, directed=True, connection="strong")
+    return n_comp == 1
+
+
+def dense_stationary_oracle(rm: RateMatrix) -> np.ndarray:
+    """Independent dense solve: least squares on [Q^T; 1] x = [0; 1]."""
+    q = rm.matrix.toarray()
+    n = q.shape[0]
+    a = np.vstack([q.T, np.ones((1, n))])
+    b = np.zeros(n + 1)
+    b[n] = 1.0
+    x, *_ = scipy.linalg.lstsq(a, b, lapack_driver="gelsy")
+    x = np.clip(x, 0.0, None)
+    return x / x.sum()

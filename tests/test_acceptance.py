@@ -25,7 +25,6 @@ from eolsec import (
     blocking_report,
     build_state_space,
     count_matching_rearrangements,
-    dense_stationary_oracle,
     inside_pattern,
     observable_fraction,
     placement_count,
@@ -35,6 +34,7 @@ from eolsec import (
 )
 from eolsec.experiment import load_config, run_experiments
 from eolsec.security import _match_table, _outside_split_count
+from oracles import dense_stationary_oracle
 
 CAPACITY20 = 20
 DEMANDS20 = (4, 6, 8)

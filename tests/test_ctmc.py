@@ -5,21 +5,27 @@ import scipy.sparse as sp
 from eolsec import (
     DemandProfile,
     ModelVariant,
+    NegativeStationaryMass,
     NotIrreducible,
     RateMatrix,
     VariantKind,
     assemble_generator,
     blocking_report,
     build_state_space,
-    dense_stationary_oracle,
     solve_stationary,
 )
-from eolsec.ctmc import is_strongly_connected
+from eolsec import ctmc
+from oracles import dense_stationary_oracle, is_strongly_connected, loop_generator
 
 
 @pytest.fixture(scope="module")
 def rates7():
     return DemandProfile(7, (3, 4), (2.0, 3.0), (1.5, 1.0))
+
+
+@pytest.fixture(scope="module")
+def space14(profile14):
+    return build_state_space(profile14)
 
 
 def test_variant_validation():
@@ -205,3 +211,60 @@ def test_transient_reconfig_states_get_zero_mass(space7, rates7):
     dist = solve_stationary(rm)
     assert dist.pi[space7.num_regular:].max() == 0.0
     assert dist.residual <= 1e-10
+
+
+ASSEMBLY_VARIANTS = [
+    ModelVariant.regular(),
+    ModelVariant.randomized(0.7, 11.0),
+    ModelVariant.randomized(0.0, 11.0),
+    ModelVariant.randomized_defrag(0.7, 11.0),
+    ModelVariant.randomized_defrag(0.0, 3.0),
+]
+
+
+@pytest.mark.parametrize("variant", ASSEMBLY_VARIANTS, ids=lambda v: f"{v.kind.value}-{v.randomization_rate}")
+@pytest.mark.parametrize("capacity", [7, 14])
+def test_assembly_matches_loop_bit_for_bit(capacity, variant, space7, space14):
+    space = space7 if capacity == 7 else space14
+    demands = space.profile.demands
+    rates = DemandProfile(
+        capacity, demands,
+        tuple(1.3 + 0.7 * k for k in range(len(demands))),
+        tuple(1.0 + 0.5 * k for k in range(len(demands))),
+    )
+    got = assemble_generator(space, rates, variant).matrix
+    expected = loop_generator(space, rates, variant).matrix
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(got, name), getattr(expected, name)
+        assert a.dtype == b.dtype
+        assert np.array_equal(a, b), name
+
+
+def test_lu_fill_stays_near_generator_size():
+    # C=22, demands (4,6,8), randomized-defrag: dim 2,986, nnz 28,909.  The
+    # default COLAMD ordering of the bordered system fills about 106 x nnz(Q).
+    profile = DemandProfile.with_uniform_load(22, (4, 6, 8), 14.0)
+    space = build_state_space(profile)
+    rm = assemble_generator(space, profile, ModelVariant.randomized_defrag(5.0, 100.0))
+    dist = solve_stationary(rm)
+    assert dist.nnz == rm.matrix.nnz
+    assert dist.lu_nnz <= 25 * dist.nnz
+    assert dist.residual <= 1e-10
+
+
+def test_negative_mass_raises_typed_error(space7, rates7, monkeypatch):
+    # -pi meets the residual gate (it solves pi Q = 0) but has negative mass
+    real_splu = ctmc.splu
+
+    class Negated:
+        def __init__(self, lu):
+            self.lu, self.L, self.U = lu, lu.L, lu.U
+
+        def solve(self, rhs):
+            return -self.lu.solve(rhs)
+
+    monkeypatch.setattr(ctmc, "splu", lambda *a, **kw: Negated(real_splu(*a, **kw)))
+    rm = assemble_generator(space7, rates7, ModelVariant.randomized(0.7, 11.0))
+    with pytest.raises(NegativeStationaryMass, match="negative") as info:
+        solve_stationary(rm)
+    assert info.value.mass < 0.0

@@ -3,8 +3,10 @@ import math
 
 import pytest
 
-from eolsec.cli import EXIT_CONFIG, EXIT_OK, main
+from eolsec.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
+from eolsec.ctmc import NegativeStationaryMass
 from eolsec.experiment import ConfigError, load_config, run_experiments
+from eolsec.statespace import StateBudgetExceeded
 
 BASE_CONFIG = """\
 schema_version: 1
@@ -155,6 +157,25 @@ class TestRunExperiments:
         summary = json.loads(outcome.summary_path.read_text())
         assert any(cell["warnings"] for cell in summary["cells"])
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_budget_without_mc_budget_is_an_error(self, tmp_path, jobs):
+        config = BASE_CONFIG.format(out_dir=tmp_path / "out").split("sim:")[0]
+        path = tmp_path / "no_sim.yaml"
+        path.write_text(config + f"output: {{dir: '{tmp_path / 'out'}'}}\n")
+        cfg = load_config(path, state_budget=5, jobs=jobs)
+        with pytest.raises(StateBudgetExceeded, match="15 regular states, budget is 5"):
+            run_experiments(cfg)
+
+    def test_summary_carries_solver_diagnostics(self, config_path):
+        summary = json.loads(run_experiments(load_config(config_path)).summary_path.read_text())
+        dims = {"regular": 15, "randomized": 15 + 4, "randomized-defrag": 15 + 4 + 2}
+        for cell in summary["cells"]:
+            solver = cell["analytic"]["solver"]
+            assert solver["method"] == "splu:MMD_AT_PLUS_A"
+            assert solver["dimension"] == dims[cell["variant"]]
+            assert 0 < solver["nnz"] <= solver["lu_nnz"]
+            assert solver["refinements"] == 0
+
     def test_empty_load_list_gives_header_only(self, tmp_path):
         path = tmp_path / "empty.yaml"
         path.write_text(
@@ -213,6 +234,28 @@ class TestCli:
         assert code == EXIT_OK
         assert (out_dir / "grid.csv").exists()
         assert (out_dir / "grid_summary.json").exists()
+
+    def test_run_over_budget_without_mc_budget(self, tmp_path, capsys):
+        path = tmp_path / "no_sim.yaml"
+        path.write_text(
+            "schema_version: 1\n"
+            "profile: {capacity: 7, demands: [3, 4]}\n"
+            "traffic: {loads: [2.0]}\n"
+            "engine: analytic\n"
+            "state_budget: 5\n"
+            f"output: {{dir: '{tmp_path / 'out'}'}}\n"
+        )
+        assert main(["run", "--config", str(path)]) == EXIT_CONFIG
+        assert "budget is 5" in capsys.readouterr().err
+
+    def test_negative_mass_is_numerical_failure(self, config_path, tmp_path, monkeypatch, capsys):
+        def fail(*args):
+            raise NegativeStationaryMass(3, -1e-6)
+
+        monkeypatch.setattr("eolsec.experiment.solve_stationary", fail)
+        code = main(["run", "--config", str(config_path), "--out-dir", str(tmp_path / "o")])
+        assert code == EXIT_NUMERICAL
+        assert "negative" in capsys.readouterr().err
 
     def test_run_engine_override(self, config_path, tmp_path):
         out_dir = tmp_path / "cli-mc"

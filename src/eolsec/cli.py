@@ -18,7 +18,13 @@ from pathlib import Path
 from .ctmc import NegativeStationaryMass, NoConvergence, NotIrreducible
 from .experiment import ConfigError, load_config, run_experiments
 from .link import DemandProfile
-from .statespace import SpaceOptions, StateBudgetExceeded, build_state_space, dump_states
+from .statespace import (
+    SpaceOptions,
+    StateBudgetExceeded,
+    build_state_space,
+    count_states,
+    dump_states,
+)
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -91,9 +97,21 @@ def _cmd_dump_states(args: argparse.Namespace) -> int:
 
 def _cmd_validate(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
-    points = len(cfg.loads or (1,))
+    points = 1 if cfg.loads is None else len(cfg.loads)
     cells = len(cfg.variants) * points * len(cfg.randomization_rates) * len(cfg.reconfig_rates)
-    print(f"config ok: {cells} grid cells, engine={cfg.engine}, C={cfg.capacity}")
+    line = f"config ok: {cells} grid cells, engine={cfg.engine}, C={cfg.capacity}"
+    if cfg.engine != "mc" and cells:
+        profile = DemandProfile(
+            cfg.capacity, cfg.demands, (0.0,) * len(cfg.demands), cfg.service_rates
+        )
+        states = count_states(profile)
+        line += f", {states} regular states (budget {cfg.state_budget})"
+        if states > cfg.state_budget:
+            if cfg.sim_arrivals is None and cfg.sim_horizon is None:
+                # run would stop at the first cell: no Monte Carlo budget to fall back on
+                raise StateBudgetExceeded(states, cfg.state_budget)
+            line += ", analytic cells fall back to mc"
+    print(line)
     return EXIT_OK
 
 

@@ -219,9 +219,7 @@ def solve_stationary(rm: RateMatrix, tol: float = DEFAULT_SOLVER_TOL) -> Station
     q_sub = q[np.ix_(keep, keep)] if len(keep) < n else q
 
     m = q_sub.shape[0]
-    a = q_sub.transpose().tolil()
-    a[m - 1, :] = np.ones(m)
-    a = a.tocsc()
+    a = sp.vstack([q_sub.T.tocsr()[: m - 1], sp.csr_matrix(np.ones((1, m)))]).tocsc()
     b = np.zeros(m)
     b[m - 1] = 1.0
 

@@ -9,6 +9,7 @@ two distinct connections, so the token sequence fully determines the state.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 
@@ -218,11 +219,18 @@ def is_defragmented(arr: Arrangement) -> bool:
 
 def connection_spans(arr: Arrangement, profile: DemandProfile) -> list[tuple[int, int, int]]:
     """Connections of ``arr`` as (class, first_slot, last_slot), 1-based slots."""
+    return token_spans(arr.tokens, profile.demands)
+
+
+def token_spans(tokens: Sequence[int], demands: tuple[int, ...]) -> list[tuple[int, int, int]]:
+    """``connection_spans`` of a raw token sequence."""
     spans: list[tuple[int, int, int]] = []
     slot = 1
-    for t in arr.tokens:
-        w = token_width(t, profile)
+    for t in tokens:
         if t != FREE:
+            w = demands[t - 1]
             spans.append((t, slot, slot + w - 1))
-        slot += w
+            slot += w
+        else:
+            slot += 1
     return spans

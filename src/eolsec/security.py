@@ -133,6 +133,115 @@ def _outside_split_count(
     return total
 
 
+def _outside_split_prefix(
+    n_out: tuple[int, ...], frees_out: int, demands: tuple[int, ...]
+) -> list[int]:
+    """Prefix sums of ``_outside_split_count`` over every ``cap_left``.
+
+    Entry ``j`` sums the split counts of all ``cap_left < j``; the outside
+    tokens fill ``frees_out + sum(n_out * demands)`` slots, so ``cap_left``
+    runs over 0..that width.
+    """
+    outside_width = frees_out + sum(n * d for n, d in zip(n_out, demands))
+    counts = [0] * (outside_width + 1)
+    for m in product(*(range(n + 1) for n in n_out)):
+        used = sum(c * d for c, d in zip(m, demands))
+        right = tuple(n - c for n, c in zip(n_out, m))
+        for f_left in range(frees_out + 1):
+            counts[used + f_left] += (
+                _permutation_count(f_left, m) * _permutation_count(frees_out - f_left, right)
+            )
+    prefix = [0]
+    for c in counts:
+        prefix.append(prefix[-1] + c)
+    return prefix
+
+
+class WindowSurvival:
+    """Chance that a window observation survives one uniform redraw.
+
+    For a pre-state given by its connection spans, averages over every
+    window position the fraction of the pattern's arrangements that keep
+    the observation (``count_matching_rearrangements`` / all arrangements).
+    Spans are sorted and disjoint, so the fully-inside pattern changes only
+    at two breakpoints per span; each run of window starts with one inside
+    pattern costs one prefix-sum difference of the outside-split counts.
+    The counts stay exact integers and are divided once, so the value is
+    the correctly rounded exact probability.
+
+    An instance caches per link structure, so it serves one profile.
+    """
+
+    def __init__(self, profile: DemandProfile):
+        self.capacity = profile.capacity
+        self.demands = profile.demands
+        # (outside pattern, outside frees) -> prefix sums over cap_left
+        self._prefix: dict[tuple[tuple[int, ...], int], list[int]] = {}
+        # (pattern, width) -> {inside counts: (inside orderings, prefix) or ()}
+        self._runs: dict[tuple[tuple[int, ...], int], dict] = {}
+        self._totals: dict[tuple[int, ...], int] = {}
+
+    def expected(self, spans: list[tuple[int, int, int]], pat: tuple[int, ...], width: int) -> float:
+        """E[survival | spans] for a window of ``width`` slots; ``pat`` is the spans' pattern."""
+        positions = self.capacity - width + 1
+        runs = self._runs.get((pat, width))
+        if runs is None:
+            runs = self._runs[(pat, width)] = {}
+        # A span (k, s, e) lies fully inside the windows starting in
+        # [e - width + 1, s]: +k where it enters, -k after it leaves.
+        events = []
+        for k, s, e in spans:
+            lo = e - width + 1 if e > width else 1
+            hi = s if s < positions else positions
+            if lo <= hi:
+                events.append((lo, k))
+                events.append((hi + 1, -k))
+        events.sort()
+
+        n_in = [0] * (len(self.demands) + 1)  # indexed by class; slot 0 unused
+        numerator = 0
+        i = 0
+        first = 1
+        while first <= positions:
+            while i < len(events) and events[i][0] == first:
+                k = events[i][1]
+                if k > 0:
+                    n_in[k] += 1
+                else:
+                    n_in[-k] -= 1
+                i += 1
+            last = events[i][0] - 1 if i < len(events) else positions
+            key = tuple(n_in)
+            run = runs.get(key)
+            if run is None:
+                run = runs[key] = self._run(pat, key[1:], width)
+            if run:
+                inside, prefix = run
+                # window start s leaves cap_left = s - 1 slots on the left
+                numerator += inside * (prefix[last] - prefix[first - 1])
+            first = last + 1
+
+        total = self._totals.get(pat)
+        if total is None:
+            total = self._totals[pat] = _permutation_count(self._frees(pat), pat)
+        return numerator / (total * positions)
+
+    def _frees(self, pat: tuple[int, ...]) -> int:
+        return self.capacity - sum(n * d for n, d in zip(pat, self.demands))
+
+    def _run(self, pat: tuple[int, ...], n_in: tuple[int, ...], width: int):
+        """(inside orderings, outside prefix sums) of one inside pattern, or () if infeasible."""
+        frees_total = self._frees(pat)
+        frees_in = width - sum(n * d for n, d in zip(n_in, self.demands))
+        if frees_in > frees_total:
+            return ()
+        key = (tuple(p - n for p, n in zip(pat, n_in)), frees_total - frees_in)
+        prefix = self._prefix.get(key)
+        if prefix is None:
+            prefix = self._prefix[key] = _outside_split_prefix(*key, self.demands)
+        return _permutation_count(frees_in, n_in), prefix
+
+
 def count_matching_rearrangements(
     arr: Arrangement,
     window: ObservationWindow,
@@ -172,8 +281,8 @@ def per_state_attack_success(space: StateSpace, width: int) -> np.ndarray:
     """Per regular state: probability that an attack survives one randomization.
 
     Averages, over the uniformly placed window, the fraction of the
-    pattern's rearrangements that leave the window's observation intact.
-    Counts stay exact integers; division happens once per state.
+    pattern's rearrangements that leave the window's observation intact
+    (``WindowSurvival``, exact integer counts divided once per state).
     """
     profile = space.profile
     capacity = profile.capacity
@@ -183,27 +292,11 @@ def per_state_attack_success(space: StateSpace, width: int) -> np.ndarray:
     if width in cache:
         return cache[width]
 
-    positions = capacity - width + 1
-    numerators = [0] * space.num_regular
-    denominators = [0] * space.num_regular
-    for pat, members in space.pattern_groups.items():
-        spans_of = {i: connection_spans(space.arrangements[i], profile) for i in members}
-        r_n = total_rearrangements(pat, profile)
-        for start in range(1, positions + 1):
-            last = start + width - 1
-            table: dict[tuple[int, ...], int] = {}
-            insides: dict[int, tuple[int, ...]] = {}
-            for i in members:
-                n_in, straddle = _inside_of_spans(spans_of[i], start, last, profile.num_classes)
-                insides[i] = n_in
-                if not straddle:
-                    table[n_in] = table.get(n_in, 0) + 1
-            for i in members:
-                numerators[i] += table.get(insides[i], 0)
-        for i in members:
-            denominators[i] = r_n * positions
-
-    result = np.array([n / d for n, d in zip(numerators, denominators)])
+    kernel = WindowSurvival(profile)
+    result = np.array([
+        kernel.expected(connection_spans(arr, profile), pat, width)
+        for arr, pat in zip(space.arrangements, space.state_patterns)
+    ])
     cache[width] = result
     return result
 

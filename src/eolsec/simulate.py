@@ -8,8 +8,18 @@ exactly one reconfiguration completion while it is reconfiguring.  Frozen
 departure clocks during reconfiguration are therefore implicit, which
 matches the analytic chain exactly.
 
+Attack success is scored at every measured reconfiguration completion.  A
+randomization redraws the arrangement uniformly within its pattern, so it
+adds the exact survival given the pre-state, averaged over all window
+positions (``security.WindowSurvival``): a conditional Monte Carlo estimate
+with the same mean and less variance than checking the one redraw.  Defrag
+completions, which only ``attack_success_any_reconfig`` counts, check the
+redrawn arrangement itself.
+
 Replications differ only in their seed-derived random streams; results are
-bit-for-bit reproducible for a fixed config and seed.
+bit-for-bit reproducible for a fixed config and seed.  Window starts
+sampled above ``security_position_limit`` come from a stream of their own,
+so scoring windows never changes the trajectory.
 """
 
 from __future__ import annotations
@@ -19,7 +29,8 @@ import random
 from dataclasses import dataclass, field
 
 from .ctmc import ModelVariant
-from .link import Arrangement, DemandProfile
+from .link import Arrangement, DemandProfile, token_spans
+from .security import WindowSurvival, _inside_of_spans
 from .statespace import pattern_size
 
 DEFAULT_SEED = 1729
@@ -71,7 +82,7 @@ class SimConfig:
     window_widths: tuple[int, ...] = ()
     randomize_empty: bool = False
     debug_checks: bool = False
-    security_position_limit: int = 128  # above this capacity, sample window positions
+    security_position_limit: int = 128  # above this capacity, sample defrag window starts
     batch_count: int = 10               # batch-means groups for single-replication CIs
 
     def __post_init__(self) -> None:
@@ -146,32 +157,20 @@ class _Replication:
     batches: list[list[list[int]]] = field(default_factory=list)
 
 
-def _spans_of(tokens: list[int] | tuple[int, ...], demands: tuple[int, ...]) -> list[tuple[int, int, int]]:
-    spans = []
-    slot = 1
-    for t in tokens:
-        if t:
-            w = demands[t - 1]
-            spans.append((t, slot, slot + w - 1))
-            slot += w
-        else:
-            slot += 1
-    return spans
-
-
-def _window_success(
-    before: tuple[int, ...],
-    after: list[int],
-    demands: tuple[int, ...],
+def _sampled_window_success(
+    spans_before: list[tuple[int, int, int]],
+    spans_after: list[tuple[int, int, int]],
     capacity: int,
     width: int,
     num_classes: int,
     rng: random.Random,
     position_limit: int,
 ) -> float:
-    """Fraction of window positions whose inside observation survived."""
-    spans_before = _spans_of(before, demands)
-    spans_after = _spans_of(after, demands)
+    """Fraction of window positions whose inside observation survived.
+
+    Checks every position up to ``position_limit`` slots of capacity, and
+    ``position_limit`` starts drawn from ``rng`` above it.
+    """
     positions = capacity - width + 1
     if capacity <= position_limit:
         starts = range(1, positions + 1)
@@ -182,24 +181,18 @@ def _window_success(
     hits = 0
     for start in starts:
         last = start + width - 1
-        inside_b = [0] * num_classes
-        for k, s, e in spans_before:
-            if s >= start and e <= last:
-                inside_b[k - 1] += 1
-        inside_a = [0] * num_classes
-        straddle = False
-        for k, s, e in spans_after:
-            if s >= start and e <= last:
-                inside_a[k - 1] += 1
-            elif s <= last and e >= start:
-                straddle = True
-                break
-        if not straddle and inside_a == inside_b:
+        inside_after, straddle = _inside_of_spans(spans_after, start, last, num_classes)
+        if straddle:
+            continue  # most starts cut a packed connection; skip the pre-state scan
+        inside_before, _ = _inside_of_spans(spans_before, start, last, num_classes)
+        if inside_after == inside_before:
             hits += 1
     return hits / total
 
 
-def _simulate_replication(cfg: SimConfig, rep: int, track_batches: bool) -> _Replication:
+def _simulate_replication(
+    cfg: SimConfig, rep: int, track_batches: bool, survival: WindowSurvival
+) -> _Replication:
     profile = cfg.profile
     variant = cfg.variant
     capacity = profile.capacity
@@ -220,6 +213,8 @@ def _simulate_replication(cfg: SimConfig, rep: int, track_batches: bool) -> _Rep
     rng = random.Random(f"{cfg.seed}:{rep}")
     expovariate = rng.expovariate
     uniform = rng.random
+    # window starts sampled at defrag events never touch the trajectory
+    window_rng = random.Random(f"{cfg.seed}:{rep}:windows")
 
     rec = _Replication(
         arrivals=[0] * K,
@@ -368,17 +363,24 @@ def _simulate_replication(cfg: SimConfig, rep: int, track_batches: bool) -> _Rep
                 check_state()
             rec.completions += 1
             if widths and measuring and before is not None:
-                for w in widths:
-                    value = _window_success(
-                        before, tokens, demands, capacity, w, K, rng,
-                        cfg.security_position_limit,
-                    )
-                    rec.any_success[w] += value
-                    if was_randomization:
-                        rec.rp_success[w] += value
-                rec.any_events += 1
+                spans_before = token_spans(before, demands)
                 if was_randomization:
+                    # the shuffle redraws uniformly within the pattern, so
+                    # score the exact survival given the pre-state
+                    pat = tuple(counts)
+                    for w in widths:
+                        value = survival.expected(spans_before, pat, w)
+                        rec.any_success[w] += value
+                        rec.rp_success[w] += value
                     rec.rp_events += 1
+                else:
+                    spans_after = token_spans(tokens, demands)
+                    for w in widths:
+                        rec.any_success[w] += _sampled_window_success(
+                            spans_before, spans_after, capacity, w, K, window_rng,
+                            cfg.security_position_limit,
+                        )
+                rec.any_events += 1
             reconfig = _NO_RECONFIG
             before = None
         else:
@@ -428,9 +430,10 @@ def _estimate(values: list[float], t_quantile: float) -> MetricEstimate:
 
 
 def _t_quantile(n: int) -> float:
-    from scipy.stats import t as student_t
+    # scipy.special imports in a fraction of the time scipy.stats takes
+    from scipy.special import stdtrit
 
-    return float(student_t.ppf(0.975, n - 1)) if n >= 2 else math.nan
+    return float(stdtrit(n - 1, 0.975)) if n >= 2 else math.nan
 
 
 def _blocking_values(
@@ -461,8 +464,10 @@ def run_simulation(cfg: SimConfig) -> SimResult:
     metrics (security metrics then carry no interval).
     """
     track_batches = cfg.replications == 1
+    survival = WindowSurvival(cfg.profile)
     reps = [
-        _simulate_replication(cfg, r, track_batches) for r in range(cfg.replications)
+        _simulate_replication(cfg, r, track_batches, survival)
+        for r in range(cfg.replications)
     ]
     lam = cfg.profile.arrival_rates
     K = cfg.profile.num_classes

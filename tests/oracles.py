@@ -1,4 +1,4 @@
-"""Independent reference implementations the exact engine is checked against."""
+"""Independent reference implementations the engines are checked against."""
 
 from __future__ import annotations
 
@@ -8,7 +8,15 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
 from eolsec.ctmc import ModelVariant, RateMatrix
-from eolsec.link import Classification, DemandProfile, classify, placements, removals
+from eolsec.link import (
+    Classification,
+    DemandProfile,
+    classify,
+    connection_spans,
+    placements,
+    removals,
+)
+from eolsec.security import _inside_of_spans, total_rearrangements
 from eolsec.statespace import StateSpace
 
 
@@ -69,6 +77,14 @@ def loop_generator(space: StateSpace, profile: DemandProfile, variant: ModelVari
     return RateMatrix(matrix=q, variant=variant, num_regular=n_sa, num_raas=n_r, num_daas=n_d)
 
 
+def lil_bordered_matrix(q_sub: sp.csr_matrix) -> sp.csc_matrix:
+    """Q^T with its last row replaced by ones, built through a LIL matrix."""
+    m = q_sub.shape[0]
+    a = q_sub.transpose().tolil()
+    a[m - 1, :] = np.ones(m)
+    return a.tocsc()
+
+
 def is_strongly_connected(rm: RateMatrix) -> bool:
     adjacency = rm.matrix.copy()
     adjacency.setdiag(0)
@@ -86,3 +102,29 @@ def dense_stationary_oracle(rm: RateMatrix) -> np.ndarray:
     x, *_ = scipy.linalg.lstsq(a, b, lapack_driver="gelsy")
     x = np.clip(x, 0.0, None)
     return x / x.sum()
+
+
+def group_table_attack_success(space: StateSpace, width: int) -> np.ndarray:
+    """Per-state attack survival by tabulating, for every window start, the
+    inside patterns of all straddle-free members of each pattern group."""
+    profile = space.profile
+    positions = profile.capacity - width + 1
+    numerators = [0] * space.num_regular
+    denominators = [0] * space.num_regular
+    for pat, members in space.pattern_groups.items():
+        spans_of = {i: connection_spans(space.arrangements[i], profile) for i in members}
+        r_n = total_rearrangements(pat, profile)
+        for start in range(1, positions + 1):
+            last = start + width - 1
+            table: dict[tuple[int, ...], int] = {}
+            insides: dict[int, tuple[int, ...]] = {}
+            for i in members:
+                n_in, straddle = _inside_of_spans(spans_of[i], start, last, profile.num_classes)
+                insides[i] = n_in
+                if not straddle:
+                    table[n_in] = table.get(n_in, 0) + 1
+            for i in members:
+                numerators[i] += table.get(insides[i], 0)
+        for i in members:
+            denominators[i] = r_n * positions
+    return np.array([n / d for n, d in zip(numerators, denominators)])

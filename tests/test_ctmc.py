@@ -15,7 +15,12 @@ from eolsec import (
     solve_stationary,
 )
 from eolsec import ctmc
-from oracles import dense_stationary_oracle, is_strongly_connected, loop_generator
+from oracles import (
+    dense_stationary_oracle,
+    is_strongly_connected,
+    lil_bordered_matrix,
+    loop_generator,
+)
 
 
 @pytest.fixture(scope="module")
@@ -234,6 +239,29 @@ def test_assembly_matches_loop_bit_for_bit(capacity, variant, space7, space14):
     )
     got = assemble_generator(space, rates, variant).matrix
     expected = loop_generator(space, rates, variant).matrix
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(got, name), getattr(expected, name)
+        assert a.dtype == b.dtype
+        assert np.array_equal(a, b), name
+
+
+@pytest.mark.parametrize("variant", ASSEMBLY_VARIANTS, ids=lambda v: f"{v.kind.value}-{v.randomization_rate}")
+def test_bordered_matrix_matches_lil_construction(variant, space14, monkeypatch):
+    rm = assemble_generator(space14, space14.profile, variant)
+    handed = []
+    real_splu = ctmc.splu
+
+    def capture(a, **kwargs):
+        handed.append(a)
+        return real_splu(a, **kwargs)
+
+    monkeypatch.setattr(ctmc, "splu", capture)
+    solve_stationary(rm)
+    keep = ctmc._terminal_states(rm.matrix)
+    q_sub = rm.matrix[np.ix_(keep, keep)] if len(keep) < rm.dimension else rm.matrix
+    expected = lil_bordered_matrix(q_sub)
+    got = handed[0]
+    assert got.format == "csc"
     for name in ("indptr", "indices", "data"):
         a, b = getattr(got, name), getattr(expected, name)
         assert a.dtype == b.dtype

@@ -214,7 +214,9 @@ class TestRunExperiments:
 class TestCli:
     def test_validate_ok(self, config_path, capsys):
         assert main(["validate", "--config", str(config_path)]) == EXIT_OK
-        assert "config ok" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "config ok" in out
+        assert "15 regular states (budget 35000)" in out
 
     def test_validate_bad_config(self, tmp_path, capsys):
         path = tmp_path / "bad.yaml"
@@ -247,6 +249,38 @@ class TestCli:
         )
         assert main(["run", "--config", str(path)]) == EXIT_CONFIG
         assert "budget is 5" in capsys.readouterr().err
+
+    @staticmethod
+    def _over_budget_config(tmp_path, sim_block: str):
+        path = tmp_path / "over_budget.yaml"
+        path.write_text(
+            "schema_version: 1\n"
+            "profile: {capacity: 7, demands: [3, 4]}\n"
+            "traffic: {loads: [2.0]}\n"
+            "engine: analytic\n"
+            "state_budget: 5\n"
+            + sim_block
+            + f"output: {{dir: '{tmp_path / 'out'}', timestamp: false}}\n"
+        )
+        return path
+
+    def test_validate_over_budget_without_mc_budget(self, tmp_path, capsys):
+        path = self._over_budget_config(tmp_path, "")
+        assert main(["validate", "--config", str(path)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert "config ok" not in captured.out
+        assert "budget is 5" in captured.err
+        # validate refuses exactly what run refuses
+        assert main(["run", "--config", str(path)]) == EXIT_CONFIG
+
+    def test_validate_over_budget_with_mc_fallback(self, tmp_path, capsys):
+        path = self._over_budget_config(tmp_path, "sim: {arrivals: 200, seed: 3}\n")
+        assert main(["validate", "--config", str(path)]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "config ok" in out
+        assert "15 regular states (budget 5)" in out
+        assert "fall back to mc" in out
+        assert main(["run", "--config", str(path)]) == EXIT_OK
 
     def test_negative_mass_is_numerical_failure(self, config_path, tmp_path, monkeypatch, capsys):
         def fail(*args):

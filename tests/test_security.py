@@ -3,7 +3,7 @@ from itertools import permutations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from eolsec import (
@@ -16,6 +16,7 @@ from eolsec import (
     attack_success_probability,
     build_state_space,
     count_matching_rearrangements,
+    count_states,
     inside_pattern,
     observable_fraction,
     per_state_attack_success,
@@ -24,7 +25,8 @@ from eolsec import (
     total_rearrangements,
 )
 from eolsec.link import connection_spans, pattern
-from eolsec.security import _outside_split_count
+from eolsec.security import WindowSurvival, _outside_split_count, _outside_split_prefix
+from oracles import group_table_attack_success
 
 
 def brute_force_matches(arr, window, profile):
@@ -173,6 +175,46 @@ def test_partition_matches_brute_force(data):
     expected, _ = brute_force_matches(arr, window, profile)
     assert count_matching_rearrangements(arr, window, profile, "partition") == expected
     assert count_matching_rearrangements(arr, window, profile, "enumeration") == expected
+
+
+class TestWindowSurvival:
+    @pytest.mark.parametrize("fixture", ["profile7", "profile14"])
+    def test_matches_group_tables(self, fixture, request):
+        profile = request.getfixturevalue(fixture)
+        space = build_state_space(profile)
+        for width in range(1, profile.capacity + 1):
+            expected = group_table_attack_success(space, width)
+            got = per_state_attack_success(space, width)
+            assert np.abs(got - expected).max() <= 1e-12, width
+
+    def test_prefix_sums_the_split_counts(self):
+        demands = (2, 3, 4)
+        n_out, frees_out = (2, 1, 1), 3
+        prefix = _outside_split_prefix(n_out, frees_out, demands)
+        width = frees_out + 2 * 2 + 3 + 4
+        assert len(prefix) == width + 2
+        for cap_left in range(width + 1):
+            step = prefix[cap_left + 1] - prefix[cap_left]
+            assert step == _outside_split_count(n_out, frees_out, cap_left, demands)
+
+    def test_empty_link_always_survives(self, profile14):
+        kernel = WindowSurvival(profile14)
+        for width in (1, 5, 14):
+            assert kernel.expected([], (0, 0, 0), width) == 1.0
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_window_survival_matches_group_tables(data):
+    capacity = data.draw(st.integers(4, 10))
+    k = data.draw(st.integers(1, 3))
+    demands = tuple(data.draw(st.integers(1, min(4, capacity))) for _ in range(k))
+    profile = DemandProfile(capacity, demands, (1.0,) * k, (1.0,) * k)
+    assume(count_states(profile) <= 3000)
+    space = build_state_space(profile)
+    width = data.draw(st.integers(1, capacity))
+    expected = group_table_attack_success(space, width)
+    assert np.abs(per_state_attack_success(space, width) - expected).max() <= 1e-12
 
 
 class TestAttackProbability:

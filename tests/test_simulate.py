@@ -4,6 +4,7 @@ from collections import Counter
 
 import pytest
 from scipy.stats import chisquare
+from scipy.stats import t as student_t
 
 from eolsec import (
     Arrangement,
@@ -21,6 +22,7 @@ from eolsec import (
     solve_stationary,
 )
 from eolsec.link import check_arrangement, pattern
+from eolsec.simulate import _t_quantile
 
 
 class TestSampling:
@@ -206,6 +208,29 @@ class TestRunSimulation:
         assert result.counts.defrags_started > 0
         assert not math.isnan(result.attack_success_any_reconfig[3].mean)
 
+    @pytest.mark.parametrize("position_limit", [128, 3])
+    def test_windows_leave_trajectory_untouched(self, profile7, position_limit):
+        # at limit 3 the 7-slot link samples window starts at defrag events
+        shared = dict(
+            profile=profile7,
+            variant=ModelVariant.randomized_defrag(2.0, 10.0),
+            arrivals=5000,
+            warmup=10.0,
+            replications=2,
+            seed=31,
+            security_position_limit=position_limit,
+        )
+        bare = run_simulation(SimConfig(window_widths=(), **shared))
+        scored = run_simulation(SimConfig(window_widths=(3, 5), **shared))
+        assert scored.counts.defrags_started > 0
+        assert scored.counts == bare.counts
+        assert scored.resource_blocking == bare.resource_blocking
+        assert scored.fragmentation_blocking == bare.fragmentation_blocking
+        assert scored.reconfiguration_blocking == bare.reconfiguration_blocking
+        assert scored.overall_blocking == bare.overall_blocking
+        assert scored.reconfig_time_fraction == bare.reconfig_time_fraction
+        assert not math.isnan(scored.attack_success_any_reconfig[3].mean)
+
     def test_single_replication_batch_means(self, profile7):
         cfg = SimConfig(
             profile=profile7,
@@ -241,3 +266,9 @@ class TestRunSimulation:
             debug_checks=True,
         )
         run_simulation(cfg)
+
+
+def test_t_quantile_matches_student_t():
+    for n in (2, 3, 5, 10, 40, 1000):
+        assert _t_quantile(n) == float(student_t.ppf(0.975, n - 1))
+    assert math.isnan(_t_quantile(1))

@@ -16,7 +16,13 @@ import sys
 from pathlib import Path
 
 from .ctmc import NegativeStationaryMass, NoConvergence, NotIrreducible
-from .experiment import ConfigError, load_config, run_experiments
+from .experiment import (
+    ConfigError,
+    cell_specs,
+    fall_back_or_raise,
+    load_config,
+    run_experiments,
+)
 from .link import DemandProfile
 from .statespace import (
     SpaceOptions,
@@ -97,8 +103,7 @@ def _cmd_dump_states(args: argparse.Namespace) -> int:
 
 def _cmd_validate(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
-    points = 1 if cfg.loads is None else len(cfg.loads)
-    cells = len(cfg.variants) * points * len(cfg.randomization_rates) * len(cfg.reconfig_rates)
+    cells = len(cell_specs(cfg))
     line = f"config ok: {cells} grid cells, engine={cfg.engine}, C={cfg.capacity}"
     if cfg.engine != "mc" and cells:
         profile = DemandProfile(
@@ -107,9 +112,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         states = count_states(profile)
         line += f", {states} regular states (budget {cfg.state_budget})"
         if states > cfg.state_budget:
-            if cfg.sim_arrivals is None and cfg.sim_horizon is None:
-                # run would stop at the first cell: no Monte Carlo budget to fall back on
-                raise StateBudgetExceeded(states, cfg.state_budget)
+            fall_back_or_raise(cfg, StateBudgetExceeded(states, cfg.state_budget))
             line += ", analytic cells fall back to mc"
     print(line)
     return EXIT_OK

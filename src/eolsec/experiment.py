@@ -73,7 +73,6 @@ class ExperimentConfig:
     sim_warmup: float
     sim_replications: int
     seed: int
-    security_position_limit: int
     out_dir: Path
     basename: str
     timestamp: bool
@@ -194,7 +193,6 @@ def load_config(path: str | Path, **overrides) -> ExperimentConfig:
         sim_warmup=_get(sim, "sim", "warmup", float, default=0.0),
         sim_replications=_get(sim, "sim", "replications", int, default=10),
         seed=_get(sim, "sim", "seed", int, default=DEFAULT_SEED),
-        security_position_limit=_get(sim, "sim", "security_position_limit", int, default=128),
         out_dir=Path(_get(output, "output", "dir", str, default=".")),
         basename=_get(output, "output", "basename", str, default="results"),
         timestamp=_get(output, "output", "timestamp", bool, default=True),
@@ -247,6 +245,28 @@ class CellSpec:
     config: ExperimentConfig
 
 
+def cell_specs(cfg: ExperimentConfig) -> list[CellSpec]:
+    """The sweep grid in run order: variant, traffic point, lambda_S, mu_d."""
+    engines = ("analytic", "mc") if cfg.engine == "both" else (cfg.engine,)
+    specs: list[CellSpec] = []
+    for variant in cfg.variants:
+        for load in _traffic_points(cfg):
+            for lambda_s in cfg.randomization_rates:
+                for mu_d in cfg.reconfig_rates:
+                    specs.append(CellSpec(len(specs), variant, load, lambda_s, mu_d, engines, cfg))
+    return specs
+
+
+def fall_back_or_raise(cfg: ExperimentConfig, exc: StateBudgetExceeded) -> None:
+    """Return if analytic cells over the state budget can fall back to mc.
+
+    Re-raises ``exc`` when the config has no Monte Carlo budget
+    (``sim.arrivals`` or ``sim.horizon``) to fall back on.
+    """
+    if cfg.sim_arrivals is None and cfg.sim_horizon is None:
+        raise exc
+
+
 @lru_cache(maxsize=8)
 def _shared_space(capacity: int, demands: tuple[int, ...], randomize_empty: bool, budget: int):
     profile = DemandProfile(capacity, demands, (0.0,) * len(demands), (1.0,) * len(demands))
@@ -284,8 +304,7 @@ def _compute_cell(spec: CellSpec) -> dict:
                 cfg.capacity, cfg.demands, cfg.randomize_empty, cfg.state_budget
             )
         except StateBudgetExceeded as exc:
-            if cfg.sim_arrivals is None and cfg.sim_horizon is None:
-                raise  # no Monte Carlo budget to fall back on
+            fall_back_or_raise(cfg, exc)
             log.warning("cell %d: %s; falling back to mc", spec.ordinal, exc)
             summary["warnings"].append(f"analytic engine unavailable: {exc}")
             engines = ["mc"]
@@ -341,7 +360,6 @@ def _compute_cell(spec: CellSpec) -> dict:
                 seed=cfg.seed + spec.ordinal,
                 window_widths=cfg.window_widths if variant.has_randomization else (),
                 randomize_empty=cfg.randomize_empty,
-                security_position_limit=cfg.security_position_limit,
             )
             result = run_simulation(sim_cfg)
             security = []
@@ -414,15 +432,7 @@ class ExperimentOutcome:
 
 def run_experiments(cfg: ExperimentConfig) -> ExperimentOutcome:
     """Evaluate the whole grid and write the CSV and JSON summary files."""
-    engines = ("analytic", "mc") if cfg.engine == "both" else (cfg.engine,)
-    specs: list[CellSpec] = []
-    ordinal = 0
-    for variant in cfg.variants:
-        for load in _traffic_points(cfg):
-            for lambda_s in cfg.randomization_rates:
-                for mu_d in cfg.reconfig_rates:
-                    specs.append(CellSpec(ordinal, variant, load, lambda_s, mu_d, engines, cfg))
-                    ordinal += 1
+    specs = cell_specs(cfg)
 
     if cfg.jobs > 1 and len(specs) > 1:
         with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:

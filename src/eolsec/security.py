@@ -179,7 +179,6 @@ class WindowSurvival:
         self._prefix: dict[tuple[tuple[int, ...], int], list[int]] = {}
         # (pattern, width) -> {inside counts: (inside orderings, prefix) or ()}
         self._runs: dict[tuple[tuple[int, ...], int], dict] = {}
-        self._totals: dict[tuple[int, ...], int] = {}
 
     def expected(self, spans: list[tuple[int, int, int]], pat: tuple[int, ...], width: int) -> float:
         """E[survival | spans] for a window of ``width`` slots; ``pat`` is the spans' pattern."""
@@ -221,9 +220,7 @@ class WindowSurvival:
                 numerator += inside * (prefix[last] - prefix[first - 1])
             first = last + 1
 
-        total = self._totals.get(pat)
-        if total is None:
-            total = self._totals[pat] = _permutation_count(self._frees(pat), pat)
+        total = _permutation_count(self._frees(pat), pat)
         return numerator / (total * positions)
 
     def _frees(self, pat: tuple[int, ...]) -> int:
@@ -240,6 +237,58 @@ class WindowSurvival:
         if prefix is None:
             prefix = self._prefix[key] = _outside_split_prefix(*key, self.demands)
         return _permutation_count(frees_in, n_in), prefix
+
+
+def survived_window_fraction(
+    spans_before: list[tuple[int, int, int]],
+    spans_after: list[tuple[int, int, int]],
+    capacity: int,
+    width: int,
+) -> float:
+    """Fraction of window positions whose observation survived one redraw.
+
+    A position survives if no connection of the redrawn arrangement
+    straddles a window edge and the fully-inside pattern is unchanged.  As
+    in ``WindowSurvival.expected``, each span changes what a window start
+    sees only at its breakpoints, so the sweep costs O(#connections).
+    """
+    positions = capacity - width + 1
+    # state[k] = redrawn minus original inside count of class k;
+    # state[0] = redrawn connections that overlap the window but do not fit.
+    # A start survives iff every entry is zero.
+    events = []
+    for k, s, e in spans_after:
+        # the span overlaps the windows starting in [s - width + 1, e]
+        lo = s - width + 1 if s > width else 1
+        hi = e if e < positions else positions
+        if lo <= hi:
+            events.append((lo, 0, 1))
+            events.append((hi + 1, 0, -1))
+        lo = e - width + 1 if e > width else 1
+        hi = s if s < positions else positions
+        if lo <= hi:
+            events += [(lo, k, 1), (lo, 0, -1), (hi + 1, k, -1), (hi + 1, 0, 1)]
+    for k, s, e in spans_before:
+        lo = e - width + 1 if e > width else 1
+        hi = s if s < positions else positions
+        if lo <= hi:
+            events += [(lo, k, -1), (hi + 1, k, 1)]
+    events.sort()
+
+    state = [0] * (max((k for k, _, _ in spans_after + spans_before), default=0) + 1)
+    hits = 0
+    i = 0
+    first = 1
+    while first <= positions:
+        while i < len(events) and events[i][0] == first:
+            _, k, delta = events[i]
+            state[k] += delta
+            i += 1
+        last = events[i][0] - 1 if i < len(events) else positions
+        if not any(state):
+            hits += last - first + 1
+        first = last + 1
+    return hits / positions
 
 
 def count_matching_rearrangements(
@@ -292,7 +341,10 @@ def per_state_attack_success(space: StateSpace, width: int) -> np.ndarray:
     if width in cache:
         return cache[width]
 
-    kernel = WindowSurvival(profile)
+    # one kernel per state space keeps its prefix sums across widths
+    kernel = space._survival_kernel
+    if kernel is None:
+        kernel = space._survival_kernel = WindowSurvival(profile)
     result = np.array([
         kernel.expected(connection_spans(arr, profile), pat, width)
         for arr, pat in zip(space.arrangements, space.state_patterns)

@@ -14,12 +14,12 @@ adds the exact survival given the pre-state, averaged over all window
 positions (``security.WindowSurvival``): a conditional Monte Carlo estimate
 with the same mean and less variance than checking the one redraw.  Defrag
 completions, which only ``attack_success_any_reconfig`` counts, check the
-redrawn arrangement itself.
+redrawn arrangement itself at every window position
+(``security.survived_window_fraction``).  Scoring draws no random numbers,
+so it never changes the trajectory.
 
 Replications differ only in their seed-derived random streams; results are
-bit-for-bit reproducible for a fixed config and seed.  Window starts
-sampled above ``security_position_limit`` come from a stream of their own,
-so scoring windows never changes the trajectory.
+bit-for-bit reproducible for a fixed config and seed.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 from .ctmc import ModelVariant
 from .link import Arrangement, DemandProfile, token_spans
-from .security import WindowSurvival, _inside_of_spans
+from .security import WindowSurvival, survived_window_fraction
 from .statespace import pattern_size
 
 DEFAULT_SEED = 1729
@@ -82,7 +82,6 @@ class SimConfig:
     window_widths: tuple[int, ...] = ()
     randomize_empty: bool = False
     debug_checks: bool = False
-    security_position_limit: int = 128  # above this capacity, sample defrag window starts
     batch_count: int = 10               # batch-means groups for single-replication CIs
 
     def __post_init__(self) -> None:
@@ -157,39 +156,6 @@ class _Replication:
     batches: list[list[list[int]]] = field(default_factory=list)
 
 
-def _sampled_window_success(
-    spans_before: list[tuple[int, int, int]],
-    spans_after: list[tuple[int, int, int]],
-    capacity: int,
-    width: int,
-    num_classes: int,
-    rng: random.Random,
-    position_limit: int,
-) -> float:
-    """Fraction of window positions whose inside observation survived.
-
-    Checks every position up to ``position_limit`` slots of capacity, and
-    ``position_limit`` starts drawn from ``rng`` above it.
-    """
-    positions = capacity - width + 1
-    if capacity <= position_limit:
-        starts = range(1, positions + 1)
-        total = positions
-    else:
-        starts = [rng.randrange(1, positions + 1) for _ in range(position_limit)]
-        total = position_limit
-    hits = 0
-    for start in starts:
-        last = start + width - 1
-        inside_after, straddle = _inside_of_spans(spans_after, start, last, num_classes)
-        if straddle:
-            continue  # most starts cut a packed connection; skip the pre-state scan
-        inside_before, _ = _inside_of_spans(spans_before, start, last, num_classes)
-        if inside_after == inside_before:
-            hits += 1
-    return hits / total
-
-
 def _simulate_replication(
     cfg: SimConfig, rep: int, track_batches: bool, survival: WindowSurvival
 ) -> _Replication:
@@ -213,8 +179,6 @@ def _simulate_replication(
     rng = random.Random(f"{cfg.seed}:{rep}")
     expovariate = rng.expovariate
     uniform = rng.random
-    # window starts sampled at defrag events never touch the trajectory
-    window_rng = random.Random(f"{cfg.seed}:{rep}:windows")
 
     rec = _Replication(
         arrivals=[0] * K,
@@ -376,9 +340,8 @@ def _simulate_replication(
                 else:
                     spans_after = token_spans(tokens, demands)
                     for w in widths:
-                        rec.any_success[w] += _sampled_window_success(
-                            spans_before, spans_after, capacity, w, K, window_rng,
-                            cfg.security_position_limit,
+                        rec.any_success[w] += survived_window_fraction(
+                            spans_before, spans_after, capacity, w
                         )
                 rec.any_events += 1
             reconfig = _NO_RECONFIG

@@ -173,6 +173,8 @@ class StateSpace:
     defrag_targets: tuple[tuple[int, ...], ...]
     defrag_sources: tuple[tuple[frozenset[int], ...], ...]
     _security_cache: dict = field(default_factory=dict, repr=False, compare=False)
+    # security.WindowSurvival of this link, built on first use
+    _survival_kernel: object = field(default=None, repr=False, compare=False)
 
     @property
     def num_regular(self) -> int:

@@ -128,3 +128,17 @@ def group_table_attack_success(space: StateSpace, width: int) -> np.ndarray:
         for i in members:
             denominators[i] = r_n * positions
     return np.array([n / d for n, d in zip(numerators, denominators)])
+
+
+def scanned_window_fraction(spans_before, spans_after, capacity: int, width: int) -> float:
+    """Survived fraction of window starts, checking each start in turn."""
+    num_classes = max((k for k, _, _ in spans_before + spans_after), default=0)
+    positions = capacity - width + 1
+    hits = 0
+    for start in range(1, positions + 1):
+        last = start + width - 1
+        inside_after, straddle = _inside_of_spans(spans_after, start, last, num_classes)
+        inside_before, _ = _inside_of_spans(spans_before, start, last, num_classes)
+        if not straddle and inside_after == inside_before:
+            hits += 1
+    return hits / positions

@@ -24,9 +24,14 @@ from eolsec import (
     solve_stationary,
     total_rearrangements,
 )
-from eolsec.link import connection_spans, pattern
-from eolsec.security import WindowSurvival, _outside_split_count, _outside_split_prefix
-from oracles import group_table_attack_success
+from eolsec.link import connection_spans, pattern, token_spans
+from eolsec.security import (
+    WindowSurvival,
+    _outside_split_count,
+    _outside_split_prefix,
+    survived_window_fraction,
+)
+from oracles import group_table_attack_success, scanned_window_fraction
 
 
 def brute_force_matches(arr, window, profile):
@@ -201,6 +206,48 @@ class TestWindowSurvival:
         kernel = WindowSurvival(profile14)
         for width in (1, 5, 14):
             assert kernel.expected([], (0, 0, 0), width) == 1.0
+
+    def test_one_kernel_serves_every_width(self, profile7):
+        space = build_state_space(profile7)
+        per_state_attack_success(space, 2)
+        kernel = space._survival_kernel
+        prefixes = len(kernel._prefix)
+        per_state_attack_success(space, 3)
+        assert space._survival_kernel is kernel
+        assert len(kernel._prefix) >= prefixes > 0
+
+
+class TestSurvivedWindowFraction:
+    def test_unchanged_arrangement_survives_where_nothing_straddles(self, profile7):
+        # one 3-slot connection on slots [2, 4]
+        spans = token_spans((0, 1, 0, 0, 0), profile7.demands)
+        # width-3 windows start at 1..5; starts 1, 3 and 4 cut the connection
+        assert survived_window_fraction(spans, spans, 7, 3) == 2 / 5
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_survived_window_fraction_matches_scan(data):
+    capacity = data.draw(st.integers(1, 16))
+    k = data.draw(st.integers(1, 3))
+    demands = tuple(data.draw(st.integers(1, capacity)) for _ in range(k))
+    tokens = []
+    room = capacity
+    while room:
+        t = data.draw(st.integers(0, k))
+        if t and demands[t - 1] <= room:
+            tokens.append(t)
+            room -= demands[t - 1]
+        else:
+            tokens.append(0)
+            room -= 1
+    redrawn = data.draw(st.permutations(tokens))
+    width = data.draw(st.integers(1, capacity))
+    before = token_spans(tokens, demands)
+    after = token_spans(redrawn, demands)
+    assert survived_window_fraction(before, after, capacity, width) == (
+        scanned_window_fraction(before, after, capacity, width)
+    )
 
 
 @settings(max_examples=40, deadline=None)

@@ -208,9 +208,7 @@ class TestRunSimulation:
         assert result.counts.defrags_started > 0
         assert not math.isnan(result.attack_success_any_reconfig[3].mean)
 
-    @pytest.mark.parametrize("position_limit", [128, 3])
-    def test_windows_leave_trajectory_untouched(self, profile7, position_limit):
-        # at limit 3 the 7-slot link samples window starts at defrag events
+    def test_windows_leave_trajectory_untouched(self, profile7):
         shared = dict(
             profile=profile7,
             variant=ModelVariant.randomized_defrag(2.0, 10.0),
@@ -218,7 +216,6 @@ class TestRunSimulation:
             warmup=10.0,
             replications=2,
             seed=31,
-            security_position_limit=position_limit,
         )
         bare = run_simulation(SimConfig(window_widths=(), **shared))
         scored = run_simulation(SimConfig(window_widths=(3, 5), **shared))

@@ -45,7 +45,6 @@ from .security import (
     observable_fraction,
     per_state_attack_success,
     security_report,
-    total_rearrangements,
 )
 from .simulate import (
     DEFAULT_SEED,
@@ -54,8 +53,6 @@ from .simulate import (
     SimConfig,
     SimResult,
     run_simulation,
-    sample_defragmented_arrangement,
-    sample_random_arrangement,
 )
 from .statespace import (
     SpaceOptions,
@@ -113,11 +110,8 @@ __all__ = [
     "placements",
     "removals",
     "run_simulation",
-    "sample_defragmented_arrangement",
-    "sample_random_arrangement",
     "security_report",
     "solve_stationary",
-    "total_rearrangements",
 ]
 
 __version__ = "0.1.0"

@@ -273,14 +273,19 @@ def _shared_space(capacity: int, demands: tuple[int, ...], randomize_empty: bool
     return build_state_space(profile, SpaceOptions(randomize_empty, budget))
 
 
-def _security_columns(p_sa: float, lambda_s: float, mu: float, data_rate: float):
+def _security_columns(
+    p_sa: float, lambda_s: float, mu: float, data_rate: float, warnings: list[str]
+) -> tuple[float, float]:
+    """(p_sa, observable fraction); a non-integer rate ratio is warned once per cell."""
     if math.isnan(p_sa) or lambda_s <= 0:
-        return p_sa, math.nan, None
+        return p_sa, math.nan
     try:
         _, fraction = observable_fraction(p_sa, lambda_s, mu, data_rate)
-        return p_sa, fraction, None
+        return p_sa, fraction
     except NonIntegerRpRatio as exc:
-        return p_sa, math.nan, str(exc)
+        if str(exc) not in warnings:
+            warnings.append(str(exc))
+        return p_sa, math.nan
 
 
 def _compute_cell(spec: CellSpec) -> dict:
@@ -320,14 +325,11 @@ def _compute_cell(spec: CellSpec) -> dict:
             for w in cfg.window_widths:
                 if variant.has_randomization:
                     p = attack_success_probability(dist.pi, space, w)
-                    p, frac, warning = _security_columns(
-                        p, spec.lambda_s, mu_ref, cfg.data_rate
-                    )
+                    security.append(_security_columns(
+                        p, spec.lambda_s, mu_ref, cfg.data_rate, summary["warnings"]
+                    ))
                 else:
-                    p, frac, warning = math.nan, math.nan, None
-                if warning:
-                    summary["warnings"].append(warning)
-                security.append((p, frac))
+                    security.append((math.nan, math.nan))
             quality = dist.residual
             summary["analytic"] = {
                 "rb": list(report.resource_blocking),
@@ -366,10 +368,9 @@ def _compute_cell(spec: CellSpec) -> dict:
             for w in cfg.window_widths:
                 est = result.attack_success.get(w)
                 p = est.mean if est is not None else math.nan
-                p, frac, warning = _security_columns(p, spec.lambda_s, mu_ref, cfg.data_rate)
-                if warning:
-                    summary["warnings"].append(warning)
-                security.append((p, frac))
+                security.append(_security_columns(
+                    p, spec.lambda_s, mu_ref, cfg.data_rate, summary["warnings"]
+                ))
             quality = result.overall_blocking.ci_half_width
             summary["mc"] = {
                 "rb": [e.mean for e in result.resource_blocking],

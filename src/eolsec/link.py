@@ -9,7 +9,8 @@ two distinct connections, so the token sequence fully determines the state.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+import random
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from enum import Enum
 
@@ -125,46 +126,68 @@ def pattern(arr: Arrangement, profile: DemandProfile) -> tuple[int, ...]:
     return tuple(counts)
 
 
+def fit_runs(tokens: Sequence[int], need: int) -> list[tuple[int, int]]:
+    """Free runs that fit a ``need``-slot block, in slot order.
+
+    Each entry is ``(first_token, fitting_starts)``: the token index where
+    the run begins and how many block positions it offers (run length minus
+    ``need`` plus one).  Free tokens are one slot each, so the scan stops as
+    soon as the free slots not yet visited cannot fit the block.
+    """
+    runs: list[tuple[int, int]] = []
+    n = len(tokens)
+    remaining = tokens.count(FREE)
+    i = 0
+    while remaining >= need:
+        i = tokens.index(FREE, i)
+        j = i + 1
+        while j < n and tokens[j] == FREE:
+            j += 1
+        remaining -= j - i
+        if j - i >= need:
+            runs.append((i, j - i - need + 1))
+        i = j
+    return runs
+
+
+def random_fit(tokens: Sequence[int], need: int, uniform: Callable[[], float]) -> int | None:
+    """Token index where random fit places a ``need``-slot block, or None.
+
+    Takes the ``floor(u * m)``-th of the ``m`` fitting starts in slot order
+    (the order of ``placements``) with ``u = uniform()``.  ``uniform`` is
+    called once, and only when the block fits.
+    """
+    runs = fit_runs(tokens, need)
+    if not runs:
+        return None
+    m = sum(c for _, c in runs)
+    pick = int(uniform() * m)
+    if pick >= m:
+        pick = m - 1
+    for start, c in runs:
+        if pick < c:
+            return start + pick
+        pick -= c
+
+
 def free_fragments(arr: Arrangement) -> list[int]:
     """Sizes of maximal free-slot runs, in slot order."""
-    sizes: list[int] = []
-    run = 0
-    for t in arr.tokens:
-        if t == FREE:
-            run += 1
-        elif run:
-            sizes.append(run)
-            run = 0
-    if run:
-        sizes.append(run)
-    return sizes
+    return [size for _, size in fit_runs(arr.tokens, 1)]
 
 
 def classify(arr: Arrangement, k: int, profile: DemandProfile) -> Classification:
     """Accept, fragmentation-blocked or resource-blocked for a class-k arrival."""
     need = profile.demand(k)
-    total_free = 0
-    largest = 0
-    run = 0
-    for t in arr.tokens:
-        if t == FREE:
-            run += 1
-            total_free += 1
-            if run > largest:
-                largest = run
-        else:
-            run = 0
-    if largest >= need:
+    if fit_runs(arr.tokens, need):
         return Classification.ACCEPT
-    if total_free >= need:
+    if arr.tokens.count(FREE) >= need:
         return Classification.FRAG_BLOCKED
     return Classification.RESOURCE_BLOCKED
 
 
 def placement_count(arr: Arrangement, k: int, profile: DemandProfile) -> int:
     """Number of distinct slot positions where a class-k block fits."""
-    need = profile.demand(k)
-    return sum(f - need + 1 for f in free_fragments(arr) if f >= need)
+    return sum(c for _, c in fit_runs(arr.tokens, profile.demand(k)))
 
 
 def placements(arr: Arrangement, k: int, profile: DemandProfile) -> list[Arrangement]:
@@ -173,24 +196,16 @@ def placements(arr: Arrangement, k: int, profile: DemandProfile) -> list[Arrange
     One result per admissible slot position, in slot order.  Under the
     random-fit policy each result is chosen with probability 1/len(result).
     """
-    if classify(arr, k, profile) is not Classification.ACCEPT:
-        raise ValueError(f"class {k} is not acceptable in this state")
     need = profile.demand(k)
+    runs = fit_runs(arr.tokens, need)
+    if not runs:
+        raise ValueError(f"class {k} is not acceptable in this state")
     tokens = arr.tokens
-    out: list[Arrangement] = []
-    i = 0
-    n = len(tokens)
-    while i < n:
-        if tokens[i] == FREE:
-            j = i
-            while j < n and tokens[j] == FREE:
-                j += 1
-            for off in range(i, j - need + 1):
-                out.append(Arrangement(tokens[:off] + (k,) + tokens[off + need:]))
-            i = j
-        else:
-            i += 1
-    return out
+    return [
+        Arrangement(tokens[:off] + (k,) + tokens[off + need:])
+        for start, c in runs
+        for off in range(start, start + c)
+    ]
 
 
 def removals(arr: Arrangement, k: int, profile: DemandProfile) -> list[tuple[Arrangement, int]]:
@@ -214,7 +229,19 @@ def removals(arr: Arrangement, k: int, profile: DemandProfile) -> list[tuple[Arr
 
 def is_defragmented(arr: Arrangement) -> bool:
     """True iff all free slots form at most one contiguous block."""
-    return len(free_fragments(arr)) <= 1
+    return len(fit_runs(arr.tokens, 1)) <= 1
+
+
+def defragmented(tokens: Sequence[int], rng: random.Random) -> list[int]:
+    """Uniform draw over the defragmented arrangements of ``tokens``' pattern.
+
+    Shuffles the connections and drops the single free block into one of
+    the gaps, which hits every single-free-block arrangement exactly once.
+    """
+    conns = [t for t in tokens if t != FREE]
+    rng.shuffle(conns)
+    gap = rng.randrange(len(conns) + 1) if conns else 0
+    return conns[:gap] + [FREE] * (len(tokens) - len(conns)) + conns[gap:]
 
 
 def connection_spans(arr: Arrangement, profile: DemandProfile) -> list[tuple[int, int, int]]:

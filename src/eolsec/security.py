@@ -7,25 +7,20 @@ unchanged and no connection straddles a window edge afterwards; straddling
 spectrum is observationally distinct, so straddled placements never count
 as the same observation.
 
-Counting the surviving rearrangements is done two independent ways: by
-enumerating every arrangement of the state's pattern, and by a closed-form
-product of the inside rearrangements with the number of ways to split the
-outside tokens onto the two sides of the window.
+The surviving rearrangements are counted in closed form: the inside
+rearrangements times the number of ways to split the outside tokens onto
+the two sides of the window.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import product
 
 import numpy as np
 
 from .link import Arrangement, DemandProfile, connection_spans, pattern
-from .statespace import StateSpace, _token_sequences
-
-DEFAULT_ENUMERATION_BUDGET = 2_000_000
+from .statespace import StateSpace, _permutation_count
 
 
 class NonIntegerRpRatio(ValueError):
@@ -55,22 +50,6 @@ def _check_window(w: ObservationWindow, profile: DemandProfile) -> None:
         raise ValueError(f"window [{w.start}, {w.last}] exceeds capacity {profile.capacity}")
 
 
-def _permutation_count(frees: int, counts: tuple[int, ...]) -> int:
-    """Distinct orderings of ``frees`` free slots and ``counts`` connections."""
-    total = math.factorial(frees + sum(counts)) // math.factorial(frees)
-    for n in counts:
-        total //= math.factorial(n)
-    return total
-
-
-def total_rearrangements(pat: tuple[int, ...], profile: DemandProfile) -> int:
-    """Number of distinct placements of the pattern on the link (exact integer)."""
-    frees = profile.capacity - sum(n * d for n, d in zip(pat, profile.demands))
-    if frees < 0:
-        raise ValueError(f"pattern {pat} does not fit capacity {profile.capacity}")
-    return _permutation_count(frees, tuple(pat))
-
-
 def _inside_of_spans(
     spans: list[tuple[int, int, int]], start: int, last: int, num_classes: int
 ) -> tuple[tuple[int, ...], bool]:
@@ -95,22 +74,6 @@ def inside_pattern(
     _check_window(window, profile)
     spans = connection_spans(arr, profile)
     return _inside_of_spans(spans, window.start, window.last, profile.num_classes)
-
-
-@lru_cache(maxsize=4096)
-def _match_table(
-    profile: DemandProfile, pat: tuple[int, ...], start: int, width: int
-) -> dict[tuple[int, ...], int]:
-    """For each inside pattern: how many straddle-free arrangements of ``pat`` show it."""
-    frees = profile.capacity - sum(n * d for n, d in zip(pat, profile.demands))
-    last = start + width - 1
-    table: dict[tuple[int, ...], int] = {}
-    for tokens in _token_sequences([frees] + list(pat)):
-        spans = connection_spans(Arrangement(tokens), profile)
-        n_in, straddle = _inside_of_spans(spans, start, last, profile.num_classes)
-        if not straddle:
-            table[n_in] = table.get(n_in, 0) + 1
-    return table
 
 
 def _outside_split_count(
@@ -292,29 +255,17 @@ def survived_window_fraction(
 
 
 def count_matching_rearrangements(
-    arr: Arrangement,
-    window: ObservationWindow,
-    profile: DemandProfile,
-    method: str = "partition",
-    enumeration_budget: int = DEFAULT_ENUMERATION_BUDGET,
+    arr: Arrangement, window: ObservationWindow, profile: DemandProfile
 ) -> int:
     """Arrangements of ``arr``'s pattern indistinguishable inside the window.
 
     Counts the arrangements with the same full pattern whose fully-inside
     pattern equals the one observed in ``arr`` and which leave no connection
-    straddling a window edge.  ``method`` selects the enumeration route or
-    the closed-form inside-times-outside-split product; both agree.
+    straddling a window edge: the inside orderings times the outside splits.
     """
     _check_window(window, profile)
-    if method not in ("partition", "enumeration"):
-        raise ValueError(f"unknown method {method!r}")
     pat = pattern(arr, profile)
     n_in, _ = inside_pattern(arr, window, profile)
-
-    if method == "enumeration":
-        if total_rearrangements(pat, profile) > enumeration_budget:
-            raise RuntimeError("pattern too large for enumeration; use the partition method")
-        return _match_table(profile, pat, window.start, window.width).get(n_in, 0)
 
     frees_total = profile.capacity - sum(n * d for n, d in zip(pat, profile.demands))
     frees_in = window.width - sum(n * d for n, d in zip(n_in, profile.demands))

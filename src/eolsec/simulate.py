@@ -29,45 +29,21 @@ import random
 from dataclasses import dataclass, field
 
 from .ctmc import ModelVariant
-from .link import Arrangement, DemandProfile, token_spans
+from .link import (
+    FREE,
+    Arrangement,
+    DemandProfile,
+    check_arrangement,
+    defragmented,
+    pattern,
+    random_fit,
+    token_spans,
+)
 from .security import WindowSurvival, survived_window_fraction
-from .statespace import pattern_size
 
 DEFAULT_SEED = 1729
 _NO_RECONFIG, _RANDOMIZING, _DEFRAGMENTING = 0, 1, 2
-
-
-def sample_random_arrangement(
-    pat: tuple[int, ...], profile: DemandProfile, rng: random.Random
-) -> Arrangement:
-    """Uniform draw over all arrangements with pattern ``pat``."""
-    if pattern_size(pat, profile) == 0:
-        raise ValueError(f"pattern {pat} does not fit capacity {profile.capacity}")
-    frees = profile.capacity - sum(n * d for n, d in zip(pat, profile.demands))
-    tokens = [0] * frees
-    for k, n in enumerate(pat, start=1):
-        tokens.extend([k] * n)
-    rng.shuffle(tokens)
-    return Arrangement(tuple(tokens))
-
-
-def sample_defragmented_arrangement(
-    pat: tuple[int, ...], profile: DemandProfile, rng: random.Random
-) -> Arrangement:
-    """Uniform draw over the defragmented arrangements of ``pat``.
-
-    Shuffles the connections and drops the single free block into one of
-    the gaps, which hits every single-free-block arrangement exactly once.
-    """
-    if pattern_size(pat, profile) == 0:
-        raise ValueError(f"pattern {pat} does not fit capacity {profile.capacity}")
-    frees = profile.capacity - sum(n * d for n, d in zip(pat, profile.demands))
-    conns: list[int] = []
-    for k, n in enumerate(pat, start=1):
-        conns.extend([k] * n)
-    rng.shuffle(conns)
-    gap = rng.randrange(len(conns) + 1) if conns else 0
-    return Arrangement(tuple(conns[:gap] + [0] * frees + conns[gap:]))
+_BATCH_COUNT = 10  # batch-means groups for single-replication CIs
 
 
 @dataclass(frozen=True)
@@ -82,7 +58,6 @@ class SimConfig:
     window_widths: tuple[int, ...] = ()
     randomize_empty: bool = False
     debug_checks: bool = False
-    batch_count: int = 10               # batch-means groups for single-replication CIs
 
     def __post_init__(self) -> None:
         if self.arrivals is None and self.horizon is None:
@@ -188,7 +163,7 @@ def _simulate_replication(
         rp_success={w: 0.0 for w in widths},
         any_success={w: 0.0 for w in widths},
     )
-    n_batches = cfg.batch_count if track_batches else 0
+    n_batches = _BATCH_COUNT if track_batches else 0
     if n_batches:
         rec.batches = [[[0] * K for _ in range(4)] for _ in range(n_batches)]
         if budget is not None:
@@ -206,11 +181,12 @@ def _simulate_replication(
     measured_arrivals = 0
 
     def check_state() -> None:
-        width = sum(1 if x == 0 else demands[x - 1] for x in tokens)
-        assert width == capacity, f"token widths sum to {width}, capacity {capacity}"
-        for k in range(K):
-            assert counts[k] == sum(1 for x in tokens if x == k + 1)
-        assert free_total == sum(1 for x in tokens if x == 0)
+        arr = Arrangement(tuple(tokens))
+        check_arrangement(arr, profile)
+        if list(pattern(arr, profile)) != counts or tokens.count(FREE) != free_total:
+            raise RuntimeError(
+                f"tracked counts {counts} / {free_total} free disagree with tokens {tokens}"
+            )
 
     while True:
         total = lam_total + lam_s + (mu_d if reconfig else dep_rate)
@@ -255,31 +231,8 @@ def _simulate_replication(
                         batch[3][k] += 1
             else:
                 dk = demands[k]
-                m = 0
-                runs: list[tuple[int, int]] = []
-                i = 0
-                length = len(tokens)
-                while i < length:
-                    if tokens[i] == 0:
-                        j = i + 1
-                        while j < length and tokens[j] == 0:
-                            j += 1
-                        c = j - i - dk + 1
-                        if c > 0:
-                            m += c
-                            runs.append((i, c))
-                        i = j
-                    else:
-                        i += 1
-                if m:
-                    pick = int(uniform() * m)
-                    if pick >= m:
-                        pick = m - 1
-                    for start, c in runs:
-                        if pick < c:
-                            pos = start + pick
-                            break
-                        pick -= c
+                pos = random_fit(tokens, dk, uniform)
+                if pos is not None:
                     tokens[pos:pos + dk] = [k + 1]
                     counts[k] += 1
                     free_total -= dk
@@ -318,11 +271,7 @@ def _simulate_replication(
             if was_randomization:
                 rng.shuffle(tokens)
             else:
-                conns = [x for x in tokens if x]
-                rng.shuffle(conns)
-                frees = len(tokens) - len(conns)
-                gap = rng.randrange(len(conns) + 1) if conns else 0
-                tokens = conns[:gap] + [0] * frees + conns[gap:]
+                tokens = defragmented(tokens, rng)
             if debug:
                 check_state()
             rec.completions += 1

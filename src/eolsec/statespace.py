@@ -73,16 +73,20 @@ def feasible_patterns(profile: DemandProfile) -> Iterator[tuple[int, ...]]:
     yield from rec(0, profile.capacity, ())
 
 
+def _permutation_count(frees: int, counts: tuple[int, ...]) -> int:
+    """Distinct orderings of ``frees`` free slots and ``counts`` connections."""
+    total = math.factorial(frees + sum(counts)) // math.factorial(frees)
+    for n in counts:
+        total //= math.factorial(n)
+    return total
+
+
 def pattern_size(pat: tuple[int, ...], profile: DemandProfile) -> int:
     """Number of distinct states realizing ``pat`` (multiset permutations)."""
     used = sum(n * d for n, d in zip(pat, profile.demands))
     if used > profile.capacity:
         return 0
-    frees = profile.capacity - used
-    size = math.factorial(frees + sum(pat)) // math.factorial(frees)
-    for n in pat:
-        size //= math.factorial(n)
-    return size
+    return _permutation_count(profile.capacity - used, pat)
 
 
 def count_states(profile: DemandProfile) -> int:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
@@ -9,15 +11,19 @@ from scipy.sparse.csgraph import connected_components
 
 from eolsec.ctmc import ModelVariant, RateMatrix
 from eolsec.link import (
+    Arrangement,
     Classification,
     DemandProfile,
     classify,
     connection_spans,
+    pattern,
     placements,
     removals,
 )
-from eolsec.security import _inside_of_spans, total_rearrangements
-from eolsec.statespace import StateSpace
+from eolsec.security import ObservationWindow, _inside_of_spans, inside_pattern
+from eolsec.statespace import StateSpace, _token_sequences, pattern_size
+
+DEFAULT_ENUMERATION_BUDGET = 2_000_000
 
 
 def loop_generator(space: StateSpace, profile: DemandProfile, variant: ModelVariant) -> RateMatrix:
@@ -113,7 +119,7 @@ def group_table_attack_success(space: StateSpace, width: int) -> np.ndarray:
     denominators = [0] * space.num_regular
     for pat, members in space.pattern_groups.items():
         spans_of = {i: connection_spans(space.arrangements[i], profile) for i in members}
-        r_n = total_rearrangements(pat, profile)
+        r_n = pattern_size(pat, profile)
         for start in range(1, positions + 1):
             last = start + width - 1
             table: dict[tuple[int, ...], int] = {}
@@ -142,3 +148,30 @@ def scanned_window_fraction(spans_before, spans_after, capacity: int, width: int
         if not straddle and inside_after == inside_before:
             hits += 1
     return hits / positions
+
+
+@lru_cache(maxsize=4096)
+def _match_table(
+    profile: DemandProfile, pat: tuple[int, ...], start: int, width: int
+) -> dict[tuple[int, ...], int]:
+    """For each inside pattern: how many straddle-free arrangements of ``pat`` show it."""
+    frees = profile.capacity - sum(n * d for n, d in zip(pat, profile.demands))
+    last = start + width - 1
+    table: dict[tuple[int, ...], int] = {}
+    for tokens in _token_sequences([frees] + list(pat)):
+        spans = connection_spans(Arrangement(tokens), profile)
+        n_in, straddle = _inside_of_spans(spans, start, last, profile.num_classes)
+        if not straddle:
+            table[n_in] = table.get(n_in, 0) + 1
+    return table
+
+
+def enumerated_matching_count(
+    arr: Arrangement, window: ObservationWindow, profile: DemandProfile
+) -> int:
+    """``count_matching_rearrangements`` by enumerating every arrangement of the pattern."""
+    pat = pattern(arr, profile)
+    if pattern_size(pat, profile) > DEFAULT_ENUMERATION_BUDGET:
+        raise RuntimeError("pattern too large for enumeration")
+    n_in, _ = inside_pattern(arr, window, profile)
+    return _match_table(profile, pat, window.start, window.width).get(n_in, 0)

@@ -27,14 +27,14 @@ from eolsec import (
     count_matching_rearrangements,
     inside_pattern,
     observable_fraction,
+    pattern_size,
     placement_count,
     run_simulation,
     solve_stationary,
-    total_rearrangements,
 )
 from eolsec.experiment import load_config, run_experiments
-from eolsec.security import _match_table, _outside_split_count
-from oracles import dense_stationary_oracle
+from eolsec.security import _outside_split_count
+from oracles import _match_table, dense_stationary_oracle, enumerated_matching_count
 
 CAPACITY20 = 20
 DEMANDS20 = (4, 6, 8)
@@ -176,12 +176,12 @@ def test_criterion_3_window_counting_fixtures(profile14):
     inside_profile = DemandProfile(4, (2, 3, 4), (1.0,) * 3, (1.0,) * 3)
     n_in, straddle = inside_pattern(arr, window, profile14)
     assert n_in == (0, 1, 0) and not straddle
-    assert total_rearrangements(n_in, inside_profile) == 2          # inside orderings
+    assert pattern_size(n_in, inside_profile) == 2                  # inside orderings
     assert _outside_split_count((1, 0, 1), 4, 5, (2, 3, 4)) == 16   # outside splits
-    assert count_matching_rearrangements(arr, window, profile14, "partition") == 32
-    assert count_matching_rearrangements(arr, window, profile14, "enumeration") == 32
+    assert count_matching_rearrangements(arr, window, profile14) == 32
+    assert enumerated_matching_count(arr, window, profile14) == 32
 
-    assert total_rearrangements((1, 1, 1), profile14) == 336
+    assert pattern_size((1, 1, 1), profile14) == 336
     assert len(set(permutations((0, 0, 0, 0, 0, 1, 2, 3)))) == 336
 
     # the per-position weight 1/11 drives the state-conditional probability
@@ -202,7 +202,7 @@ def test_criterion_4_closed_form_vs_enumeration(profile7, space7, profile14):
     space14 = build_state_space(profile14)
     for profile, space in ((profile7, space7), (profile14, space14)):
         for pat, members in space.pattern_groups.items():
-            assert total_rearrangements(pat, profile) == len(members)
+            assert pattern_size(pat, profile) == len(members)
         capacity = profile.capacity
         for width in range(1, capacity + 1):
             for begin in range(1, capacity - width + 2):
@@ -213,7 +213,7 @@ def test_criterion_4_closed_form_vs_enumeration(profile7, space7, profile14):
                         arr = space.arrangements[i]
                         n_in, _ = inside_pattern(arr, window, profile)
                         assert (
-                            count_matching_rearrangements(arr, window, profile, "partition")
+                            count_matching_rearrangements(arr, window, profile)
                             == table.get(n_in, 0)
                         )
     elapsed = time.perf_counter() - start

@@ -166,6 +166,16 @@ class TestRunExperiments:
         with pytest.raises(StateBudgetExceeded, match="15 regular states, budget is 5"):
             run_experiments(cfg)
 
+    def test_non_integer_rate_ratio_warned_once_per_cell(self, config_path):
+        cfg = load_config(
+            config_path, engine="both", variants=("randomized",), loads=(2.0,),
+            randomization_rates=(2.5,), window_widths=(3, 5, 7),
+        )
+        summary = json.loads(run_experiments(cfg).summary_path.read_text())
+        (cell,) = summary["cells"]
+        message = "randomization_rate/service_rate = 2.5 is not a positive integer"
+        assert cell["warnings"] == [message]
+
     def test_summary_carries_solver_diagnostics(self, config_path):
         summary = json.loads(run_experiments(load_config(config_path)).summary_path.read_text())
         dims = {"regular": 15, "randomized": 15 + 4, "randomized-defrag": 15 + 4 + 2}

@@ -15,7 +15,7 @@ from eolsec import (
     placements,
     removals,
 )
-from eolsec.link import arrangement_width, check_arrangement
+from eolsec.link import arrangement_width, check_arrangement, random_fit
 
 
 def slot_occupancy(arr, profile):
@@ -262,3 +262,34 @@ def test_empty_link_placement_count(pa):
 def test_widths_always_sum_to_capacity(pa):
     profile, arr = pa
     assert arrangement_width(arr, profile) == profile.capacity
+
+
+@settings(max_examples=200, deadline=None)
+@given(profile_and_arrangement())
+def test_random_fit_walks_placements_in_slot_order(pa):
+    profile, arr = pa
+    tokens = arr.tokens
+    slots = slot_occupancy(arr, profile)
+    for k in range(1, profile.num_classes + 1):
+        need = profile.demands[k - 1]
+        m = sum(r - need + 1 for r in free_runs_from_slots(slots) if r >= need)
+        # the i-th draw lands in the middle of the i-th of m equal bins
+        draws = [(i + 0.5) / m for i in range(m)]
+        calls = []
+
+        def uniform():
+            calls.append(None)
+            return draws[len(calls) - 1]
+
+        if m == 0:
+            assert random_fit(tokens, need, uniform) is None
+            assert calls == []
+            continue
+        picked = []
+        for i in range(m):
+            pos = random_fit(tokens, need, uniform)
+            assert len(calls) == i + 1
+            first_slot = sum(1 if t == 0 else profile.demands[t - 1] for t in tokens[:pos])
+            assert slots[first_slot:first_slot + need] == [0] * need
+            picked.append(Arrangement(tokens[:pos] + (k,) + tokens[pos + need:]))
+        assert picked == placements(arr, k, profile)

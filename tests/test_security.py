@@ -19,10 +19,10 @@ from eolsec import (
     count_states,
     inside_pattern,
     observable_fraction,
+    pattern_size,
     per_state_attack_success,
     security_report,
     solve_stationary,
-    total_rearrangements,
 )
 from eolsec.link import connection_spans, pattern, token_spans
 from eolsec.security import (
@@ -31,7 +31,11 @@ from eolsec.security import (
     _outside_split_prefix,
     survived_window_fraction,
 )
-from oracles import group_table_attack_success, scanned_window_fraction
+from oracles import (
+    enumerated_matching_count,
+    group_table_attack_success,
+    scanned_window_fraction,
+)
 
 
 def brute_force_matches(arr, window, profile):
@@ -58,27 +62,23 @@ def brute_force_matches(arr, window, profile):
 
 class TestTotalRearrangements:
     def test_empty_pattern(self, profile7):
-        assert total_rearrangements((0, 0), profile7) == 1
+        assert pattern_size((0, 0), profile7) == 1
 
     def test_full_link_pair(self, profile7, space7):
-        assert total_rearrangements((1, 1), profile7) == 2
-        assert total_rearrangements((1, 1), profile7) == len(space7.gamma_of((1, 1)))
+        assert pattern_size((1, 1), profile7) == 2
+        assert pattern_size((1, 1), profile7) == len(space7.gamma_of((1, 1)))
 
     def test_three_class_instance(self, profile14):
         # 5 free slots + 3 distinct connections: 8!/5! orderings
-        assert total_rearrangements((1, 1, 1), profile14) == 336
+        assert pattern_size((1, 1, 1), profile14) == 336
 
     def test_matches_enumeration(self, profile14):
         seen = set(permutations((0, 0, 0, 0, 0, 1, 2, 3)))
-        assert total_rearrangements((1, 1, 1), profile14) == len(seen)
-
-    def test_rejects_unrealizable(self, profile7):
-        with pytest.raises(ValueError):
-            total_rearrangements((3, 0), profile7)
+        assert pattern_size((1, 1, 1), profile14) == len(seen)
 
     def test_exact_for_large_counts(self):
         profile = DemandProfile(60, (1,), (1.0,), (1.0,))
-        assert total_rearrangements((30,), profile) == math.comb(60, 30)
+        assert pattern_size((30,), profile) == math.comb(60, 30)
 
 
 class TestInsidePattern:
@@ -110,14 +110,14 @@ class TestCountMatching:
     def test_window_fixture_both_methods(self, profile14):
         arr = Arrangement((1, 0, 0, 0, 2, 0, 3, 0))
         window = ObservationWindow(6, 4)
-        assert count_matching_rearrangements(arr, window, profile14, "partition") == 32
-        assert count_matching_rearrangements(arr, window, profile14, "enumeration") == 32
+        assert count_matching_rearrangements(arr, window, profile14) == 32
+        assert enumerated_matching_count(arr, window, profile14) == 32
 
     def test_window_fixture_factors(self, profile14):
         # inside: one 3-slot connection and one free slot; outside: multiset
         # {1,1,1,1,2,4} split 5|5 two ways with 4*2 orderings each
         window_profile = DemandProfile(4, (2, 3, 4), (1.0,) * 3, (1.0,) * 3)
-        assert total_rearrangements((0, 1, 0), window_profile) == 2
+        assert pattern_size((0, 1, 0), window_profile) == 2
         assert _outside_split_count((1, 0, 1), 4, 5, (2, 3, 4)) == 16
 
     def test_full_window_counts_whole_group(self, profile7, space7):
@@ -138,15 +138,15 @@ class TestCountMatching:
         n_in, straddle = inside_pattern(arr, window, profile7)
         assert straddle and n_in == (0, 0)
         assert count_matching_rearrangements(arr, window, profile7) == 0
-        assert count_matching_rearrangements(arr, window, profile7, "enumeration") == 0
+        assert enumerated_matching_count(arr, window, profile7) == 0
 
     def test_methods_agree_across_worked_example(self, profile7, space7):
         for width in range(1, 8):
             for start in range(1, 7 - width + 2):
                 window = ObservationWindow(start, width)
                 for arr in space7.arrangements:
-                    a = count_matching_rearrangements(arr, window, profile7, "partition")
-                    b = count_matching_rearrangements(arr, window, profile7, "enumeration")
+                    a = count_matching_rearrangements(arr, window, profile7)
+                    b = enumerated_matching_count(arr, window, profile7)
                     assert a == b
 
     def test_count_never_exceeds_group_size(self, profile7, space7):
@@ -155,7 +155,7 @@ class TestCountMatching:
                 window = ObservationWindow(start, width)
                 for idx, arr in enumerate(space7.arrangements):
                     count = count_matching_rearrangements(arr, window, profile7)
-                    r_n = total_rearrangements(space7.state_patterns[idx], profile7)
+                    r_n = pattern_size(space7.state_patterns[idx], profile7)
                     assert 0 <= count <= r_n
 
 
@@ -178,8 +178,8 @@ def test_partition_matches_brute_force(data):
     start = data.draw(st.integers(1, capacity - width + 1))
     window = ObservationWindow(start, width)
     expected, _ = brute_force_matches(arr, window, profile)
-    assert count_matching_rearrangements(arr, window, profile, "partition") == expected
-    assert count_matching_rearrangements(arr, window, profile, "enumeration") == expected
+    assert count_matching_rearrangements(arr, window, profile) == expected
+    assert enumerated_matching_count(arr, window, profile) == expected
 
 
 class TestWindowSurvival:

@@ -17,26 +17,33 @@ from eolsec import (
     build_state_space,
     is_defragmented,
     run_simulation,
-    sample_defragmented_arrangement,
-    sample_random_arrangement,
     solve_stationary,
 )
-from eolsec.link import check_arrangement, pattern
+from eolsec import simulate
+from eolsec.link import check_arrangement, defragmented, pattern, random_fit
 from eolsec.simulate import _t_quantile
+
+
+def shuffled(pat, profile, rng):
+    """The simulator's randomization redraw, ``rng.shuffle`` of the pattern's tokens."""
+    tokens = [0] * (profile.capacity - sum(n * d for n, d in zip(pat, profile.demands)))
+    for k, n in enumerate(pat, start=1):
+        tokens.extend([k] * n)
+    rng.shuffle(tokens)
+    return Arrangement(tuple(tokens))
 
 
 class TestSampling:
     def test_empty_pattern_is_all_free(self, profile7):
         rng = random.Random(1)
         for _ in range(5):
-            assert sample_random_arrangement((0, 0), profile7, rng) == Arrangement.empty(profile7)
+            assert shuffled((0, 0), profile7, rng) == Arrangement.empty(profile7)
+            assert defragmented([0] * 7, rng) == [0] * 7
 
     def test_uniform_over_pattern_group(self, profile7, space7):
         rng = random.Random(2024)
         draws = 100_000
-        counts = Counter(
-            sample_random_arrangement((1, 0), profile7, rng) for _ in range(draws)
-        )
+        counts = Counter(shuffled((1, 0), profile7, rng) for _ in range(draws))
         members = [space7.arrangements[i] for i in space7.gamma_of((1, 0))]
         assert set(counts) == set(members)
         _, p_value = chisquare(list(counts.values()))
@@ -44,17 +51,16 @@ class TestSampling:
 
     def test_full_link_pattern_split(self, profile7, space7):
         rng = random.Random(7)
-        counts = Counter(
-            sample_random_arrangement((1, 1), profile7, rng) for _ in range(20_000)
-        )
+        counts = Counter(shuffled((1, 1), profile7, rng) for _ in range(20_000))
         assert set(counts) == {Arrangement((1, 2)), Arrangement((2, 1))}
         for value in counts.values():
             assert value == pytest.approx(10_000, rel=0.05)
 
     def test_defragmented_two_targets_uniform(self, profile7, space7):
         rng = random.Random(99)
+        start = list(space7.arrangements[space7.gamma_of((0, 1))[0]].tokens)
         counts = Counter(
-            sample_defragmented_arrangement((0, 1), profile7, rng) for _ in range(20_000)
+            Arrangement(tuple(defragmented(start, rng))) for _ in range(20_000)
         )
         expected = {
             space7.arrangements[i]
@@ -65,23 +71,20 @@ class TestSampling:
         for value in counts.values():
             assert value == pytest.approx(10_000, rel=0.05)
 
-    def test_defragmented_always_valid(self, profile7):
+    def test_defragmented_always_valid(self, profile7, space7):
         rng = random.Random(5)
         for pat in [(1, 0), (2, 0), (0, 1), (1, 1)]:
-            for _ in range(50):
-                arr = sample_defragmented_arrangement(pat, profile7, rng)
-                check_arrangement(arr, profile7)
-                assert pattern(arr, profile7) == pat
-                assert is_defragmented(arr)
+            for i in space7.gamma_of(pat):
+                for _ in range(10):
+                    arr = Arrangement(tuple(defragmented(space7.arrangements[i].tokens, rng)))
+                    check_arrangement(arr, profile7)
+                    assert pattern(arr, profile7) == pat
+                    assert is_defragmented(arr)
 
     def test_full_link_defrag_covers_whole_group(self, profile7, space7):
         rng = random.Random(3)
-        seen = {sample_defragmented_arrangement((1, 1), profile7, rng) for _ in range(200)}
+        seen = {Arrangement(tuple(defragmented([1, 2], rng))) for _ in range(200)}
         assert seen == {Arrangement((1, 2)), Arrangement((2, 1))}
-
-    def test_rejects_unrealizable_pattern(self, profile7):
-        with pytest.raises(ValueError):
-            sample_random_arrangement((3, 0), profile7, random.Random(0))
 
 
 class TestConfigValidation:
@@ -264,6 +267,20 @@ class TestRunSimulation:
         )
         run_simulation(cfg)
 
+
+    def test_debug_checks_catch_a_corrupted_state(self, profile7, monkeypatch):
+        # placing every block at the first token overwrites connections;
+        # the check raises (it is no assert, so it also runs under -O)
+        def first_token(tokens, need, uniform):
+            return 0 if random_fit(tokens, need, uniform) is not None else None
+
+        monkeypatch.setattr(simulate, "random_fit", first_token)
+        cfg = SimConfig(
+            profile=profile7, variant=ModelVariant.regular(), arrivals=200, seed=6,
+            debug_checks=True,
+        )
+        with pytest.raises(ValueError):
+            run_simulation(cfg)
 
 def test_t_quantile_matches_student_t():
     for n in (2, 3, 5, 10, 40, 1000):

@@ -37,14 +37,11 @@ from .link import (
 from .security import (
     NonIntegerRpRatio,
     ObservationWindow,
-    SecurityReport,
-    WindowSecurity,
     attack_success_probability,
     count_matching_rearrangements,
     inside_pattern,
     observable_fraction,
     per_state_attack_success,
-    security_report,
 )
 from .simulate import (
     DEFAULT_SEED,
@@ -80,7 +77,6 @@ __all__ = [
     "NotIrreducible",
     "ObservationWindow",
     "RateMatrix",
-    "SecurityReport",
     "SimConfig",
     "SimResult",
     "SpaceOptions",
@@ -88,7 +84,6 @@ __all__ = [
     "StateSpace",
     "StationaryDistribution",
     "VariantKind",
-    "WindowSecurity",
     "assemble_generator",
     "attack_success_probability",
     "blocking_report",
@@ -110,7 +105,6 @@ __all__ = [
     "placements",
     "removals",
     "run_simulation",
-    "security_report",
     "solve_stationary",
 ]
 

@@ -21,6 +21,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from functools import lru_cache
+from itertools import chain
 from pathlib import Path
 
 import yaml
@@ -208,6 +209,17 @@ def load_config(path: str | Path, **overrides) -> ExperimentConfig:
         raise ConfigError("sim.arrivals or sim.horizon is required when the mc engine can run")
     if cfg.jobs < 1:
         raise ConfigError("field jobs must be >= 1")
+    for load in _traffic_points(cfg):
+        try:
+            profile = _profile_for_load(cfg, load)
+        except ValueError as exc:
+            raise ConfigError(f"traffic: {exc}") from exc
+        if cfg.sim_arrivals is not None or cfg.sim_horizon is not None:
+            # the simulator's own checks, on what each mc cell would run
+            try:
+                _sim_config(cfg, profile, ModelVariant.regular(), cfg.seed)
+            except ValueError as exc:
+                raise ConfigError(f"sim: {exc}") from exc
     return cfg
 
 
@@ -273,36 +285,154 @@ def _shared_space(capacity: int, demands: tuple[int, ...], randomize_empty: bool
     return build_state_space(profile, SpaceOptions(randomize_empty, budget))
 
 
-def _security_columns(
-    p_sa: float, lambda_s: float, mu: float, data_rate: float, warnings: list[str]
-) -> tuple[float, float]:
-    """(p_sa, observable fraction); a non-integer rate ratio is warned once per cell."""
-    if math.isnan(p_sa) or lambda_s <= 0:
-        return p_sa, math.nan
+@dataclass(frozen=True)
+class EngineResult:
+    """One engine's numbers for one cell, one ``p_sa``/``lambda_frac`` per window width.
+
+    ``residual_or_ci`` is the solver residual (analytic) or the 95%
+    half-width of ``bp`` (mc), as in the CSV column.  Analytic results also
+    carry the ``solver`` diagnostics, Monte Carlo results the ``half_widths``
+    of ``rcb`` and the summed ``fb``.
+    """
+
+    engine: str
+    rb: tuple[float, ...]
+    fb: tuple[float, ...]
+    rcb: float
+    bp: float
+    p_sa: tuple[float, ...]
+    residual_or_ci: float
+    lambda_frac: tuple[float, ...] = ()
+    wall_ms: float = 0.0
+    solver: dict | None = None
+    half_widths: dict | None = None
+
+    def summary(self) -> dict:
+        block = {"rb": list(self.rb), "fb": list(self.fb)}
+        if self.engine == "analytic":
+            return {**block, "rcb": self.rcb, "bp": self.bp,
+                    "residual": self.residual_or_ci, "solver": self.solver}
+        hw = self.half_widths
+        return {
+            **block,
+            "rcb": {"mean": self.rcb, "ci_half_width": hw["rcb"]},
+            "bp": {"mean": self.bp, "ci_half_width": self.residual_or_ci},
+            "fb_sum": {"mean": sum(self.fb), "ci_half_width": hw["fb_sum"]},
+        }
+
+
+@dataclass(frozen=True)
+class CellResult:
+    """Everything one grid cell reports: a CSV row per engine and one summary block."""
+
+    spec: CellSpec
+    engines: tuple[EngineResult, ...]  # ("analytic", "mc") order when both ran
+    warnings: tuple[str, ...]
+
+    def summary(self) -> dict:
+        spec = self.spec
+        doc = {"variant": spec.variant, "load_erlang": spec.load, "lambda_S": spec.lambda_s,
+               "mu_d": spec.mu_d, "warnings": list(self.warnings)}
+        for result in self.engines:
+            doc[result.engine] = result.summary()
+        if len(self.engines) == 2:
+            exact, mc = self.engines
+            hw = mc.half_widths
+            within = {
+                "bp": abs(mc.bp - exact.bp) <= mc.residual_or_ci,
+                "rcb": abs(mc.rcb - exact.rcb) <= hw["rcb"],
+                "fb_sum": abs(sum(mc.fb) - sum(exact.fb)) <= hw["fb_sum"],
+            }
+            doc["within_ci"] = within
+            doc["disagreements"] = sorted(k for k, ok in within.items() if not ok)
+        return doc
+
+    def csv_rows(self) -> list[str]:
+        spec = self.spec
+        cfg = spec.config
+        rows = []
+        for r in self.engines:
+            values = [
+                float(spec.load), float(spec.lambda_s), float(spec.mu_d),
+                *chain.from_iterable(zip(r.rb, r.fb)), r.rcb, r.bp,
+                *chain.from_iterable(zip(r.p_sa, r.lambda_frac)),
+                r.residual_or_ci, r.wall_ms if cfg.timestamp else 0.0,
+            ]
+            rows.append(",".join([spec.variant, r.engine, str(cfg.capacity), *map(_fmt, values)]))
+        return rows
+
+
+def _sim_config(cfg: ExperimentConfig, profile: DemandProfile, variant: ModelVariant, seed: int):
+    return SimConfig(
+        profile=profile,
+        variant=variant,
+        arrivals=cfg.sim_arrivals,
+        horizon=cfg.sim_horizon,
+        warmup=cfg.sim_warmup,
+        replications=cfg.sim_replications,
+        seed=seed,
+        window_widths=cfg.window_widths if variant.has_randomization else (),
+        randomize_empty=cfg.randomize_empty,
+    )
+
+
+def _analytic(cfg: ExperimentConfig, space, profile: DemandProfile, variant: ModelVariant) -> EngineResult:
+    dist = solve_stationary(assemble_generator(space, profile, variant), cfg.solver_tol)
+    report = blocking_report(dist, space, profile, variant)
+    return EngineResult(
+        engine="analytic",
+        rb=tuple(report.resource_blocking),
+        fb=tuple(report.fragmentation_blocking),
+        rcb=report.reconfiguration_blocking,
+        bp=report.overall_blocking,
+        p_sa=tuple(
+            attack_success_probability(dist.pi, space, w) if variant.has_randomization
+            else math.nan
+            for w in cfg.window_widths
+        ),
+        residual_or_ci=dist.residual,
+        solver={k: getattr(dist, k) for k in ("method", "dimension", "nnz", "lu_nnz", "refinements")},
+    )
+
+
+def _monte_carlo(spec: CellSpec, profile: DemandProfile, variant: ModelVariant) -> EngineResult:
+    cfg = spec.config
+    result = run_simulation(_sim_config(cfg, profile, variant, cfg.seed + spec.ordinal))
+    attack = result.attack_success
+    return EngineResult(
+        engine="mc",
+        rb=tuple(e.mean for e in result.resource_blocking),
+        fb=tuple(e.mean for e in result.fragmentation_blocking),
+        rcb=result.reconfiguration_blocking.mean,
+        bp=result.overall_blocking.mean,
+        p_sa=tuple(attack[w].mean if w in attack else math.nan for w in cfg.window_widths),
+        residual_or_ci=result.overall_blocking.ci_half_width,
+        half_widths={
+            "rcb": result.reconfiguration_blocking.ci_half_width,
+            "fb_sum": sum(e.ci_half_width for e in result.fragmentation_blocking),
+        },
+    )
+
+
+def _lambda_frac(p_sa: float, spec: CellSpec, warnings: list[str]) -> float:
+    """Observable fraction of one p_sa; a non-integer rate ratio is warned once per cell."""
+    cfg = spec.config
+    if math.isnan(p_sa) or spec.lambda_s <= 0:
+        return math.nan
     try:
-        _, fraction = observable_fraction(p_sa, lambda_s, mu, data_rate)
-        return p_sa, fraction
+        return observable_fraction(p_sa, spec.lambda_s, cfg.service_rates[0], cfg.data_rate)[1]
     except NonIntegerRpRatio as exc:
         if str(exc) not in warnings:
             warnings.append(str(exc))
-        return p_sa, math.nan
+        return math.nan
 
 
-def _compute_cell(spec: CellSpec) -> dict:
+def _compute_cell(spec: CellSpec) -> CellResult:
     cfg = spec.config
     profile = _profile_for_load(cfg, spec.load)
     variant = _variant_for(spec.variant, spec.lambda_s, spec.mu_d)
-    mu_ref = cfg.service_rates[0]
-    rows: list[dict] = []
-    summary: dict = {
-        "variant": spec.variant,
-        "load_erlang": spec.load,
-        "lambda_S": spec.lambda_s,
-        "mu_d": spec.mu_d,
-        "warnings": [],
-    }
-
-    engines = list(spec.engines)
+    warnings: list[str] = []
+    engines = spec.engines
     if "analytic" in engines:
         try:
             space = _shared_space(
@@ -311,110 +441,21 @@ def _compute_cell(spec: CellSpec) -> dict:
         except StateBudgetExceeded as exc:
             fall_back_or_raise(cfg, exc)
             log.warning("cell %d: %s; falling back to mc", spec.ordinal, exc)
-            summary["warnings"].append(f"analytic engine unavailable: {exc}")
-            engines = ["mc"]
-            space = None
+            warnings.append(f"analytic engine unavailable: {exc}")
+            engines = ("mc",)
 
+    results = []
     for engine in engines:
+        # times the engine and its security columns, not the shared state space
         start = time.perf_counter()
         if engine == "analytic":
-            generator = assemble_generator(space, profile, variant)
-            dist = solve_stationary(generator, cfg.solver_tol)
-            report = blocking_report(dist, space, profile, variant)
-            security = []
-            for w in cfg.window_widths:
-                if variant.has_randomization:
-                    p = attack_success_probability(dist.pi, space, w)
-                    security.append(_security_columns(
-                        p, spec.lambda_s, mu_ref, cfg.data_rate, summary["warnings"]
-                    ))
-                else:
-                    security.append((math.nan, math.nan))
-            quality = dist.residual
-            summary["analytic"] = {
-                "rb": list(report.resource_blocking),
-                "fb": list(report.fragmentation_blocking),
-                "rcb": report.reconfiguration_blocking,
-                "bp": report.overall_blocking,
-                "residual": dist.residual,
-                "solver": {
-                    "method": dist.method,
-                    "dimension": dist.dimension,
-                    "nnz": dist.nnz,
-                    "lu_nnz": dist.lu_nnz,
-                    "refinements": dist.refinements,
-                },
-            }
-            row_metrics = {
-                "rb": report.resource_blocking,
-                "fb": report.fragmentation_blocking,
-                "rcb": report.reconfiguration_blocking,
-                "bp": report.overall_blocking,
-            }
+            result = _analytic(cfg, space, profile, variant)
         else:
-            sim_cfg = SimConfig(
-                profile=profile,
-                variant=variant,
-                arrivals=cfg.sim_arrivals,
-                horizon=cfg.sim_horizon,
-                warmup=cfg.sim_warmup,
-                replications=cfg.sim_replications,
-                seed=cfg.seed + spec.ordinal,
-                window_widths=cfg.window_widths if variant.has_randomization else (),
-                randomize_empty=cfg.randomize_empty,
-            )
-            result = run_simulation(sim_cfg)
-            security = []
-            for w in cfg.window_widths:
-                est = result.attack_success.get(w)
-                p = est.mean if est is not None else math.nan
-                security.append(_security_columns(
-                    p, spec.lambda_s, mu_ref, cfg.data_rate, summary["warnings"]
-                ))
-            quality = result.overall_blocking.ci_half_width
-            summary["mc"] = {
-                "rb": [e.mean for e in result.resource_blocking],
-                "fb": [e.mean for e in result.fragmentation_blocking],
-                "rcb": {"mean": result.reconfiguration_blocking.mean,
-                        "ci_half_width": result.reconfiguration_blocking.ci_half_width},
-                "bp": {"mean": result.overall_blocking.mean,
-                       "ci_half_width": result.overall_blocking.ci_half_width},
-                "fb_sum": {"mean": sum(e.mean for e in result.fragmentation_blocking),
-                           "ci_half_width": sum(e.ci_half_width for e in result.fragmentation_blocking)},
-            }
-            row_metrics = {
-                "rb": tuple(e.mean for e in result.resource_blocking),
-                "fb": tuple(e.mean for e in result.fragmentation_blocking),
-                "rcb": result.reconfiguration_blocking.mean,
-                "bp": result.overall_blocking.mean,
-            }
+            result = _monte_carlo(spec, profile, variant)
+        fractions = tuple(_lambda_frac(p, spec, warnings) for p in result.p_sa)
         wall_ms = (time.perf_counter() - start) * 1000.0
-        rows.append({
-            "engine": engine,
-            "metrics": row_metrics,
-            "security": security,
-            "quality": quality,
-            "wall_ms": wall_ms,
-        })
-
-    if "analytic" in summary and "mc" in summary:
-        exact = summary["analytic"]
-        mc = summary["mc"]
-        exact_fb_sum = sum(exact["fb"])
-        within = {
-            "bp": abs(mc["bp"]["mean"] - exact["bp"]) <= mc["bp"]["ci_half_width"],
-            "rcb": abs(mc["rcb"]["mean"] - exact["rcb"]) <= mc["rcb"]["ci_half_width"],
-            "fb_sum": abs(mc["fb_sum"]["mean"] - exact_fb_sum) <= mc["fb_sum"]["ci_half_width"],
-        }
-        summary["within_ci"] = within
-        summary["disagreements"] = sorted(k for k, ok in within.items() if not ok)
-
-    return {"ordinal": spec.ordinal, "spec_row": {
-        "variant": spec.variant,
-        "load": spec.load,
-        "lambda_s": spec.lambda_s,
-        "mu_d": spec.mu_d,
-    }, "rows": rows, "summary": summary}
+        results.append(replace(result, lambda_frac=fractions, wall_ms=wall_ms))
+    return CellResult(spec, tuple(results), tuple(warnings))
 
 
 def _fmt(value) -> str:
@@ -440,7 +481,6 @@ def run_experiments(cfg: ExperimentConfig) -> ExperimentOutcome:
             results = list(pool.map(_compute_cell, specs))
     else:
         results = [_compute_cell(spec) for spec in specs]
-    results.sort(key=lambda r: r["ordinal"])
 
     K = len(cfg.demands)
     header = ["variant", "engine", "C", "load_erlang", "lambda_S", "mu_d"]
@@ -455,34 +495,18 @@ def run_experiments(cfg: ExperimentConfig) -> ExperimentOutcome:
     if cfg.timestamp:
         lines.append(f"# generated: {datetime.now(timezone.utc).isoformat()}")
     lines.append(",".join(header))
-    num_rows = 0
-    for result in results:
-        base = result["spec_row"]
-        for row in result["rows"]:
-            cells = [
-                base["variant"], row["engine"], str(cfg.capacity),
-                _fmt(float(base["load"])), _fmt(float(base["lambda_s"])), _fmt(float(base["mu_d"])),
-            ]
-            metrics = row["metrics"]
-            for k in range(K):
-                cells += [_fmt(metrics["rb"][k]), _fmt(metrics["fb"][k])]
-            cells += [_fmt(metrics["rcb"]), _fmt(metrics["bp"])]
-            for p, frac in row["security"]:
-                cells += [_fmt(p), _fmt(frac)]
-            wall = 0.0 if not cfg.timestamp else row["wall_ms"]
-            cells += [_fmt(row["quality"]), _fmt(wall)]
-            lines.append(",".join(cells))
-            num_rows += 1
+    rows = [row for result in results for row in result.csv_rows()]
+    lines += rows
+    num_rows = len(rows)
 
-    summaries = [r["summary"] for r in results]
+    summaries = [r.summary() for r in results]
     disagreements = sum(len(s.get("disagreements", ())) for s in summaries)
-    compared = [s for s in summaries if "within_ci" in s]
     summary_doc = {
         "schema_version": SCHEMA_VERSION,
         "engine": cfg.engine,
         "num_cells": len(specs),
         "num_rows": num_rows,
-        "num_compared": len(compared),
+        "num_compared": sum("within_ci" in s for s in summaries),
         "num_disagreements": disagreements,
         "cells": summaries,
     }

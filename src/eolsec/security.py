@@ -202,58 +202,6 @@ class WindowSurvival:
         return _permutation_count(frees_in, n_in), prefix
 
 
-def survived_window_fraction(
-    spans_before: list[tuple[int, int, int]],
-    spans_after: list[tuple[int, int, int]],
-    capacity: int,
-    width: int,
-) -> float:
-    """Fraction of window positions whose observation survived one redraw.
-
-    A position survives if no connection of the redrawn arrangement
-    straddles a window edge and the fully-inside pattern is unchanged.  As
-    in ``WindowSurvival.expected``, each span changes what a window start
-    sees only at its breakpoints, so the sweep costs O(#connections).
-    """
-    positions = capacity - width + 1
-    # state[k] = redrawn minus original inside count of class k;
-    # state[0] = redrawn connections that overlap the window but do not fit.
-    # A start survives iff every entry is zero.
-    events = []
-    for k, s, e in spans_after:
-        # the span overlaps the windows starting in [s - width + 1, e]
-        lo = s - width + 1 if s > width else 1
-        hi = e if e < positions else positions
-        if lo <= hi:
-            events.append((lo, 0, 1))
-            events.append((hi + 1, 0, -1))
-        lo = e - width + 1 if e > width else 1
-        hi = s if s < positions else positions
-        if lo <= hi:
-            events += [(lo, k, 1), (lo, 0, -1), (hi + 1, k, -1), (hi + 1, 0, 1)]
-    for k, s, e in spans_before:
-        lo = e - width + 1 if e > width else 1
-        hi = s if s < positions else positions
-        if lo <= hi:
-            events += [(lo, k, -1), (hi + 1, k, 1)]
-    events.sort()
-
-    state = [0] * (max((k for k, _, _ in spans_after + spans_before), default=0) + 1)
-    hits = 0
-    i = 0
-    first = 1
-    while first <= positions:
-        while i < len(events) and events[i][0] == first:
-            _, k, delta = events[i]
-            state[k] += delta
-            i += 1
-        last = events[i][0] - 1 if i < len(events) else positions
-        if not any(state):
-            hits += last - first + 1
-        first = last + 1
-    return hits / positions
-
-
 def count_matching_rearrangements(
     arr: Arrangement, window: ObservationWindow, profile: DemandProfile
 ) -> int:
@@ -348,40 +296,3 @@ def observable_fraction(
     else:
         amount = data_rate / randomization_rate * (1.0 - p**rounds) / (1.0 - p)
     return amount, service_rate * amount / data_rate
-
-
-@dataclass(frozen=True)
-class WindowSecurity:
-    width: int
-    attack_success: float
-    observable_data: float
-    observable_fraction: float
-
-
-@dataclass(frozen=True)
-class SecurityReport:
-    windows: tuple[WindowSecurity, ...]
-    randomization_rate: float
-    service_rate: float
-    data_rate: float
-
-
-def security_report(
-    pi: np.ndarray,
-    space: StateSpace,
-    widths: tuple[int, ...],
-    randomization_rate: float,
-    service_rate: float,
-    data_rate: float = 1.0,
-) -> SecurityReport:
-    windows = []
-    for w in widths:
-        p = attack_success_probability(pi, space, w)
-        amount, fraction = observable_fraction(p, randomization_rate, service_rate, data_rate)
-        windows.append(WindowSecurity(w, p, amount, fraction))
-    return SecurityReport(
-        windows=tuple(windows),
-        randomization_rate=randomization_rate,
-        service_rate=service_rate,
-        data_rate=data_rate,
-    )

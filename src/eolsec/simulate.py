@@ -8,15 +8,13 @@ exactly one reconfiguration completion while it is reconfiguring.  Frozen
 departure clocks during reconfiguration are therefore implicit, which
 matches the analytic chain exactly.
 
-Attack success is scored at every measured reconfiguration completion.  A
+Attack success is scored at every measured randomization completion.  A
 randomization redraws the arrangement uniformly within its pattern, so it
 adds the exact survival given the pre-state, averaged over all window
 positions (``security.WindowSurvival``): a conditional Monte Carlo estimate
 with the same mean and less variance than checking the one redraw.  Defrag
-completions, which only ``attack_success_any_reconfig`` counts, check the
-redrawn arrangement itself at every window position
-(``security.survived_window_fraction``).  Scoring draws no random numbers,
-so it never changes the trajectory.
+completions are not scored.  Scoring draws no random numbers, so it never
+changes the trajectory.
 
 Replications differ only in their seed-derived random streams; results are
 bit-for-bit reproducible for a fixed config and seed.
@@ -39,7 +37,7 @@ from .link import (
     random_fit,
     token_spans,
 )
-from .security import WindowSurvival, survived_window_fraction
+from .security import WindowSurvival
 
 DEFAULT_SEED = 1729
 _NO_RECONFIG, _RANDOMIZING, _DEFRAGMENTING = 0, 1, 2
@@ -100,13 +98,11 @@ class EventCounts:
 
 @dataclass(frozen=True)
 class SimResult:
-    config: SimConfig
     resource_blocking: tuple[MetricEstimate, ...]
     fragmentation_blocking: tuple[MetricEstimate, ...]
     reconfiguration_blocking: MetricEstimate
     overall_blocking: MetricEstimate
     attack_success: dict[int, MetricEstimate]
-    attack_success_any_reconfig: dict[int, MetricEstimate]
     reconfig_time_fraction: MetricEstimate
     counts: EventCounts
 
@@ -125,9 +121,7 @@ class _Replication:
     measured_time: float = 0.0
     reconfig_time: float = 0.0
     rp_events: int = 0
-    any_events: int = 0
     rp_success: dict[int, float] = field(default_factory=dict)
-    any_success: dict[int, float] = field(default_factory=dict)
     batches: list[list[list[int]]] = field(default_factory=list)
 
 
@@ -161,7 +155,6 @@ def _simulate_replication(
         frag_blocked=[0] * K,
         reconfig_blocked=[0] * K,
         rp_success={w: 0.0 for w in widths},
-        any_success={w: 0.0 for w in widths},
     )
     n_batches = _BATCH_COUNT if track_batches else 0
     if n_batches:
@@ -176,7 +169,6 @@ def _simulate_replication(
     free_total = capacity
     dep_rate = 0.0
     reconfig = _NO_RECONFIG
-    before: tuple[int, ...] | None = None
     t = 0.0
     measured_arrivals = 0
 
@@ -246,7 +238,6 @@ def _simulate_replication(
                             batch[2][k] += 1
                     if has_defrag:
                         reconfig = _DEFRAGMENTING
-                        before = tuple(tokens) if widths else None
                         rec.defrags_started += 1
                 else:
                     if measuring:
@@ -261,40 +252,28 @@ def _simulate_replication(
                 rec.rp_discarded += 1
             elif free_total < capacity or cfg.randomize_empty:
                 reconfig = _RANDOMIZING
-                before = tuple(tokens) if widths else None
                 rec.rp_started += 1
             else:
                 rec.rp_ignored_empty += 1
         elif reconfig:
             # reconfiguration completes: redraw the arrangement
-            was_randomization = reconfig == _RANDOMIZING
-            if was_randomization:
+            if reconfig == _RANDOMIZING:
+                if widths and measuring:
+                    # the tokens are frozen since the request, so they are the
+                    # pre-state; the shuffle redraws uniformly within the
+                    # pattern, so score the exact survival given the pre-state
+                    spans = token_spans(tokens, demands)
+                    pat = tuple(counts)
+                    for w in widths:
+                        rec.rp_success[w] += survival.expected(spans, pat, w)
+                    rec.rp_events += 1
                 rng.shuffle(tokens)
             else:
                 tokens = defragmented(tokens, rng)
             if debug:
                 check_state()
             rec.completions += 1
-            if widths and measuring and before is not None:
-                spans_before = token_spans(before, demands)
-                if was_randomization:
-                    # the shuffle redraws uniformly within the pattern, so
-                    # score the exact survival given the pre-state
-                    pat = tuple(counts)
-                    for w in widths:
-                        value = survival.expected(spans_before, pat, w)
-                        rec.any_success[w] += value
-                        rec.rp_success[w] += value
-                    rec.rp_events += 1
-                else:
-                    spans_after = token_spans(tokens, demands)
-                    for w in widths:
-                        rec.any_success[w] += survived_window_fraction(
-                            spans_before, spans_after, capacity, w
-                        )
-                rec.any_events += 1
             reconfig = _NO_RECONFIG
-            before = None
         else:
             # departure
             v = u - lam_total - lam_s
@@ -417,12 +396,9 @@ def run_simulation(cfg: SimConfig) -> SimResult:
 
     tq = _t_quantile(cfg.replications)
     attack = {}
-    attack_any = {}
     for w in cfg.window_widths:
         rp_vals = [r.rp_success[w] / r.rp_events if r.rp_events else math.nan for r in reps]
-        any_vals = [r.any_success[w] / r.any_events if r.any_events else math.nan for r in reps]
         attack[w] = _estimate(rp_vals, tq)
-        attack_any[w] = _estimate(any_vals, tq)
 
     frac_vals = [r.reconfig_time / r.measured_time if r.measured_time > 0 else math.nan for r in reps]
     counts = EventCounts(
@@ -437,13 +413,11 @@ def run_simulation(cfg: SimConfig) -> SimResult:
         reconfigs_completed=sum(r.completions for r in reps),
     )
     return SimResult(
-        config=cfg,
         resource_blocking=rb_est,
         fragmentation_blocking=fb_est,
         reconfiguration_blocking=rcb_est,
         overall_blocking=bp_est,
         attack_success=attack,
-        attack_success_any_reconfig=attack_any,
         reconfig_time_fraction=_estimate(frac_vals, tq),
         counts=counts,
     )

@@ -175,7 +175,6 @@ class StateSpace:
     daas_patterns: tuple[tuple[int, ...], ...]
     daas_index: dict[tuple[int, ...], int]
     defrag_targets: tuple[tuple[int, ...], ...]
-    defrag_sources: tuple[tuple[frozenset[int], ...], ...]
     _security_cache: dict = field(default_factory=dict, repr=False, compare=False)
     # security.WindowSurvival of this link, built on first use
     _survival_kernel: object = field(default=None, repr=False, compare=False)
@@ -212,13 +211,13 @@ class StateSpace:
         for i, arr in enumerate(self.arrangements):
             pat = self.state_patterns[i]
             for k in range(1, K + 1):
-                outcome = classify(arr, k, profile)
-                if outcome is Classification.ACCEPT:
+                # build_state_space classified every state; reuse its sets
+                if i in self.frag_blocked[k - 1]:
+                    entries.extend((i, n_sa + n_r + self.daas_index[pat], K + k - 1, 1, 1))
+                elif i not in self.resource_blocked[k - 1]:
                     targets = placements(arr, k, profile)
                     for target in targets:
                         entries.extend((i, self.index_of[target], k - 1, 1, len(targets)))
-                elif outcome is Classification.FRAG_BLOCKED:
-                    entries.extend((i, n_sa + n_r + self.daas_index[pat], K + k - 1, 1, 1))
                 if pat[k - 1]:
                     for target, mult in removals(arr, k, profile):
                         entries.extend((i, self.index_of[target], 2 * K + k - 1, mult, 1))
@@ -290,10 +289,6 @@ def build_state_space(profile: DemandProfile, options: SpaceOptions | None = Non
         tuple(i for i in pattern_groups[pat] if is_defragmented(arrangements[i]))
         for pat in daas_patterns
     )
-    defrag_sources = tuple(
-        tuple(frozenset(i for i in pattern_groups[pat] if i in frag_sets[k]) for k in range(K))
-        for pat in daas_patterns
-    )
 
     return StateSpace(
         profile=profile,
@@ -309,7 +304,6 @@ def build_state_space(profile: DemandProfile, options: SpaceOptions | None = Non
         daas_patterns=daas_patterns,
         daas_index=daas_index,
         defrag_targets=defrag_targets,
-        defrag_sources=defrag_sources,
     )
 
 

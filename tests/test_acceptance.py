@@ -36,6 +36,8 @@ from eolsec.experiment import load_config, run_experiments
 from eolsec.security import _outside_split_count
 from oracles import _match_table, dense_stationary_oracle, enumerated_matching_count
 
+pytestmark = pytest.mark.slow
+
 CAPACITY20 = 20
 DEMANDS20 = (4, 6, 8)
 LOADS = (8.0, 14.0, 20.0)

@@ -79,6 +79,16 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="mutually exclusive"):
             load_config(path)
 
+    def test_negative_load_is_a_traffic_error(self, tmp_path):
+        path = tmp_path / "bad.yaml"
+        path.write_text(
+            "schema_version: 1\n"
+            "profile: {capacity: 7, demands: [3, 4]}\n"
+            "traffic: {loads: [2.0, -1.0]}\n"
+        )
+        with pytest.raises(ConfigError, match="traffic: arrival rate of class 1 must be >= 0"):
+            load_config(path)
+
     def test_wrong_schema_version(self, tmp_path):
         path = tmp_path / "bad.yaml"
         path.write_text(
@@ -147,6 +157,40 @@ class TestRunExperiments:
         assert summary["num_compared"] == 6
         compared = [c for c in summary["cells"] if "within_ci" in c]
         assert all(set(c["within_ci"]) == {"bp", "rcb", "fb_sum"} for c in compared)
+
+    @pytest.mark.parametrize("state_budget", [35000, 5], ids=["both-engines", "mc-fallback"])
+    def test_csv_rows_match_summary_blocks(self, config_path, state_budget):
+        cfg = load_config(config_path, engine="both", state_budget=state_budget)
+        outcome = run_experiments(cfg)
+        lines = outcome.csv_path.read_text().splitlines()
+        header = lines[0].split(",")
+        rows = [dict(zip(header, line.split(","))) for line in lines[1:]]
+        cells = json.loads(outcome.summary_path.read_text())["cells"]
+        blocks = {
+            (c["variant"], c["load_erlang"], c["lambda_S"], c["mu_d"], engine): c[engine]
+            for c in cells for engine in ("analytic", "mc") if engine in c
+        }
+        assert len(rows) == len(blocks) == outcome.num_rows
+        assert any(math.isnan(float(row["p_sa_3"])) for row in rows)  # regular variant
+
+        def same(a: float, b: float) -> bool:
+            return a == b or (math.isnan(a) and math.isnan(b))
+
+        for row in rows:
+            key = (row["variant"], float(row["load_erlang"]), float(row["lambda_S"]),
+                   float(row["mu_d"]), row["engine"])
+            block = blocks[key]
+            rcb, bp = block["rcb"], block["bp"]
+            if row["engine"] == "analytic":
+                expected = {"rcb": rcb, "bp": bp, "residual_or_ci": block["residual"]}
+            else:
+                expected = {"rcb": rcb["mean"], "bp": bp["mean"], "residual_or_ci": bp["ci_half_width"]}
+            for k, (rb, fb) in enumerate(zip(block["rb"], block["fb"]), start=1):
+                expected[f"rb_{k}"], expected[f"fb_{k}"] = rb, fb
+            for column, value in expected.items():
+                assert same(float(row[column]), value), (key, column)
+        engines = {key[-1] for key in blocks}
+        assert engines == ({"analytic", "mc"} if state_budget > 5 else {"mc"})
 
     def test_budget_fallback_to_mc(self, config_path):
         cfg = load_config(config_path, state_budget=5)
@@ -291,6 +335,31 @@ class TestCli:
         assert "15 regular states (budget 5)" in out
         assert "fall back to mc" in out
         assert main(["run", "--config", str(path)]) == EXIT_OK
+
+    @pytest.mark.parametrize("sim_block, message", [
+        ("sim: {horizon: 10, warmup: 20}", "sim: warmup must be smaller than the horizon"),
+        ("sim: {arrivals: 200, replications: 0}", "sim: replications must be >= 1"),
+    ])
+    def test_sim_block_the_simulator_rejects(self, tmp_path, capsys, sim_block, message):
+        out_dir = tmp_path / "out"
+        path = tmp_path / "bad_sim.yaml"
+        path.write_text(
+            "schema_version: 1\n"
+            "profile: {capacity: 7, demands: [3, 4]}\n"
+            "traffic: {loads: [2.0]}\n"
+            "engine: both\n"
+            f"{sim_block}\n"
+            f"output: {{dir: '{out_dir}'}}\n"
+        )
+        with pytest.raises(ConfigError, match=message):
+            load_config(path)
+        assert main(["validate", "--config", str(path)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert "config ok" not in captured.out
+        assert f"config error: {message}" in captured.err
+        assert main(["run", "--config", str(path)]) == EXIT_CONFIG
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert not out_dir.exists()  # refused before any cell ran
 
     def test_negative_mass_is_numerical_failure(self, config_path, tmp_path, monkeypatch, capsys):
         def fail(*args):

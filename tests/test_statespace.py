@@ -41,10 +41,6 @@ class TestWorkedExample:
         for targets, pat in zip(space7.defrag_targets, space7.daas_patterns):
             assert set(targets) <= set(space7.pattern_groups[pat])
 
-    def test_defrag_sources_nonempty(self, space7):
-        for per_class in space7.defrag_sources:
-            assert any(per_class)
-
     def test_gamma_of(self, space7):
         assert len(space7.gamma_of((1, 1))) == 2
         assert space7.gamma_of((0, 0)) == (space7.empty_index,)

@@ -27,19 +27,14 @@ from .link import (
     DemandProfile,
     classify,
     connection_spans,
-    free_fragments,
     is_defragmented,
     pattern,
-    placement_count,
     placements,
     removals,
 )
 from .security import (
     NonIntegerRpRatio,
-    ObservationWindow,
     attack_success_probability,
-    count_matching_rearrangements,
-    inside_pattern,
     observable_fraction,
     per_state_attack_success,
 )
@@ -75,7 +70,6 @@ __all__ = [
     "NoConvergence",
     "NonIntegerRpRatio",
     "NotIrreducible",
-    "ObservationWindow",
     "RateMatrix",
     "SimConfig",
     "SimResult",
@@ -90,18 +84,14 @@ __all__ = [
     "build_state_space",
     "classify",
     "connection_spans",
-    "count_matching_rearrangements",
     "count_states",
     "dump_states",
     "feasible_patterns",
-    "free_fragments",
-    "inside_pattern",
     "is_defragmented",
     "observable_fraction",
     "pattern",
     "pattern_size",
     "per_state_attack_success",
-    "placement_count",
     "placements",
     "removals",
     "run_simulation",

@@ -19,18 +19,11 @@ from .ctmc import NegativeStationaryMass, NoConvergence, NotIrreducible
 from .experiment import (
     ConfigError,
     cell_specs,
-    fall_back_or_raise,
     load_config,
     run_experiments,
+    structure_profile,
 )
-from .link import DemandProfile
-from .statespace import (
-    SpaceOptions,
-    StateBudgetExceeded,
-    build_state_space,
-    count_states,
-    dump_states,
-)
+from .statespace import SpaceOptions, StateBudgetExceeded, build_state_space, dump_states
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -89,10 +82,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_dump_states(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
-    profile = DemandProfile(
-        cfg.capacity, cfg.demands, (0.0,) * len(cfg.demands), cfg.service_rates
-    )
-    space = build_state_space(profile, SpaceOptions(cfg.randomize_empty, cfg.state_budget))
+    options = SpaceOptions(cfg.randomize_empty, cfg.state_budget)
+    space = build_state_space(structure_profile(cfg), options)
     if args.out:
         with open(args.out, "w") as handle:
             dump_states(space, handle)
@@ -103,16 +94,11 @@ def _cmd_dump_states(args: argparse.Namespace) -> int:
 
 def _cmd_validate(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
-    cells = len(cell_specs(cfg))
-    line = f"config ok: {cells} grid cells, engine={cfg.engine}, C={cfg.capacity}"
-    if cfg.engine != "mc" and cells:
-        profile = DemandProfile(
-            cfg.capacity, cfg.demands, (0.0,) * len(cfg.demands), cfg.service_rates
-        )
-        states = count_states(profile)
+    specs, states = cell_specs(cfg)
+    line = f"config ok: {len(specs)} grid cells, engine={cfg.engine}, C={cfg.capacity}"
+    if states is not None:
         line += f", {states} regular states (budget {cfg.state_budget})"
         if states > cfg.state_budget:
-            fall_back_or_raise(cfg, StateBudgetExceeded(states, cfg.state_budget))
             line += ", analytic cells fall back to mc"
     print(line)
     return EXIT_OK

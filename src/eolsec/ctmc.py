@@ -17,6 +17,7 @@ rate only: departures are frozen and further arrivals cause no transition.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 
@@ -276,16 +277,26 @@ def blocking_report(
     rb = tuple(float(sum(pi[i] for i in s)) for s in space.resource_blocked)
     fb = tuple(float(sum(pi[i] for i in s)) for s in space.frag_blocked)
     rcb = float(pi[n_sa:].sum()) if variant.has_randomization else 0.0
-    lam = profile.arrival_rates
-    lam_total = sum(lam)
-    if lam_total > 0:
-        weighted = sum(l * (r + f) for l, r, f in zip(lam, rb, fb)) / lam_total
-    else:
-        weighted = 0.0
     return BlockingReport(
         variant=variant.kind,
         resource_blocking=rb,
         fragmentation_blocking=fb,
         reconfiguration_blocking=rcb,
-        overall_blocking=rcb + weighted,
+        overall_blocking=overall_blocking(rb, fb, rcb, profile.arrival_rates),
     )
+
+
+def overall_blocking(
+    rb: Sequence[float], fb: Sequence[float], rcb: float, lam: Sequence[float]
+) -> float:
+    """Overall blocking: ``rcb`` plus the arrival-weighted per-class ``rb + fb``.
+
+    Every blocked arrival is lost, and a reconfiguration blocks every class.
+    Both engines report this figure.
+    """
+    lam_total = sum(lam)
+    if lam_total > 0:
+        weighted = sum(l * (r + f) for l, r, f in zip(lam, rb, fb)) / lam_total
+    else:
+        weighted = 0.0
+    return rcb + weighted

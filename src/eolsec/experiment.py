@@ -21,7 +21,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, product
 from pathlib import Path
 
 import yaml
@@ -41,6 +41,7 @@ from .statespace import (
     SpaceOptions,
     StateBudgetExceeded,
     build_state_space,
+    count_states,
 )
 
 log = logging.getLogger(__name__)
@@ -202,7 +203,7 @@ def load_config(path: str | Path, **overrides) -> ExperimentConfig:
     cfg = replace(cfg, **overrides)
 
     try:
-        DemandProfile(capacity, demands, (0.0,) * len(demands), service_rates)
+        structure_profile(cfg)
     except ValueError as exc:
         raise ConfigError(f"profile: {exc}") from exc
     if cfg.engine != "analytic" and cfg.sim_arrivals is None and cfg.sim_horizon is None:
@@ -221,6 +222,14 @@ def load_config(path: str | Path, **overrides) -> ExperimentConfig:
             except ValueError as exc:
                 raise ConfigError(f"sim: {exc}") from exc
     return cfg
+
+
+def structure_profile(cfg: ExperimentConfig) -> DemandProfile:
+    """The config's link without traffic (zero arrival rates).
+
+    The state space and its size depend on nothing else.
+    """
+    return DemandProfile(cfg.capacity, cfg.demands, (0.0,) * len(cfg.demands), cfg.service_rates)
 
 
 def _profile_for_load(cfg: ExperimentConfig, load: float) -> DemandProfile:
@@ -257,31 +266,32 @@ class CellSpec:
     config: ExperimentConfig
 
 
-def cell_specs(cfg: ExperimentConfig) -> list[CellSpec]:
-    """The sweep grid in run order: variant, traffic point, lambda_S, mu_d."""
-    engines = ("analytic", "mc") if cfg.engine == "both" else (cfg.engine,)
-    specs: list[CellSpec] = []
-    for variant in cfg.variants:
-        for load in _traffic_points(cfg):
-            for lambda_s in cfg.randomization_rates:
-                for mu_d in cfg.reconfig_rates:
-                    specs.append(CellSpec(len(specs), variant, load, lambda_s, mu_d, engines, cfg))
-    return specs
+def cell_specs(cfg: ExperimentConfig) -> tuple[list[CellSpec], int | None]:
+    """The sweep grid in run order (variant, traffic point, lambda_S, mu_d)
+    and the number of regular states of its link.
 
-
-def fall_back_or_raise(cfg: ExperimentConfig, exc: StateBudgetExceeded) -> None:
-    """Return if analytic cells over the state budget can fall back to mc.
-
-    Re-raises ``exc`` when the config has no Monte Carlo budget
-    (``sim.arrivals`` or ``sim.horizon``) to fall back on.
+    The states are counted once per grid, and only when an analytic cell
+    runs (``None`` otherwise).  Over ``state_budget`` every analytic cell
+    falls back to mc, or StateBudgetExceeded is raised when the config has
+    no Monte Carlo budget (``sim.arrivals`` or ``sim.horizon``) to fall back
+    on.
     """
-    if cfg.sim_arrivals is None and cfg.sim_horizon is None:
-        raise exc
+    engines = ("analytic", "mc") if cfg.engine == "both" else (cfg.engine,)
+    points = list(product(
+        cfg.variants, _traffic_points(cfg), cfg.randomization_rates, cfg.reconfig_rates
+    ))
+    states = None
+    if "analytic" in engines and points:
+        states = count_states(structure_profile(cfg))
+        if states > cfg.state_budget:
+            if cfg.sim_arrivals is None and cfg.sim_horizon is None:
+                raise StateBudgetExceeded(states, cfg.state_budget)
+            engines = ("mc",)
+    return [CellSpec(i, *point, engines, cfg) for i, point in enumerate(points)], states
 
 
 @lru_cache(maxsize=8)
-def _shared_space(capacity: int, demands: tuple[int, ...], randomize_empty: bool, budget: int):
-    profile = DemandProfile(capacity, demands, (0.0,) * len(demands), (1.0,) * len(demands))
+def _shared_space(profile: DemandProfile, randomize_empty: bool, budget: int):
     return build_state_space(profile, SpaceOptions(randomize_empty, budget))
 
 
@@ -432,20 +442,11 @@ def _compute_cell(spec: CellSpec) -> CellResult:
     profile = _profile_for_load(cfg, spec.load)
     variant = _variant_for(spec.variant, spec.lambda_s, spec.mu_d)
     warnings: list[str] = []
-    engines = spec.engines
-    if "analytic" in engines:
-        try:
-            space = _shared_space(
-                cfg.capacity, cfg.demands, cfg.randomize_empty, cfg.state_budget
-            )
-        except StateBudgetExceeded as exc:
-            fall_back_or_raise(cfg, exc)
-            log.warning("cell %d: %s; falling back to mc", spec.ordinal, exc)
-            warnings.append(f"analytic engine unavailable: {exc}")
-            engines = ("mc",)
+    if "analytic" in spec.engines:
+        space = _shared_space(structure_profile(cfg), cfg.randomize_empty, cfg.state_budget)
 
     results = []
-    for engine in engines:
+    for engine in spec.engines:
         # times the engine and its security columns, not the shared state space
         start = time.perf_counter()
         if engine == "analytic":
@@ -474,13 +475,20 @@ class ExperimentOutcome:
 
 def run_experiments(cfg: ExperimentConfig) -> ExperimentOutcome:
     """Evaluate the whole grid and write the CSV and JSON summary files."""
-    specs = cell_specs(cfg)
+    specs, states = cell_specs(cfg)
+    fallback = ()
+    if states is not None and states > cfg.state_budget:
+        exc = StateBudgetExceeded(states, cfg.state_budget)
+        log.warning("%s; falling back to mc in all %d cells", exc, len(specs))
+        fallback = (f"analytic engine unavailable: {exc}",)
 
     if cfg.jobs > 1 and len(specs) > 1:
         with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
             results = list(pool.map(_compute_cell, specs))
     else:
         results = [_compute_cell(spec) for spec in specs]
+    if fallback:
+        results = [replace(r, warnings=fallback + r.warnings) for r in results]
 
     K = len(cfg.demands)
     header = ["variant", "engine", "C", "load_erlang", "lambda_S", "mu_d"]

@@ -170,11 +170,6 @@ def random_fit(tokens: Sequence[int], need: int, uniform: Callable[[], float]) -
         pick -= c
 
 
-def free_fragments(arr: Arrangement) -> list[int]:
-    """Sizes of maximal free-slot runs, in slot order."""
-    return [size for _, size in fit_runs(arr.tokens, 1)]
-
-
 def classify(arr: Arrangement, k: int, profile: DemandProfile) -> Classification:
     """Accept, fragmentation-blocked or resource-blocked for a class-k arrival."""
     need = profile.demand(k)
@@ -183,11 +178,6 @@ def classify(arr: Arrangement, k: int, profile: DemandProfile) -> Classification
     if arr.tokens.count(FREE) >= need:
         return Classification.FRAG_BLOCKED
     return Classification.RESOURCE_BLOCKED
-
-
-def placement_count(arr: Arrangement, k: int, profile: DemandProfile) -> int:
-    """Number of distinct slot positions where a class-k block fits."""
-    return sum(c for _, c in fit_runs(arr.tokens, profile.demand(k)))
 
 
 def placements(arr: Arrangement, k: int, profile: DemandProfile) -> list[Arrangement]:

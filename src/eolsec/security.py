@@ -7,19 +7,25 @@ unchanged and no connection straddles a window edge afterwards; straddling
 spectrum is observationally distinct, so straddled placements never count
 as the same observation.
 
-The surviving rearrangements are counted in closed form: the inside
-rearrangements times the number of ways to split the outside tokens onto
-the two sides of the window.
+``WindowSurvival`` is the one implementation of this rule.  For one
+pre-state it averages, over every window position, the fraction of the
+pattern's arrangements that keep the observation.  The surviving
+arrangements of one position are counted in closed form: the inside
+orderings times the ways to split the outside tokens onto the two sides of
+the window (``_outside_split_prefix``).  The exact engine scores every
+regular state with it (``per_state_attack_success``) and the simulator
+every measured randomization.  A per-position reference that counts one
+window at a time, which the tests check this kernel against, lives in
+``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
 
-from .link import Arrangement, DemandProfile, connection_spans, pattern
+from .link import DemandProfile, connection_spans
 from .statespace import StateSpace, _permutation_count
 
 
@@ -27,80 +33,14 @@ class NonIntegerRpRatio(ValueError):
     """randomization_rate / service_rate must be a positive integer."""
 
 
-@dataclass(frozen=True)
-class ObservationWindow:
-    """``width`` contiguous slots starting at 1-based slot ``start``."""
-
-    start: int
-    width: int
-
-    def __post_init__(self) -> None:
-        if self.width < 1:
-            raise ValueError("window width must be >= 1")
-        if self.start < 1:
-            raise ValueError("window start must be >= 1")
-
-    @property
-    def last(self) -> int:
-        return self.start + self.width - 1
-
-
-def _check_window(w: ObservationWindow, profile: DemandProfile) -> None:
-    if w.last > profile.capacity:
-        raise ValueError(f"window [{w.start}, {w.last}] exceeds capacity {profile.capacity}")
-
-
-def _inside_of_spans(
-    spans: list[tuple[int, int, int]], start: int, last: int, num_classes: int
-) -> tuple[tuple[int, ...], bool]:
-    counts = [0] * num_classes
-    straddle = False
-    for k, s, e in spans:
-        if s >= start and e <= last:
-            counts[k - 1] += 1
-        elif s <= last and e >= start:
-            straddle = True
-    return tuple(counts), straddle
-
-
-def inside_pattern(
-    arr: Arrangement, window: ObservationWindow, profile: DemandProfile
-) -> tuple[tuple[int, ...], bool]:
-    """Pattern of connections fully inside the window, plus a straddle flag.
-
-    Connections overlapping a window edge set the flag and are excluded
-    from the pattern.
-    """
-    _check_window(window, profile)
-    spans = connection_spans(arr, profile)
-    return _inside_of_spans(spans, window.start, window.last, profile.num_classes)
-
-
-def _outside_split_count(
-    n_out: tuple[int, ...],
-    frees_out: int,
-    cap_left: int,
-    demands: tuple[int, ...],
-) -> int:
-    """Ways to order the outside tokens onto the two sides of the window.
-
-    Sums, over every multiset split whose left side fills exactly
-    ``cap_left`` slots, the orderings of each side.
-    """
-    total = 0
-    for m in product(*(range(n + 1) for n in n_out)):
-        f_left = cap_left - sum(c * d for c, d in zip(m, demands))
-        if 0 <= f_left <= frees_out:
-            right = tuple(n - c for n, c in zip(n_out, m))
-            total += _permutation_count(f_left, m) * _permutation_count(frees_out - f_left, right)
-    return total
-
-
 def _outside_split_prefix(
     n_out: tuple[int, ...], frees_out: int, demands: tuple[int, ...]
 ) -> list[int]:
-    """Prefix sums of ``_outside_split_count`` over every ``cap_left``.
+    """Prefix sums, over every ``cap_left``, of the ways to order the outside
+    tokens onto the two sides of the window.
 
+    The split count of one ``cap_left`` sums, over every multiset split whose
+    left side fills exactly ``cap_left`` slots, the orderings of each side.
     Entry ``j`` sums the split counts of all ``cap_left < j``; the outside
     tokens fill ``frees_out + sum(n_out * demands)`` slots, so ``cap_left``
     runs over 0..that width.
@@ -125,10 +65,10 @@ class WindowSurvival:
 
     For a pre-state given by its connection spans, averages over every
     window position the fraction of the pattern's arrangements that keep
-    the observation (``count_matching_rearrangements`` / all arrangements).
-    Spans are sorted and disjoint, so the fully-inside pattern changes only
-    at two breakpoints per span; each run of window starts with one inside
-    pattern costs one prefix-sum difference of the outside-split counts.
+    the observation.  Spans are sorted and disjoint, so the fully-inside
+    pattern changes only at two breakpoints per span; each run of window
+    starts with one inside pattern costs one prefix-sum difference of the
+    outside-split counts.
     The counts stay exact integers and are divided once, so the value is
     the correctly rounded exact probability.
 
@@ -202,27 +142,15 @@ class WindowSurvival:
         return _permutation_count(frees_in, n_in), prefix
 
 
-def count_matching_rearrangements(
-    arr: Arrangement, window: ObservationWindow, profile: DemandProfile
-) -> int:
-    """Arrangements of ``arr``'s pattern indistinguishable inside the window.
+class SurvivalMemo:
+    """Per-state attack success of one state space, by window width.
 
-    Counts the arrangements with the same full pattern whose fully-inside
-    pattern equals the one observed in ``arr`` and which leave no connection
-    straddling a window edge: the inside orderings times the outside splits.
+    One ``WindowSurvival`` serves every width, so its prefix sums are shared.
     """
-    _check_window(window, profile)
-    pat = pattern(arr, profile)
-    n_in, _ = inside_pattern(arr, window, profile)
 
-    frees_total = profile.capacity - sum(n * d for n, d in zip(pat, profile.demands))
-    frees_in = window.width - sum(n * d for n, d in zip(n_in, profile.demands))
-    if frees_in > frees_total:
-        return 0
-    n_out = tuple(n - i for n, i in zip(pat, n_in))
-    inside = _permutation_count(frees_in, n_in)
-    outside = _outside_split_count(n_out, frees_total - frees_in, window.start - 1, profile.demands)
-    return inside * outside
+    def __init__(self, profile: DemandProfile):
+        self.kernel = WindowSurvival(profile)
+        self.by_width: dict[int, np.ndarray] = {}
 
 
 def per_state_attack_success(space: StateSpace, width: int) -> np.ndarray:
@@ -231,24 +159,22 @@ def per_state_attack_success(space: StateSpace, width: int) -> np.ndarray:
     Averages, over the uniformly placed window, the fraction of the
     pattern's rearrangements that leave the window's observation intact
     (``WindowSurvival``, exact integer counts divided once per state).
+    The values are kept in the space's ``survival_memo``.
     """
     profile = space.profile
     capacity = profile.capacity
     if not 1 <= width <= capacity:
         raise ValueError(f"window width must be in 1..{capacity}")
-    cache = space._security_cache
-    if width in cache:
-        return cache[width]
-
-    # one kernel per state space keeps its prefix sums across widths
-    kernel = space._survival_kernel
-    if kernel is None:
-        kernel = space._survival_kernel = WindowSurvival(profile)
-    result = np.array([
-        kernel.expected(connection_spans(arr, profile), pat, width)
-        for arr, pat in zip(space.arrangements, space.state_patterns)
-    ])
-    cache[width] = result
+    memo = space.survival_memo
+    if memo is None:
+        memo = space.survival_memo = SurvivalMemo(profile)
+    result = memo.by_width.get(width)
+    if result is None:
+        kernel = memo.kernel
+        result = memo.by_width[width] = np.array([
+            kernel.expected(connection_spans(arr, profile), pat, width)
+            for arr, pat in zip(space.arrangements, space.state_patterns)
+        ])
     return result
 
 

@@ -26,7 +26,7 @@ import math
 import random
 from dataclasses import dataclass, field
 
-from .ctmc import ModelVariant
+from .ctmc import ModelVariant, overall_blocking
 from .link import (
     FREE,
     Arrangement,
@@ -103,7 +103,6 @@ class SimResult:
     reconfiguration_blocking: MetricEstimate
     overall_blocking: MetricEstimate
     attack_success: dict[int, MetricEstimate]
-    reconfig_time_fraction: MetricEstimate
     counts: EventCounts
 
 
@@ -118,8 +117,6 @@ class _Replication:
     rp_discarded: int = 0
     defrags_started: int = 0
     completions: int = 0
-    measured_time: float = 0.0
-    reconfig_time: float = 0.0
     rp_events: int = 0
     rp_success: dict[int, float] = field(default_factory=dict)
     batches: list[list[list[int]]] = field(default_factory=list)
@@ -183,19 +180,10 @@ def _simulate_replication(
     while True:
         total = lam_total + lam_s + (mu_d if reconfig else dep_rate)
         if total <= 0.0:
-            # nothing can ever happen again; jump to the end of the run
-            if horizon < math.inf:
-                t = horizon
+            break  # nothing can ever happen again
+        t += expovariate(total)
+        if t >= horizon:
             break
-        t_next = t + expovariate(total)
-        if t_next >= horizon:
-            if reconfig and horizon > warmup:
-                rec.reconfig_time += horizon - max(t, warmup)
-            t = horizon
-            break
-        if reconfig and t_next > warmup:
-            rec.reconfig_time += t_next - max(t, warmup)
-        t = t_next
         measuring = t > warmup
 
         u = uniform() * total
@@ -304,7 +292,6 @@ def _simulate_replication(
             if debug:
                 check_state()
 
-    rec.measured_time = max(0.0, t - warmup)
     return rec
 
 
@@ -339,12 +326,7 @@ def _blocking_values(
     fb_hat = [fb[k] / arrivals[k] if arrivals[k] else 0.0 for k in range(K)]
     total_arrivals = sum(arrivals)
     rcb_hat = sum(rcb) / total_arrivals if total_arrivals else 0.0
-    lam_total = sum(lam)
-    if lam_total > 0:
-        weighted = sum(l * (r + f) for l, r, f in zip(lam, rb_hat, fb_hat)) / lam_total
-    else:
-        weighted = 0.0
-    return rb_hat, fb_hat, rcb_hat, rcb_hat + weighted
+    return rb_hat, fb_hat, rcb_hat, overall_blocking(rb_hat, fb_hat, rcb_hat, lam)
 
 
 def run_simulation(cfg: SimConfig) -> SimResult:
@@ -400,7 +382,6 @@ def run_simulation(cfg: SimConfig) -> SimResult:
         rp_vals = [r.rp_success[w] / r.rp_events if r.rp_events else math.nan for r in reps]
         attack[w] = _estimate(rp_vals, tq)
 
-    frac_vals = [r.reconfig_time / r.measured_time if r.measured_time > 0 else math.nan for r in reps]
     counts = EventCounts(
         arrivals=tuple(sum(r.arrivals[k] for r in reps) for k in range(K)),
         resource_blocked=tuple(sum(r.resource_blocked[k] for r in reps) for k in range(K)),
@@ -418,6 +399,5 @@ def run_simulation(cfg: SimConfig) -> SimResult:
         reconfiguration_blocking=rcb_est,
         overall_blocking=bp_est,
         attack_success=attack,
-        reconfig_time_fraction=_estimate(frac_vals, tq),
         counts=counts,
     )

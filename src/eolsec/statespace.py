@@ -163,7 +163,6 @@ class StateSpace:
     """
 
     profile: DemandProfile
-    options: SpaceOptions
     arrangements: tuple[Arrangement, ...]
     state_patterns: tuple[tuple[int, ...], ...]
     index_of: dict[Arrangement, int]
@@ -175,9 +174,8 @@ class StateSpace:
     daas_patterns: tuple[tuple[int, ...], ...]
     daas_index: dict[tuple[int, ...], int]
     defrag_targets: tuple[tuple[int, ...], ...]
-    _security_cache: dict = field(default_factory=dict, repr=False, compare=False)
-    # security.WindowSurvival of this link, built on first use
-    _survival_kernel: object = field(default=None, repr=False, compare=False)
+    # security.SurvivalMemo of this space, created on first use
+    survival_memo: object = field(default=None, repr=False, compare=False)
 
     @property
     def num_regular(self) -> int:
@@ -292,7 +290,6 @@ def build_state_space(profile: DemandProfile, options: SpaceOptions | None = Non
 
     return StateSpace(
         profile=profile,
-        options=options,
         arrangements=tuple(arrangements),
         state_patterns=tuple(state_patterns),
         index_of=index_of,

@@ -1,8 +1,11 @@
-"""Independent reference implementations the engines are checked against."""
+"""Independent reference implementations the engines are checked against,
+and the link helpers that only tests use."""
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
 
 import numpy as np
 import scipy.linalg
@@ -16,14 +19,116 @@ from eolsec.link import (
     DemandProfile,
     classify,
     connection_spans,
+    fit_runs,
     pattern,
     placements,
     removals,
 )
-from eolsec.security import ObservationWindow, _inside_of_spans, inside_pattern
-from eolsec.statespace import StateSpace, _token_sequences, pattern_size
+from eolsec.statespace import StateSpace, _permutation_count, _token_sequences, pattern_size
 
 DEFAULT_ENUMERATION_BUDGET = 2_000_000
+
+
+def free_fragments(arr: Arrangement) -> list[int]:
+    """Sizes of maximal free-slot runs, in slot order."""
+    return [size for _, size in fit_runs(arr.tokens, 1)]
+
+
+def placement_count(arr: Arrangement, k: int, profile: DemandProfile) -> int:
+    """Number of distinct slot positions where a class-k block fits."""
+    return sum(c for _, c in fit_runs(arr.tokens, profile.demand(k)))
+
+
+@dataclass(frozen=True)
+class ObservationWindow:
+    """``width`` contiguous slots starting at 1-based slot ``start``."""
+
+    start: int
+    width: int
+
+    def __post_init__(self) -> None:
+        if self.width < 1:
+            raise ValueError("window width must be >= 1")
+        if self.start < 1:
+            raise ValueError("window start must be >= 1")
+
+    @property
+    def last(self) -> int:
+        return self.start + self.width - 1
+
+
+def _check_window(w: ObservationWindow, profile: DemandProfile) -> None:
+    if w.last > profile.capacity:
+        raise ValueError(f"window [{w.start}, {w.last}] exceeds capacity {profile.capacity}")
+
+
+def _inside_of_spans(
+    spans: list[tuple[int, int, int]], start: int, last: int, num_classes: int
+) -> tuple[tuple[int, ...], bool]:
+    counts = [0] * num_classes
+    straddle = False
+    for k, s, e in spans:
+        if s >= start and e <= last:
+            counts[k - 1] += 1
+        elif s <= last and e >= start:
+            straddle = True
+    return tuple(counts), straddle
+
+
+def inside_pattern(
+    arr: Arrangement, window: ObservationWindow, profile: DemandProfile
+) -> tuple[tuple[int, ...], bool]:
+    """Pattern of connections fully inside the window, plus a straddle flag.
+
+    Connections overlapping a window edge set the flag and are excluded
+    from the pattern.
+    """
+    _check_window(window, profile)
+    spans = connection_spans(arr, profile)
+    return _inside_of_spans(spans, window.start, window.last, profile.num_classes)
+
+
+def _outside_split_count(
+    n_out: tuple[int, ...],
+    frees_out: int,
+    cap_left: int,
+    demands: tuple[int, ...],
+) -> int:
+    """Ways to order the outside tokens onto the two sides of the window.
+
+    Sums, over every multiset split whose left side fills exactly
+    ``cap_left`` slots, the orderings of each side.
+    """
+    total = 0
+    for m in product(*(range(n + 1) for n in n_out)):
+        f_left = cap_left - sum(c * d for c, d in zip(m, demands))
+        if 0 <= f_left <= frees_out:
+            right = tuple(n - c for n, c in zip(n_out, m))
+            total += _permutation_count(f_left, m) * _permutation_count(frees_out - f_left, right)
+    return total
+
+
+def count_matching_rearrangements(
+    arr: Arrangement, window: ObservationWindow, profile: DemandProfile
+) -> int:
+    """Arrangements of ``arr``'s pattern indistinguishable inside the window.
+
+    Counts the arrangements with the same full pattern whose fully-inside
+    pattern equals the one observed in ``arr`` and which leave no connection
+    straddling a window edge: the inside orderings times the outside splits.
+    """
+    _check_window(window, profile)
+    pat = pattern(arr, profile)
+    n_in, _ = inside_pattern(arr, window, profile)
+
+    frees_total = profile.capacity - sum(n * d for n, d in zip(pat, profile.demands))
+    frees_in = window.width - sum(n * d for n, d in zip(n_in, profile.demands))
+    if frees_in > frees_total:
+        return 0
+    n_out = tuple(n - i for n, i in zip(pat, n_in))
+    inside = _permutation_count(frees_in, n_in)
+    outside = _outside_split_count(n_out, frees_total - frees_in, window.start - 1, profile.demands)
+    return inside * outside
 
 
 def loop_generator(space: StateSpace, profile: DemandProfile, variant: ModelVariant) -> RateMatrix:

@@ -18,23 +18,27 @@ from eolsec import (
     Arrangement,
     DemandProfile,
     ModelVariant,
-    ObservationWindow,
     SimConfig,
     assemble_generator,
     attack_success_probability,
     blocking_report,
     build_state_space,
-    count_matching_rearrangements,
-    inside_pattern,
     observable_fraction,
     pattern_size,
-    placement_count,
     run_simulation,
     solve_stationary,
 )
 from eolsec.experiment import load_config, run_experiments
-from eolsec.security import _outside_split_count
-from oracles import _match_table, dense_stationary_oracle, enumerated_matching_count
+from oracles import (
+    ObservationWindow,
+    _match_table,
+    _outside_split_count,
+    count_matching_rearrangements,
+    dense_stationary_oracle,
+    enumerated_matching_count,
+    inside_pattern,
+    placement_count,
+)
 
 pytestmark = pytest.mark.slow
 

@@ -1,4 +1,5 @@
 import json
+import logging
 import math
 
 import pytest
@@ -200,6 +201,22 @@ class TestRunExperiments:
         assert engines == {"mc"}
         summary = json.loads(outcome.summary_path.read_text())
         assert any(cell["warnings"] for cell in summary["cells"])
+
+    def test_fallback_is_decided_once_per_grid(self, config_path, caplog):
+        cfg = load_config(
+            config_path, engine="both", state_budget=5, randomization_rates=(1.0, 2.0)
+        )
+        with caplog.at_level(logging.WARNING, logger="eolsec.experiment"):
+            outcome = run_experiments(cfg)
+        fallbacks = [r for r in caplog.records if "falling back to mc" in r.getMessage()]
+        assert len(fallbacks) == 1
+        cells = json.loads(outcome.summary_path.read_text())["cells"]
+        assert len(cells) == 12
+        message = (
+            "analytic engine unavailable: state space would hold 15 regular states, "
+            "budget is 5; use the Monte Carlo engine instead"
+        )
+        assert all(cell["warnings"] == [message] for cell in cells)
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_budget_without_mc_budget_is_an_error(self, tmp_path, jobs):

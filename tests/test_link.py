@@ -8,14 +8,13 @@ from eolsec import (
     DemandProfile,
     classify,
     connection_spans,
-    free_fragments,
     is_defragmented,
     pattern,
-    placement_count,
     placements,
     removals,
 )
 from eolsec.link import arrangement_width, check_arrangement, random_fit
+from oracles import free_fragments, placement_count
 
 
 def slot_occupancy(arr, profile):

@@ -11,25 +11,25 @@ from eolsec import (
     DemandProfile,
     ModelVariant,
     NonIntegerRpRatio,
-    ObservationWindow,
     assemble_generator,
     attack_success_probability,
     build_state_space,
-    count_matching_rearrangements,
     count_states,
-    inside_pattern,
     observable_fraction,
     pattern_size,
     per_state_attack_success,
     solve_stationary,
 )
 from eolsec.link import connection_spans, pattern
-from eolsec.security import (
-    WindowSurvival,
+from eolsec.security import WindowSurvival, _outside_split_prefix
+from oracles import (
+    ObservationWindow,
     _outside_split_count,
-    _outside_split_prefix,
+    count_matching_rearrangements,
+    enumerated_matching_count,
+    group_table_attack_success,
+    inside_pattern,
 )
-from oracles import enumerated_matching_count, group_table_attack_success
 
 
 def brute_force_matches(arr, window, profile):
@@ -204,10 +204,10 @@ class TestWindowSurvival:
     def test_one_kernel_serves_every_width(self, profile7):
         space = build_state_space(profile7)
         per_state_attack_success(space, 2)
-        kernel = space._survival_kernel
+        kernel = space.survival_memo.kernel
         prefixes = len(kernel._prefix)
         per_state_attack_success(space, 3)
-        assert space._survival_kernel is kernel
+        assert space.survival_memo.kernel is kernel
         assert len(kernel._prefix) >= prefixes > 0
 
 

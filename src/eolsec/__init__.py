@@ -22,11 +22,9 @@ from .ctmc import (
     solve_stationary,
 )
 from .link import (
-    Arrangement,
     Classification,
     DemandProfile,
     classify,
-    connection_spans,
     is_defragmented,
     pattern,
     placements,
@@ -58,7 +56,6 @@ from .statespace import (
 )
 
 __all__ = [
-    "Arrangement",
     "BlockingReport",
     "Classification",
     "DemandProfile",
@@ -83,7 +80,6 @@ __all__ = [
     "blocking_report",
     "build_state_space",
     "classify",
-    "connection_spans",
     "count_states",
     "dump_states",
     "feasible_patterns",

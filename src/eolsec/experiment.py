@@ -66,10 +66,8 @@ class ExperimentConfig:
     reconfig_rates: tuple[float, ...]
     window_widths: tuple[int, ...]
     engine: str
-    solver_tol: float
     state_budget: int
     randomize_empty: bool
-    data_rate: float
     sim_arrivals: int | None
     sim_horizon: float | None
     sim_warmup: float
@@ -93,6 +91,13 @@ def _get(node: dict, path: str, key: str, kind, required: bool = False, default=
     if not isinstance(value, kind):
         raise ConfigError(f"field {where} must be {getattr(kind, '__name__', kind)}, got {value!r}")
     return value
+
+
+def _known_fields(node: dict, path: str, known: tuple[str, ...]) -> None:
+    for key in node:
+        if key not in known:
+            where = f"{path}.{key}" if path else str(key)
+            raise ConfigError(f"unknown field {where} (known: {', '.join(known)})")
 
 
 def _num_list(node: dict, path: str, key: str, required: bool = False, default=()):
@@ -123,8 +128,13 @@ def load_config(path: str | Path, **overrides) -> ExperimentConfig:
     version = _get(doc, "", "schema_version", int, required=True)
     if version != SCHEMA_VERSION:
         raise ConfigError(f"schema_version {version} is not supported (expected {SCHEMA_VERSION})")
+    _known_fields(doc, "", (
+        "schema_version", "profile", "traffic", "sweep", "window_widths", "engine",
+        "state_budget", "randomize_empty", "sim", "output", "jobs",
+    ))
 
     profile = _get(doc, "", "profile", dict, required=True)
+    _known_fields(profile, "profile", ("capacity", "demands", "service_rates"))
     capacity = _get(profile, "profile", "capacity", int, required=True)
     demands_f = _num_list(profile, "profile", "demands", required=True)
     demands = tuple(int(d) for d in demands_f)
@@ -139,6 +149,7 @@ def load_config(path: str | Path, **overrides) -> ExperimentConfig:
             raise ConfigError("field profile.service_rates must match profile.demands in length")
 
     traffic = _get(doc, "", "traffic", dict, required=True)
+    _known_fields(traffic, "traffic", ("loads", "arrival_rates"))
     loads = _num_list(traffic, "traffic", "loads") if "loads" in traffic else None
     arrival_rates = (
         _num_list(traffic, "traffic", "arrival_rates") if "arrival_rates" in traffic else None
@@ -151,6 +162,7 @@ def load_config(path: str | Path, **overrides) -> ExperimentConfig:
         raise ConfigError("field traffic.arrival_rates must match profile.demands in length")
 
     sweep = _get(doc, "", "sweep", dict, default={})
+    _known_fields(sweep, "sweep", ("variants", "randomization_rates", "reconfig_rates"))
     variants = sweep.get("variants", ["regular"])
     if not isinstance(variants, list) or not all(isinstance(v, str) for v in variants):
         raise ConfigError("field sweep.variants must be a list of strings")
@@ -171,9 +183,11 @@ def load_config(path: str | Path, **overrides) -> ExperimentConfig:
         raise ConfigError(f"field engine must be analytic, mc or both, got {engine!r}")
 
     sim = _get(doc, "", "sim", dict, default={})
+    _known_fields(sim, "sim", ("arrivals", "horizon", "warmup", "replications", "seed"))
     sim_arrivals = _get(sim, "sim", "arrivals", int, default=None)
     sim_horizon = _get(sim, "sim", "horizon", float, default=None)
     output = _get(doc, "", "output", dict, default={})
+    _known_fields(output, "output", ("dir", "basename", "timestamp"))
 
     cfg = ExperimentConfig(
         capacity=capacity,
@@ -186,10 +200,8 @@ def load_config(path: str | Path, **overrides) -> ExperimentConfig:
         reconfig_rates=reconfig_rates,
         window_widths=window_widths,
         engine=engine,
-        solver_tol=_get(doc, "", "solver_tol", float, default=1e-10),
         state_budget=_get(doc, "", "state_budget", int, default=DEFAULT_STATE_BUDGET),
         randomize_empty=_get(doc, "", "randomize_empty", bool, default=False),
-        data_rate=_get(doc, "", "data_rate", float, default=1.0),
         sim_arrivals=sim_arrivals,
         sim_horizon=sim_horizon,
         sim_warmup=_get(sim, "sim", "warmup", float, default=0.0),
@@ -387,7 +399,7 @@ def _sim_config(cfg: ExperimentConfig, profile: DemandProfile, variant: ModelVar
 
 
 def _analytic(cfg: ExperimentConfig, space, profile: DemandProfile, variant: ModelVariant) -> EngineResult:
-    dist = solve_stationary(assemble_generator(space, profile, variant), cfg.solver_tol)
+    dist = solve_stationary(assemble_generator(space, profile, variant))
     report = blocking_report(dist, space, profile, variant)
     return EngineResult(
         engine="analytic",
@@ -426,11 +438,10 @@ def _monte_carlo(spec: CellSpec, profile: DemandProfile, variant: ModelVariant) 
 
 def _lambda_frac(p_sa: float, spec: CellSpec, warnings: list[str]) -> float:
     """Observable fraction of one p_sa; a non-integer rate ratio is warned once per cell."""
-    cfg = spec.config
     if math.isnan(p_sa) or spec.lambda_s <= 0:
         return math.nan
     try:
-        return observable_fraction(p_sa, spec.lambda_s, cfg.service_rates[0], cfg.data_rate)[1]
+        return observable_fraction(p_sa, spec.lambda_s, spec.config.service_rates[0])[1]
     except NonIntegerRpRatio as exc:
         if str(exc) not in warnings:
             warnings.append(str(exc))

@@ -1,10 +1,11 @@
 """Occupancy model of a single elastic optical link.
 
 The link has ``capacity`` spectrum slots.  A class-k connection occupies
-``demands[k-1]`` contiguous slots.  An occupancy state is stored as an
-ordered token sequence: token 0 is one free slot, token ``k >= 1`` is one
-class-k connection (width ``demands[k-1]``).  Two adjacent equal tokens are
-two distinct connections, so the token sequence fully determines the state.
+``demands[k-1]`` contiguous slots.  An occupancy state is an ordered
+token sequence: token 0 is one free slot, token ``k >= 1`` is one class-k
+connection (width ``demands[k-1]``).  Two adjacent equal tokens are two
+distinct connections, so the token sequence fully determines the state.
+The functions below take any sequence; the states they build are tuples.
 """
 
 from __future__ import annotations
@@ -79,17 +80,6 @@ class DemandProfile:
         )
 
 
-@dataclass(frozen=True)
-class Arrangement:
-    """Ordered token sequence describing one occupancy state."""
-
-    tokens: tuple[int, ...]
-
-    @classmethod
-    def empty(cls, profile: DemandProfile) -> "Arrangement":
-        return cls(tokens=(FREE,) * profile.capacity)
-
-
 class Classification(Enum):
     """Outcome of offering one class-k arrival to a state."""
 
@@ -98,29 +88,22 @@ class Classification(Enum):
     RESOURCE_BLOCKED = "resource-blocked"
 
 
-def token_width(token: int, profile: DemandProfile) -> int:
-    return 1 if token == FREE else profile.demands[token - 1]
-
-
-def arrangement_width(arr: Arrangement, profile: DemandProfile) -> int:
-    return sum(token_width(t, profile) for t in arr.tokens)
-
-
-def check_arrangement(arr: Arrangement, profile: DemandProfile) -> None:
-    """Raise ValueError unless ``arr`` is a valid state for ``profile``."""
+def check_arrangement(tokens: Sequence[int], profile: DemandProfile) -> None:
+    """Raise ValueError unless ``tokens`` is a valid state for ``profile``."""
     K = profile.num_classes
-    for t in arr.tokens:
+    width = 0
+    for t in tokens:
         if not 0 <= t <= K:
             raise ValueError(f"unknown token {t}; expected 0 (free) or 1..{K}")
-    width = arrangement_width(arr, profile)
+        width += 1 if t == FREE else profile.demands[t - 1]
     if width != profile.capacity:
         raise ValueError(f"token widths sum to {width}, capacity is {profile.capacity}")
 
 
-def pattern(arr: Arrangement, profile: DemandProfile) -> tuple[int, ...]:
-    """Per-class connection counts of ``arr``."""
+def pattern(tokens: Sequence[int], profile: DemandProfile) -> tuple[int, ...]:
+    """Per-class connection counts of ``tokens``."""
     counts = [0] * profile.num_classes
-    for t in arr.tokens:
+    for t in tokens:
         if t != FREE:
             counts[t - 1] += 1
     return tuple(counts)
@@ -170,56 +153,56 @@ def random_fit(tokens: Sequence[int], need: int, uniform: Callable[[], float]) -
         pick -= c
 
 
-def classify(arr: Arrangement, k: int, profile: DemandProfile) -> Classification:
+def classify(tokens: Sequence[int], k: int, profile: DemandProfile) -> Classification:
     """Accept, fragmentation-blocked or resource-blocked for a class-k arrival."""
     need = profile.demand(k)
-    if fit_runs(arr.tokens, need):
+    if fit_runs(tokens, need):
         return Classification.ACCEPT
-    if arr.tokens.count(FREE) >= need:
+    if tokens.count(FREE) >= need:
         return Classification.FRAG_BLOCKED
     return Classification.RESOURCE_BLOCKED
 
 
-def placements(arr: Arrangement, k: int, profile: DemandProfile) -> list[Arrangement]:
+def placements(tokens: Sequence[int], k: int, profile: DemandProfile) -> list[tuple[int, ...]]:
     """All states reachable by admitting one class-k connection.
 
     One result per admissible slot position, in slot order.  Under the
     random-fit policy each result is chosen with probability 1/len(result).
     """
     need = profile.demand(k)
-    runs = fit_runs(arr.tokens, need)
+    runs = fit_runs(tokens, need)
     if not runs:
         raise ValueError(f"class {k} is not acceptable in this state")
-    tokens = arr.tokens
+    tokens = tuple(tokens)
     return [
-        Arrangement(tokens[:off] + (k,) + tokens[off + need:])
+        tokens[:off] + (k,) + tokens[off + need:]
         for start, c in runs
         for off in range(start, start + c)
     ]
 
 
-def removals(arr: Arrangement, k: int, profile: DemandProfile) -> list[tuple[Arrangement, int]]:
+def removals(tokens: Sequence[int], k: int, profile: DemandProfile) -> list[tuple[tuple[int, ...], int]]:
     """States reachable by one class-k departure, with multiplicities.
 
     Each of the n_k class-k connections is removed in turn; identical
     results are merged and their multiplicities summed, so the total
     multiplicity is n_k.
     """
-    need = profile.demand(k)
-    frees = (FREE,) * need
-    merged: dict[Arrangement, int] = {}
-    for i, t in enumerate(arr.tokens):
+    tokens = tuple(tokens)
+    frees = (FREE,) * profile.demand(k)
+    merged: dict[tuple[int, ...], int] = {}
+    for i, t in enumerate(tokens):
         if t == k:
-            target = Arrangement(arr.tokens[:i] + frees + arr.tokens[i + 1:])
+            target = tokens[:i] + frees + tokens[i + 1:]
             merged[target] = merged.get(target, 0) + 1
     if not merged:
         raise ValueError(f"no class-{k} connection to remove")
     return list(merged.items())
 
 
-def is_defragmented(arr: Arrangement) -> bool:
+def is_defragmented(tokens: Sequence[int]) -> bool:
     """True iff all free slots form at most one contiguous block."""
-    return len(fit_runs(arr.tokens, 1)) <= 1
+    return len(fit_runs(tokens, 1)) <= 1
 
 
 def defragmented(tokens: Sequence[int], rng: random.Random) -> list[int]:
@@ -234,13 +217,8 @@ def defragmented(tokens: Sequence[int], rng: random.Random) -> list[int]:
     return conns[:gap] + [FREE] * (len(tokens) - len(conns)) + conns[gap:]
 
 
-def connection_spans(arr: Arrangement, profile: DemandProfile) -> list[tuple[int, int, int]]:
-    """Connections of ``arr`` as (class, first_slot, last_slot), 1-based slots."""
-    return token_spans(arr.tokens, profile.demands)
-
-
 def token_spans(tokens: Sequence[int], demands: tuple[int, ...]) -> list[tuple[int, int, int]]:
-    """``connection_spans`` of a raw token sequence."""
+    """Connections of ``tokens`` as (class, first_slot, last_slot), 1-based slots."""
     spans: list[tuple[int, int, int]] = []
     slot = 1
     for t in tokens:

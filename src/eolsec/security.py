@@ -25,7 +25,7 @@ from itertools import product
 
 import numpy as np
 
-from .link import DemandProfile, connection_spans
+from .link import DemandProfile, token_spans
 from .statespace import StateSpace, _permutation_count
 
 
@@ -172,7 +172,7 @@ def per_state_attack_success(space: StateSpace, width: int) -> np.ndarray:
     if result is None:
         kernel = memo.kernel
         result = memo.by_width[width] = np.array([
-            kernel.expected(connection_spans(arr, profile), pat, width)
+            kernel.expected(token_spans(arr, profile.demands), pat, width)
             for arr, pat in zip(space.arrangements, space.state_patterns)
         ])
     return result

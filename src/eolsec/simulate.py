@@ -29,7 +29,6 @@ from dataclasses import dataclass, field
 from .ctmc import ModelVariant, overall_blocking
 from .link import (
     FREE,
-    Arrangement,
     DemandProfile,
     check_arrangement,
     defragmented,
@@ -108,10 +107,9 @@ class SimResult:
 
 @dataclass
 class _Replication:
-    arrivals: list[int]
-    resource_blocked: list[int]
-    frag_blocked: list[int]
-    reconfig_blocked: list[int]
+    # One 4×K table per batch; rows count the measured arrivals and the
+    # resource-, fragmentation- and reconfiguration-blocked ones per class.
+    tables: list[list[list[int]]]
     rp_started: int = 0
     rp_ignored_empty: int = 0
     rp_discarded: int = 0
@@ -119,11 +117,23 @@ class _Replication:
     completions: int = 0
     rp_events: int = 0
     rp_success: dict[int, float] = field(default_factory=dict)
-    batches: list[list[list[int]]] = field(default_factory=list)
+
+
+def _sum_tables(tables: list[list[list[int]]]) -> list[list[int]]:
+    """Entry-wise sum of 4×K count tables."""
+    return [[sum(col) for col in zip(*rows)] for rows in zip(*tables)]
+
+
+def _departure_rate(counts: list[int], mu: tuple[float, ...]) -> float:
+    """Sum of ``counts[k] * mu[k]``, accumulated in class order like the departure scan."""
+    rate = 0.0
+    for n, m in zip(counts, mu):
+        rate += n * m
+    return rate
 
 
 def _simulate_replication(
-    cfg: SimConfig, rep: int, track_batches: bool, survival: WindowSurvival
+    cfg: SimConfig, rep: int, n_batches: int, survival: WindowSurvival
 ) -> _Replication:
     profile = cfg.profile
     variant = cfg.variant
@@ -139,7 +149,7 @@ def _simulate_replication(
     widths = cfg.window_widths
     warmup = cfg.warmup
     horizon = cfg.horizon if cfg.horizon is not None else math.inf
-    budget = cfg.arrivals if cfg.arrivals is not None else None
+    budget = cfg.arrivals
     debug = cfg.debug_checks
 
     rng = random.Random(f"{cfg.seed}:{rep}")
@@ -147,15 +157,11 @@ def _simulate_replication(
     uniform = rng.random
 
     rec = _Replication(
-        arrivals=[0] * K,
-        resource_blocked=[0] * K,
-        frag_blocked=[0] * K,
-        reconfig_blocked=[0] * K,
+        tables=[[[0] * K for _ in range(4)] for _ in range(n_batches)],
         rp_success={w: 0.0 for w in widths},
     )
-    n_batches = _BATCH_COUNT if track_batches else 0
-    if n_batches:
-        rec.batches = [[[0] * K for _ in range(4)] for _ in range(n_batches)]
+    table = rec.tables[0]
+    if n_batches > 1:
         if budget is not None:
             batch_size = max(1, -(-budget // n_batches))
         else:
@@ -170,9 +176,8 @@ def _simulate_replication(
     measured_arrivals = 0
 
     def check_state() -> None:
-        arr = Arrangement(tuple(tokens))
-        check_arrangement(arr, profile)
-        if list(pattern(arr, profile)) != counts or tokens.count(FREE) != free_total:
+        check_arrangement(tokens, profile)
+        if list(pattern(tokens, profile)) != counts or tokens.count(FREE) != free_total:
             raise RuntimeError(
                 f"tracked counts {counts} / {free_total} free disagree with tokens {tokens}"
             )
@@ -195,20 +200,17 @@ def _simulate_replication(
                 k += 1
                 acc += lam[k]
             if measuring:
-                rec.arrivals[k] += 1
                 measured_arrivals += 1
-                if n_batches:
+                if n_batches > 1:
                     if budget is not None:
                         b = min((measured_arrivals - 1) // batch_size, n_batches - 1)
                     else:
                         b = min(int((t - warmup) / batch_span), n_batches - 1)
-                    batch = rec.batches[b]
-                    batch[0][k] += 1
+                    table = rec.tables[b]
+                table[0][k] += 1
             if reconfig:
                 if measuring:
-                    rec.reconfig_blocked[k] += 1
-                    if n_batches:
-                        batch[3][k] += 1
+                    table[3][k] += 1
             else:
                 dk = demands[k]
                 pos = random_fit(tokens, dk, uniform)
@@ -216,22 +218,18 @@ def _simulate_replication(
                     tokens[pos:pos + dk] = [k + 1]
                     counts[k] += 1
                     free_total -= dk
-                    dep_rate += mu[k]
+                    dep_rate = _departure_rate(counts, mu)
                     if debug:
                         check_state()
                 elif free_total >= dk:
                     if measuring:
-                        rec.frag_blocked[k] += 1
-                        if n_batches:
-                            batch[2][k] += 1
+                        table[2][k] += 1
                     if has_defrag:
                         reconfig = _DEFRAGMENTING
                         rec.defrags_started += 1
                 else:
                     if measuring:
-                        rec.resource_blocked[k] += 1
-                        if n_batches:
-                            batch[1][k] += 1
+                        table[1][k] += 1
             if budget is not None and measured_arrivals >= budget:
                 break
         elif u < lam_total + lam_s:
@@ -271,8 +269,10 @@ def _simulate_replication(
                 k += 1
                 acc += counts[k] * mu[k]
             if counts[k] == 0:
-                # incremental dep_rate can drift by one ulp; land on a real class
-                k = next(i for i in range(K) if counts[i])
+                # rounding of v can carry it past the last interval (or below
+                # zero); take the nearest class with connections
+                live = [i for i in range(K) if counts[i]]
+                k = live[-1] if v > 0 else live[0]
             pick = int(uniform() * counts[k])
             if pick >= counts[k]:
                 pick = counts[k] - 1
@@ -286,9 +286,7 @@ def _simulate_replication(
             tokens[i:i + 1] = [0] * demands[k]
             counts[k] -= 1
             free_total += demands[k]
-            dep_rate -= mu[k]
-            if free_total == capacity:
-                dep_rate = 0.0  # kill accumulated float drift at the empty state
+            dep_rate = _departure_rate(counts, mu)
             if debug:
                 check_state()
 
@@ -314,79 +312,56 @@ def _t_quantile(n: int) -> float:
     return float(stdtrit(n - 1, 0.975)) if n >= 2 else math.nan
 
 
-def _blocking_values(
-    arrivals: list[int],
-    rb: list[int],
-    fb: list[int],
-    rcb: list[int],
-    lam: tuple[float, ...],
-) -> tuple[list[float], list[float], float, float]:
+def _blocking_values(table: list[list[int]], lam: tuple[float, ...]) -> list[float]:
+    """``[rb_1..rb_K, fb_1..fb_K, rcb, bp]`` of one 4×K count table."""
+    arrivals, rb, fb, rcb = table
     K = len(lam)
     rb_hat = [rb[k] / arrivals[k] if arrivals[k] else 0.0 for k in range(K)]
     fb_hat = [fb[k] / arrivals[k] if arrivals[k] else 0.0 for k in range(K)]
     total_arrivals = sum(arrivals)
     rcb_hat = sum(rcb) / total_arrivals if total_arrivals else 0.0
-    return rb_hat, fb_hat, rcb_hat, overall_blocking(rb_hat, fb_hat, rcb_hat, lam)
+    return [*rb_hat, *fb_hat, rcb_hat, overall_blocking(rb_hat, fb_hat, rcb_hat, lam)]
 
 
 def run_simulation(cfg: SimConfig) -> SimResult:
     """Run all replications and aggregate the estimates.
 
     Confidence half-widths use the Student-t 95% interval over replication
-    means; a single replication falls back to batch means for the blocking
-    metrics (security metrics then carry no interval).
+    values; a single replication falls back to batch means around its
+    whole-run value for the blocking metrics (security metrics then carry no
+    interval).
     """
-    track_batches = cfg.replications == 1
+    n_batches = _BATCH_COUNT if cfg.replications == 1 else 1
     survival = WindowSurvival(cfg.profile)
     reps = [
-        _simulate_replication(cfg, r, track_batches, survival)
+        _simulate_replication(cfg, r, n_batches, survival)
         for r in range(cfg.replications)
     ]
     lam = cfg.profile.arrival_rates
     K = cfg.profile.num_classes
-
-    per_rep = [
-        _blocking_values(r.arrivals, r.resource_blocked, r.frag_blocked, r.reconfig_blocked, lam)
-        for r in reps
-    ]
+    totals = _sum_tables([t for r in reps for t in r.tables])
 
     if cfg.replications >= 2:
-        tq = _t_quantile(cfg.replications)
-        rb_est = tuple(_estimate([p[0][k] for p in per_rep], tq) for k in range(K))
-        fb_est = tuple(_estimate([p[1][k] for p in per_rep], tq) for k in range(K))
-        rcb_est = _estimate([p[2] for p in per_rep], tq)
-        bp_est = _estimate([p[3] for p in per_rep], tq)
+        samples = [_sum_tables(r.tables) for r in reps]
     else:
-        # batch-means interval around the whole-run point estimate
-        rb_hat, fb_hat, rcb_hat, bp_hat = per_rep[0]
-        batches = reps[0].batches
-        batch_vals = [
-            _blocking_values(b[0], b[1], b[2], b[3], lam)
-            for b in batches
-            if sum(b[0]) > 0
+        samples = [t for t in reps[0].tables if sum(t[0]) > 0]
+    values = [_blocking_values(t, lam) for t in samples]
+    tq = _t_quantile(len(samples))
+    est = [_estimate([v[j] for v in values], tq) for j in range(2 * K + 2)]
+    if cfg.replications == 1:
+        est = [
+            MetricEstimate(point, e.std_error, e.ci_half_width)
+            for point, e in zip(_blocking_values(totals, lam), est)
         ]
-        tq = _t_quantile(len(batch_vals))
 
-        def with_batch_ci(point: float, values: list[float]) -> MetricEstimate:
-            est = _estimate(values, tq)
-            return MetricEstimate(point, est.std_error, est.ci_half_width)
-
-        rb_est = tuple(with_batch_ci(rb_hat[k], [v[0][k] for v in batch_vals]) for k in range(K))
-        fb_est = tuple(with_batch_ci(fb_hat[k], [v[1][k] for v in batch_vals]) for k in range(K))
-        rcb_est = with_batch_ci(rcb_hat, [v[2] for v in batch_vals])
-        bp_est = with_batch_ci(bp_hat, [v[3] for v in batch_vals])
-
-    tq = _t_quantile(cfg.replications)
     attack = {}
     for w in cfg.window_widths:
         rp_vals = [r.rp_success[w] / r.rp_events if r.rp_events else math.nan for r in reps]
+        # unreplicated, this is one value: no interval, whatever tq is
         attack[w] = _estimate(rp_vals, tq)
 
     counts = EventCounts(
-        arrivals=tuple(sum(r.arrivals[k] for r in reps) for k in range(K)),
-        resource_blocked=tuple(sum(r.resource_blocked[k] for r in reps) for k in range(K)),
-        frag_blocked=tuple(sum(r.frag_blocked[k] for r in reps) for k in range(K)),
-        reconfig_blocked=tuple(sum(r.reconfig_blocked[k] for r in reps) for k in range(K)),
+        *(tuple(row) for row in totals),
         randomizations_started=sum(r.rp_started for r in reps),
         randomizations_ignored_empty=sum(r.rp_ignored_empty for r in reps),
         randomizations_discarded=sum(r.rp_discarded for r in reps),
@@ -394,10 +369,10 @@ def run_simulation(cfg: SimConfig) -> SimResult:
         reconfigs_completed=sum(r.completions for r in reps),
     )
     return SimResult(
-        resource_blocking=rb_est,
-        fragmentation_blocking=fb_est,
-        reconfiguration_blocking=rcb_est,
-        overall_blocking=bp_est,
+        resource_blocking=tuple(est[:K]),
+        fragmentation_blocking=tuple(est[K:2 * K]),
+        reconfiguration_blocking=est[2 * K],
+        overall_blocking=est[2 * K + 1],
         attack_success=attack,
         counts=counts,
     )

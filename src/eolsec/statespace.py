@@ -21,7 +21,6 @@ from typing import Iterator, TextIO
 import numpy as np
 
 from .link import (
-    Arrangement,
     Classification,
     DemandProfile,
     classify,
@@ -163,9 +162,9 @@ class StateSpace:
     """
 
     profile: DemandProfile
-    arrangements: tuple[Arrangement, ...]
+    arrangements: tuple[tuple[int, ...], ...]
     state_patterns: tuple[tuple[int, ...], ...]
-    index_of: dict[Arrangement, int]
+    index_of: dict[tuple[int, ...], int]
     pattern_groups: dict[tuple[int, ...], tuple[int, ...]]
     frag_blocked: tuple[frozenset[int], ...]
     resource_blocked: tuple[frozenset[int], ...]
@@ -244,7 +243,7 @@ def build_state_space(profile: DemandProfile, options: SpaceOptions | None = Non
         raise StateBudgetExceeded(predicted, options.state_budget)
 
     K = profile.num_classes
-    arrangements: list[Arrangement] = []
+    arrangements: list[tuple[int, ...]] = []
     state_patterns: list[tuple[int, ...]] = []
     pattern_groups: dict[tuple[int, ...], tuple[int, ...]] = {}
     frag: list[set[int]] = [set() for _ in range(K)]
@@ -256,12 +255,11 @@ def build_state_space(profile: DemandProfile, options: SpaceOptions | None = Non
         members: list[int] = []
         for tokens in _token_sequences(counts):
             idx = len(arrangements)
-            arr = Arrangement(tokens)
-            arrangements.append(arr)
+            arrangements.append(tokens)
             state_patterns.append(pat)
             members.append(idx)
             for k in range(1, K + 1):
-                c = classify(arr, k, profile)
+                c = classify(tokens, k, profile)
                 if c is Classification.FRAG_BLOCKED:
                     frag[k - 1].add(idx)
                 elif c is Classification.RESOURCE_BLOCKED:
@@ -304,8 +302,8 @@ def build_state_space(profile: DemandProfile, options: SpaceOptions | None = Non
     )
 
 
-def _render_tokens(arr: Arrangement) -> str:
-    return " ".join("F" if t == 0 else f"C{t}" for t in arr.tokens)
+def _render_tokens(tokens: tuple[int, ...]) -> str:
+    return " ".join("F" if t == 0 else f"C{t}" for t in tokens)
 
 
 def _render_pattern(pat: tuple[int, ...]) -> str:

@@ -14,29 +14,28 @@ from scipy.sparse.csgraph import connected_components
 
 from eolsec.ctmc import ModelVariant, RateMatrix
 from eolsec.link import (
-    Arrangement,
     Classification,
     DemandProfile,
     classify,
-    connection_spans,
     fit_runs,
     pattern,
     placements,
     removals,
+    token_spans,
 )
 from eolsec.statespace import StateSpace, _permutation_count, _token_sequences, pattern_size
 
 DEFAULT_ENUMERATION_BUDGET = 2_000_000
 
 
-def free_fragments(arr: Arrangement) -> list[int]:
+def free_fragments(arr: tuple[int, ...]) -> list[int]:
     """Sizes of maximal free-slot runs, in slot order."""
-    return [size for _, size in fit_runs(arr.tokens, 1)]
+    return [size for _, size in fit_runs(arr, 1)]
 
 
-def placement_count(arr: Arrangement, k: int, profile: DemandProfile) -> int:
+def placement_count(arr: tuple[int, ...], k: int, profile: DemandProfile) -> int:
     """Number of distinct slot positions where a class-k block fits."""
-    return sum(c for _, c in fit_runs(arr.tokens, profile.demand(k)))
+    return sum(c for _, c in fit_runs(arr, profile.demand(k)))
 
 
 @dataclass(frozen=True)
@@ -76,7 +75,7 @@ def _inside_of_spans(
 
 
 def inside_pattern(
-    arr: Arrangement, window: ObservationWindow, profile: DemandProfile
+    arr: tuple[int, ...], window: ObservationWindow, profile: DemandProfile
 ) -> tuple[tuple[int, ...], bool]:
     """Pattern of connections fully inside the window, plus a straddle flag.
 
@@ -84,7 +83,7 @@ def inside_pattern(
     from the pattern.
     """
     _check_window(window, profile)
-    spans = connection_spans(arr, profile)
+    spans = token_spans(arr, profile.demands)
     return _inside_of_spans(spans, window.start, window.last, profile.num_classes)
 
 
@@ -109,7 +108,7 @@ def _outside_split_count(
 
 
 def count_matching_rearrangements(
-    arr: Arrangement, window: ObservationWindow, profile: DemandProfile
+    arr: tuple[int, ...], window: ObservationWindow, profile: DemandProfile
 ) -> int:
     """Arrangements of ``arr``'s pattern indistinguishable inside the window.
 
@@ -223,7 +222,7 @@ def group_table_attack_success(space: StateSpace, width: int) -> np.ndarray:
     numerators = [0] * space.num_regular
     denominators = [0] * space.num_regular
     for pat, members in space.pattern_groups.items():
-        spans_of = {i: connection_spans(space.arrangements[i], profile) for i in members}
+        spans_of = {i: token_spans(space.arrangements[i], profile.demands) for i in members}
         r_n = pattern_size(pat, profile)
         for start in range(1, positions + 1):
             last = start + width - 1
@@ -250,7 +249,7 @@ def _match_table(
     last = start + width - 1
     table: dict[tuple[int, ...], int] = {}
     for tokens in _token_sequences([frees] + list(pat)):
-        spans = connection_spans(Arrangement(tokens), profile)
+        spans = token_spans(tokens, profile.demands)
         n_in, straddle = _inside_of_spans(spans, start, last, profile.num_classes)
         if not straddle:
             table[n_in] = table.get(n_in, 0) + 1
@@ -258,7 +257,7 @@ def _match_table(
 
 
 def enumerated_matching_count(
-    arr: Arrangement, window: ObservationWindow, profile: DemandProfile
+    arr: tuple[int, ...], window: ObservationWindow, profile: DemandProfile
 ) -> int:
     """``count_matching_rearrangements`` by enumerating every arrangement of the pattern."""
     pat = pattern(arr, profile)

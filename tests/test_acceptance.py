@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 
 from eolsec import (
-    Arrangement,
     DemandProfile,
     ModelVariant,
     SimConfig,
@@ -118,7 +117,7 @@ def test_criterion_1_worked_example_fixtures():
     profile = DemandProfile(7, (3, 4), (1.0, 1.0), (1.0, 1.0))
     space = build_state_space(profile)
     assert space.num_regular == 15
-    assert placement_count(Arrangement.empty(profile), 1, profile) == 5
+    assert placement_count((0,) * profile.capacity, 1, profile) == 5
     assert len(space.gamma_of((1, 0))) == 5
     assert len(space.frag_blocked[1]) == 3
     assert len(space.frag_blocked[0]) == 3
@@ -175,7 +174,7 @@ def test_criterion_2_balance_equation_rows():
 
 
 def test_criterion_3_window_counting_fixtures(profile14):
-    arr = Arrangement((1, 0, 0, 0, 2, 0, 3, 0))
+    arr = (1, 0, 0, 0, 2, 0, 3, 0)
     window = ObservationWindow(6, 4)
     assert 14 - 4 + 1 == 11  # uniform window position weight is 1/11
 

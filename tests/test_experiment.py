@@ -1,8 +1,10 @@
 import json
 import logging
 import math
+from pathlib import Path
 
 import pytest
+import yaml
 
 from eolsec.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
 from eolsec.ctmc import NegativeStationaryMass
@@ -23,7 +25,6 @@ sweep:
   reconfig_rates: [10.0]
 window_widths: [3, 7]
 engine: analytic
-solver_tol: 1.0e-10
 sim:
   arrivals: 4000
   warmup: 10.0
@@ -282,6 +283,21 @@ class TestRunExperiments:
         assert load == pytest.approx(0.5 * 3 + 0.25 * 4)
 
 
+def test_readme_schema_loads(tmp_path):
+    # every key the README documents is one the loader reads, since unknown
+    # keys are config errors
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("### Config schema", 1)[1]
+    block = section.split("```yaml\n", 1)[1].split("```", 1)[0]
+    doc = yaml.safe_load(block)
+    doc["output"]["dir"] = str(tmp_path / "out")
+    path = tmp_path / "readme.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    cfg = load_config(path)
+    assert cfg.capacity == doc["profile"]["capacity"]
+    assert cfg.sim_replications == doc["sim"]["replications"]
+
+
 class TestCli:
     def test_validate_ok(self, config_path, capsys):
         assert main(["validate", "--config", str(config_path)]) == EXIT_OK
@@ -377,6 +393,30 @@ class TestCli:
         assert main(["run", "--config", str(path)]) == EXIT_CONFIG
         assert f"config error: {message}" in capsys.readouterr().err
         assert not out_dir.exists()  # refused before any cell ran
+
+    @pytest.mark.parametrize("extra, where", [
+        ("sim: {arrivals: 200, replicatons: 2}\n", "sim.replicatons"),
+        ("data_rate: 1.0\n", "data_rate"),
+        ("solver_tol: 1.0e-10\n", "solver_tol"),
+    ])
+    def test_unknown_field_is_config_error(self, tmp_path, capsys, extra, where):
+        out_dir = tmp_path / "out"
+        path = tmp_path / "unknown.yaml"
+        path.write_text(
+            "schema_version: 1\n"
+            "profile: {capacity: 7, demands: [3, 4]}\n"
+            "traffic: {loads: [2.0]}\n"
+            + extra
+            + f"output: {{dir: '{out_dir}'}}\n"
+        )
+        with pytest.raises(ConfigError, match=f"unknown field {where} "):
+            load_config(path)
+        for command in ("validate", "run"):
+            assert main([command, "--config", str(path)]) == EXIT_CONFIG
+            captured = capsys.readouterr()
+            assert "config ok" not in captured.out
+            assert f"config error: unknown field {where} " in captured.err
+        assert not out_dir.exists()
 
     def test_negative_mass_is_numerical_failure(self, config_path, tmp_path, monkeypatch, capsys):
         def fail(*args):

@@ -3,24 +3,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eolsec import (
-    Arrangement,
     Classification,
     DemandProfile,
     classify,
-    connection_spans,
     is_defragmented,
     pattern,
     placements,
     removals,
 )
-from eolsec.link import arrangement_width, check_arrangement, random_fit
+from eolsec.link import check_arrangement, random_fit, token_spans
 from oracles import free_fragments, placement_count
 
 
 def slot_occupancy(arr, profile):
     """Independent slot-level expansion used as the oracle in these tests."""
     slots = []
-    for t in arr.tokens:
+    for t in arr:
         if t == 0:
             slots.append(0)
         else:
@@ -54,7 +52,7 @@ def profile_and_arrangement(draw):
         t = draw(st.sampled_from(fitting))
         tokens.append(t)
         room -= 1 if t == 0 else demands[t - 1]
-    return profile, Arrangement(tuple(tokens))
+    return profile, tuple(tokens)
 
 
 class TestDemandProfile:
@@ -79,99 +77,99 @@ class TestDemandProfile:
 
 class TestPattern:
     def test_empty_link(self, profile7):
-        assert pattern(Arrangement.empty(profile7), profile7) == (0, 0)
+        assert pattern((0,) * profile7.capacity, profile7) == (0, 0)
 
     def test_single_class1(self, profile7):
-        arr = Arrangement((1, 0, 0, 0, 0))
+        arr = (1, 0, 0, 0, 0)
         assert pattern(arr, profile7) == (1, 0)
 
     def test_full_link(self, profile7):
-        assert pattern(Arrangement((1, 2)), profile7) == (1, 1)
+        assert pattern((1, 2), profile7) == (1, 1)
 
 
 class TestFreeFragments:
     def test_all_free(self, profile7):
-        assert free_fragments(Arrangement.empty(profile7)) == [7]
+        assert free_fragments((0,) * profile7.capacity) == [7]
 
     def test_conn_at_3_5(self, profile7):
         # class 1 on slots 3..5 leaves slots {1,2} and {6,7} free
-        arr = Arrangement((0, 0, 1, 0, 0))
+        arr = (0, 0, 1, 0, 0)
         assert free_fragments(arr) == [2, 2]
         assert free_runs_from_slots(slot_occupancy(arr, profile7)) == [2, 2]
 
     def test_conn_at_2_4(self, profile7):
-        arr = Arrangement((0, 1, 0, 0, 0))
+        arr = (0, 1, 0, 0, 0)
         assert free_fragments(arr) == [1, 3]
         assert free_runs_from_slots(slot_occupancy(arr, profile7)) == [1, 3]
 
 
 class TestClassify:
     def test_fragmented_for_both_classes(self, profile7):
-        arr = Arrangement((0, 0, 1, 0, 0))  # class 1 on slots 3..5
+        arr = (0, 0, 1, 0, 0)  # class 1 on slots 3..5
         assert classify(arr, 2, profile7) is Classification.FRAG_BLOCKED
         assert classify(arr, 1, profile7) is Classification.FRAG_BLOCKED
 
     def test_accept(self, profile7):
-        arr = Arrangement((1, 0, 0, 0, 0))  # slots 4..7 free
+        arr = (1, 0, 0, 0, 0)  # slots 4..7 free
         assert classify(arr, 2, profile7) is Classification.ACCEPT
 
     def test_resource_blocked(self, profile7):
-        arr = Arrangement((1, 1, 0))  # one free slot
+        arr = (1, 1, 0)  # one free slot
         assert classify(arr, 1, profile7) is Classification.RESOURCE_BLOCKED
 
 
 class TestPlacements:
     def test_empty_link_counts(self, profile7):
-        empty = Arrangement.empty(profile7)
+        empty = (0,) * profile7.capacity
         assert len(placements(empty, 1, profile7)) == 5
         assert len(placements(empty, 2, profile7)) == 4
 
     def test_single_position(self, profile7):
-        arr = Arrangement((1, 0, 0, 0, 0))
+        arr = (1, 0, 0, 0, 0)
         targets = placements(arr, 2, profile7)
-        assert targets == [Arrangement((1, 2))]
+        assert targets == [(1, 2)]
 
     def test_rejects_blocked(self, profile7):
-        arr = Arrangement((0, 0, 1, 0, 0))
+        arr = (0, 0, 1, 0, 0)
         with pytest.raises(ValueError):
             placements(arr, 2, profile7)
 
 
 class TestRemovals:
     def test_single_connection(self, profile7):
-        arr = Arrangement((1, 0, 0, 0, 0))
-        assert removals(arr, 1, profile7) == [(Arrangement.empty(profile7), 1)]
+        arr = (1, 0, 0, 0, 0)
+        assert removals(arr, 1, profile7) == [((0,) * profile7.capacity, 1)]
 
     def test_two_distinct_targets(self, profile7):
-        arr = Arrangement((1, 1, 0))
+        arr = (1, 1, 0)
         result = removals(arr, 1, profile7)
         assert len(result) == 2
         assert all(mult == 1 for _, mult in result)
 
     def test_full_link_class2(self, profile7):
-        arr = Arrangement((1, 2))
-        assert removals(arr, 2, profile7) == [(Arrangement((1, 0, 0, 0, 0)), 1)]
+        arr = (1, 2)
+        assert removals(arr, 2, profile7) == [((1, 0, 0, 0, 0), 1)]
 
     def test_rejects_absent_class(self, profile7):
         with pytest.raises(ValueError):
-            removals(Arrangement.empty(profile7), 1, profile7)
+            removals((0,) * profile7.capacity, 1, profile7)
 
 
 class TestIsDefragmented:
     def test_single_block(self, profile7):
-        assert is_defragmented(Arrangement((1, 0, 0, 0, 0)))
+        assert is_defragmented((1, 0, 0, 0, 0))
 
     def test_split_free_space(self, profile7):
-        assert not is_defragmented(Arrangement((0, 0, 1, 0, 0)))
+        assert not is_defragmented((0, 0, 1, 0, 0))
 
     def test_full_link(self, profile7):
-        assert is_defragmented(Arrangement((1, 2)))
+        assert is_defragmented((1, 2))
 
 
 class TestConnectionSpans:
     def test_spans(self, profile7):
-        arr = Arrangement((0, 1, 0, 2))
-        assert connection_spans(arr, profile7) == [(1, 2, 4), (2, 6, 9)]
+        arr = (0, 1, 0, 2)
+        assert token_spans(arr, profile7.demands) == [(1, 2, 4), (2, 6, 9)]
 
 
 @settings(max_examples=200, deadline=None)
@@ -251,7 +249,7 @@ def test_defragmented_states_never_frag_block(pa):
 @given(profile_and_arrangement())
 def test_empty_link_placement_count(pa):
     profile, _ = pa
-    empty = Arrangement.empty(profile)
+    empty = (0,) * profile.capacity
     for k in range(1, profile.num_classes + 1):
         assert placement_count(empty, k, profile) == profile.capacity - profile.demands[k - 1] + 1
 
@@ -260,14 +258,14 @@ def test_empty_link_placement_count(pa):
 @given(profile_and_arrangement())
 def test_widths_always_sum_to_capacity(pa):
     profile, arr = pa
-    assert arrangement_width(arr, profile) == profile.capacity
+    check_arrangement(arr, profile)  # raises unless the widths sum to capacity
 
 
 @settings(max_examples=200, deadline=None)
 @given(profile_and_arrangement())
 def test_random_fit_walks_placements_in_slot_order(pa):
     profile, arr = pa
-    tokens = arr.tokens
+    tokens = arr
     slots = slot_occupancy(arr, profile)
     for k in range(1, profile.num_classes + 1):
         need = profile.demands[k - 1]
@@ -290,5 +288,5 @@ def test_random_fit_walks_placements_in_slot_order(pa):
             assert len(calls) == i + 1
             first_slot = sum(1 if t == 0 else profile.demands[t - 1] for t in tokens[:pos])
             assert slots[first_slot:first_slot + need] == [0] * need
-            picked.append(Arrangement(tokens[:pos] + (k,) + tokens[pos + need:]))
+            picked.append(tokens[:pos] + (k,) + tokens[pos + need:])
         assert picked == placements(arr, k, profile)

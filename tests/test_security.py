@@ -7,7 +7,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from eolsec import (
-    Arrangement,
     DemandProfile,
     ModelVariant,
     NonIntegerRpRatio,
@@ -20,7 +19,7 @@ from eolsec import (
     per_state_attack_success,
     solve_stationary,
 )
-from eolsec.link import connection_spans, pattern
+from eolsec.link import pattern, token_spans
 from eolsec.security import WindowSurvival, _outside_split_prefix
 from oracles import (
     ObservationWindow,
@@ -35,11 +34,10 @@ from oracles import (
 def brute_force_matches(arr, window, profile):
     """Oracle: walk every ordering of the token multiset via itertools."""
     n_in, _ = inside_pattern(arr, window, profile)
-    seen = set(permutations(arr.tokens))
+    seen = set(permutations(arr))
     count = 0
     for tokens in seen:
-        candidate = Arrangement(tokens)
-        spans = connection_spans(candidate, profile)
+        spans = token_spans(tokens, profile.demands)
         straddle = any(
             s < window.start <= e or s <= window.last < e for _, s, e in spans
         )
@@ -77,32 +75,32 @@ class TestTotalRearrangements:
 
 class TestInsidePattern:
     def test_window_fixture(self, profile14):
-        arr = Arrangement((1, 0, 0, 0, 2, 0, 3, 0))
+        arr = (1, 0, 0, 0, 2, 0, 3, 0)
         n_in, straddle = inside_pattern(arr, ObservationWindow(6, 4), profile14)
         assert n_in == (0, 1, 0)
         assert not straddle
 
     def test_full_link_window(self, profile14):
-        arr = Arrangement((1, 0, 0, 0, 2, 0, 3, 0))
+        arr = (1, 0, 0, 0, 2, 0, 3, 0)
         window = ObservationWindow(1, 14)
         n_in, straddle = inside_pattern(arr, window, profile14)
         assert n_in == pattern(arr, profile14)
         assert not straddle
 
     def test_straddling_connection(self, profile7):
-        arr = Arrangement((2, 1))  # 4-slot then 3-slot connection
+        arr = (2, 1)  # 4-slot then 3-slot connection
         n_in, straddle = inside_pattern(arr, ObservationWindow(1, 3), profile7)
         assert n_in == (0, 0)
         assert straddle
 
     def test_rejects_out_of_range_window(self, profile7):
         with pytest.raises(ValueError):
-            inside_pattern(Arrangement.empty(profile7), ObservationWindow(6, 3), profile7)
+            inside_pattern((0,) * profile7.capacity, ObservationWindow(6, 3), profile7)
 
 
 class TestCountMatching:
     def test_window_fixture_both_methods(self, profile14):
-        arr = Arrangement((1, 0, 0, 0, 2, 0, 3, 0))
+        arr = (1, 0, 0, 0, 2, 0, 3, 0)
         window = ObservationWindow(6, 4)
         assert count_matching_rearrangements(arr, window, profile14) == 32
         assert enumerated_matching_count(arr, window, profile14) == 32
@@ -121,12 +119,12 @@ class TestCountMatching:
             assert count_matching_rearrangements(arr, window, profile7) == expected
 
     def test_pinned_original_only(self, profile7):
-        arr = Arrangement((1, 2))  # 3-slot on slots 1..3, 4-slot on 4..7
+        arr = (1, 2)  # 3-slot on slots 1..3, 4-slot on 4..7
         window = ObservationWindow(1, 3)
         assert count_matching_rearrangements(arr, window, profile7) == 1
 
     def test_infeasible_inside_needs_more_frees_than_exist(self, profile7):
-        arr = Arrangement((2, 1))  # full link, no free slot
+        arr = (2, 1)  # full link, no free slot
         # a 3-wide window over a full link can never be straddle-free near the seam
         window = ObservationWindow(3, 3)
         n_in, straddle = inside_pattern(arr, window, profile7)
@@ -167,7 +165,7 @@ def test_partition_matches_brute_force(data):
         t = data.draw(st.sampled_from(fitting))
         tokens.append(t)
         room -= 1 if t == 0 else demands[t - 1]
-    arr = Arrangement(tuple(tokens))
+    arr = tuple(tokens)
     width = data.draw(st.integers(1, capacity))
     start = data.draw(st.integers(1, capacity - width + 1))
     window = ObservationWindow(start, width)

@@ -7,7 +7,6 @@ from scipy.stats import chisquare
 from scipy.stats import t as student_t
 
 from eolsec import (
-    Arrangement,
     DemandProfile,
     ModelVariant,
     SimConfig,
@@ -21,7 +20,7 @@ from eolsec import (
 )
 from eolsec import simulate
 from eolsec.link import check_arrangement, defragmented, pattern, random_fit
-from eolsec.simulate import _t_quantile
+from eolsec.simulate import _blocking_values, _t_quantile
 
 
 def shuffled(pat, profile, rng):
@@ -30,14 +29,14 @@ def shuffled(pat, profile, rng):
     for k, n in enumerate(pat, start=1):
         tokens.extend([k] * n)
     rng.shuffle(tokens)
-    return Arrangement(tuple(tokens))
+    return tuple(tokens)
 
 
 class TestSampling:
     def test_empty_pattern_is_all_free(self, profile7):
         rng = random.Random(1)
         for _ in range(5):
-            assert shuffled((0, 0), profile7, rng) == Arrangement.empty(profile7)
+            assert shuffled((0, 0), profile7, rng) == (0,) * profile7.capacity
             assert defragmented([0] * 7, rng) == [0] * 7
 
     def test_uniform_over_pattern_group(self, profile7, space7):
@@ -52,15 +51,15 @@ class TestSampling:
     def test_full_link_pattern_split(self, profile7, space7):
         rng = random.Random(7)
         counts = Counter(shuffled((1, 1), profile7, rng) for _ in range(20_000))
-        assert set(counts) == {Arrangement((1, 2)), Arrangement((2, 1))}
+        assert set(counts) == {(1, 2), (2, 1)}
         for value in counts.values():
             assert value == pytest.approx(10_000, rel=0.05)
 
     def test_defragmented_two_targets_uniform(self, profile7, space7):
         rng = random.Random(99)
-        start = list(space7.arrangements[space7.gamma_of((0, 1))[0]].tokens)
+        start = list(space7.arrangements[space7.gamma_of((0, 1))[0]])
         counts = Counter(
-            Arrangement(tuple(defragmented(start, rng))) for _ in range(20_000)
+            tuple(defragmented(start, rng)) for _ in range(20_000)
         )
         expected = {
             space7.arrangements[i]
@@ -76,15 +75,15 @@ class TestSampling:
         for pat in [(1, 0), (2, 0), (0, 1), (1, 1)]:
             for i in space7.gamma_of(pat):
                 for _ in range(10):
-                    arr = Arrangement(tuple(defragmented(space7.arrangements[i].tokens, rng)))
+                    arr = tuple(defragmented(space7.arrangements[i], rng))
                     check_arrangement(arr, profile7)
                     assert pattern(arr, profile7) == pat
                     assert is_defragmented(arr)
 
     def test_full_link_defrag_covers_whole_group(self, profile7, space7):
         rng = random.Random(3)
-        seen = {Arrangement(tuple(defragmented([1, 2], rng))) for _ in range(200)}
-        assert seen == {Arrangement((1, 2)), Arrangement((2, 1))}
+        seen = {tuple(defragmented([1, 2], rng)) for _ in range(200)}
+        assert seen == {(1, 2), (2, 1)}
 
 
 class TestConfigValidation:
@@ -194,23 +193,25 @@ class TestRunSimulation:
         assert abs(est.mean - exact_p) <= est.ci_half_width
 
     def test_windows_leave_trajectory_untouched(self, profile7):
-        shared = dict(
-            profile=profile7,
-            variant=ModelVariant.randomized_defrag(2.0, 10.0),
-            arrivals=5000,
-            warmup=10.0,
-            replications=2,
-            seed=31,
-        )
-        bare = run_simulation(SimConfig(window_widths=(), **shared))
-        scored = run_simulation(SimConfig(window_widths=(3, 5), **shared))
-        assert scored.counts.defrags_started > 0
-        assert scored.counts == bare.counts
-        assert scored.resource_blocking == bare.resource_blocking
-        assert scored.fragmentation_blocking == bare.fragmentation_blocking
-        assert scored.reconfiguration_blocking == bare.reconfiguration_blocking
-        assert scored.overall_blocking == bare.overall_blocking
-        assert not math.isnan(scored.attack_success[3].mean)
+        # replication intervals, then batch means
+        for replications in (2, 1):
+            shared = dict(
+                profile=profile7,
+                variant=ModelVariant.randomized_defrag(2.0, 10.0),
+                arrivals=5000,
+                warmup=10.0,
+                replications=replications,
+                seed=31,
+            )
+            bare = run_simulation(SimConfig(window_widths=(), **shared))
+            scored = run_simulation(SimConfig(window_widths=(3, 5), **shared))
+            assert scored.counts.defrags_started > 0
+            assert scored.counts == bare.counts
+            assert scored.resource_blocking == bare.resource_blocking
+            assert scored.fragmentation_blocking == bare.fragmentation_blocking
+            assert scored.reconfiguration_blocking == bare.reconfiguration_blocking
+            assert scored.overall_blocking == bare.overall_blocking
+            assert not math.isnan(scored.attack_success[3].mean)
 
     def test_single_replication_batch_means(self, profile7):
         cfg = SimConfig(
@@ -224,6 +225,29 @@ class TestRunSimulation:
         result = run_simulation(cfg)
         assert result.overall_blocking.ci_half_width > 0.0
         assert not math.isnan(result.reconfiguration_blocking.std_error)
+
+    def test_single_replication_point_is_the_whole_run(self, profile7):
+        # batch means only widen the interval: the point estimates are the
+        # blocking values of the run's total counts
+        cfg = SimConfig(
+            profile=profile7,
+            variant=ModelVariant.randomized_defrag(1.0, 10.0),
+            arrivals=20_000,
+            warmup=10.0,
+            replications=1,
+            seed=8,
+        )
+        result = run_simulation(cfg)
+        c = result.counts
+        table = [c.arrivals, c.resource_blocked, c.frag_blocked, c.reconfig_blocked]
+        estimates = [
+            *result.resource_blocking,
+            *result.fragmentation_blocking,
+            result.reconfiguration_blocking,
+            result.overall_blocking,
+        ]
+        assert [e.mean for e in estimates] == _blocking_values(table, profile7.arrival_rates)
+        assert all(e.ci_half_width > 0.0 for e in estimates)
 
     def test_horizon_mode(self, profile7):
         cfg = SimConfig(

@@ -4,7 +4,6 @@ import math
 import pytest
 
 from eolsec import (
-    Arrangement,
     DemandProfile,
     SpaceOptions,
     StateBudgetExceeded,
@@ -34,7 +33,7 @@ class TestWorkedExample:
         shared = space7.frag_blocked[0] & space7.frag_blocked[1]
         assert len(shared) == 1
         # the shared state is the centered 3-slot connection
-        assert space7.arrangements[next(iter(shared))] == Arrangement((0, 0, 1, 0, 0))
+        assert space7.arrangements[next(iter(shared))] == (0, 0, 1, 0, 0)
 
     def test_defrag_targets(self, space7):
         assert [len(t) for t in space7.defrag_targets] == [2, 2]
@@ -48,12 +47,12 @@ class TestWorkedExample:
         assert space7.gamma_of((9, 9)) == ()
 
     def test_empty_state_is_index_zero(self, space7):
-        assert space7.arrangements[0] == Arrangement.empty(space7.profile)
+        assert space7.arrangements[0] == (0,) * space7.profile.capacity
 
 
 class TestCanonicalOrder:
     def test_patterns_then_tokens_ascending(self, space7):
-        keys = [(space7.state_patterns[i], space7.arrangements[i].tokens) for i in range(space7.num_regular)]
+        keys = [(space7.state_patterns[i], space7.arrangements[i]) for i in range(space7.num_regular)]
         assert keys == sorted(keys)
 
     def test_states_pairwise_distinct(self, space7):

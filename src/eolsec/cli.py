@@ -21,9 +21,9 @@ from .experiment import (
     cell_specs,
     load_config,
     run_experiments,
-    structure_profile,
+    state_space,
 )
-from .statespace import SpaceOptions, StateBudgetExceeded, build_state_space, dump_states
+from .statespace import StateBudgetExceeded, dump_states
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -81,9 +81,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_dump_states(args: argparse.Namespace) -> int:
-    cfg = load_config(args.config)
-    options = SpaceOptions(cfg.randomize_empty, cfg.state_budget)
-    space = build_state_space(structure_profile(cfg), options)
+    space = state_space(load_config(args.config))
     if args.out:
         with open(args.out, "w") as handle:
             dump_states(space, handle)

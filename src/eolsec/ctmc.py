@@ -111,10 +111,6 @@ class RateMatrix:
     """Sparse generator; rows sum to zero, off-diagonal entries are rates."""
 
     matrix: sp.csr_matrix
-    variant: ModelVariant
-    num_regular: int
-    num_raas: int
-    num_daas: int
 
     @property
     def dimension(self) -> int:
@@ -142,7 +138,6 @@ class StationaryDistribution:
 class BlockingReport:
     """Per-class and overall blocking probabilities for one solved variant."""
 
-    variant: VariantKind
     resource_blocking: tuple[float, ...]
     fragmentation_blocking: tuple[float, ...]
     reconfiguration_blocking: float
@@ -180,7 +175,7 @@ def assemble_generator(space: StateSpace, profile: DemandProfile, variant: Model
     live = rates != 0.0
     q = sp.coo_matrix((rates[live], (t.row[live], t.col[live])), shape=(dim, dim)).tocsr()
     q = q + sp.diags(-np.asarray(q.sum(axis=1)).ravel(), format="csr")
-    return RateMatrix(matrix=q, variant=variant, num_regular=n_sa, num_raas=n_r, num_daas=n_d)
+    return RateMatrix(q)
 
 
 def _terminal_states(q: sp.csr_matrix) -> np.ndarray:
@@ -189,17 +184,13 @@ def _terminal_states(q: sp.csr_matrix) -> np.ndarray:
     States outside it are transient and carry zero stationary mass; more
     than one closed class means the stationary distribution is not unique.
     """
-    adjacency = q.copy()
-    adjacency.setdiag(0)
-    n_comp, labels = connected_components(adjacency, directed=True, connection="strong")
+    # self-loops (the diagonal) never join two components
+    n_comp, labels = connected_components(q, directed=True, connection="strong")
     if n_comp == 1:
         return np.arange(q.shape[0])
-    coo = adjacency.tocoo()
-    leaves = np.zeros(n_comp, dtype=bool)
-    for i, j, v in zip(coo.row, coo.col, coo.data):
-        if v != 0 and labels[i] != labels[j]:
-            leaves[labels[i]] = True
-    terminal = np.flatnonzero(~leaves)
+    coo = q.tocoo()
+    crossing = (coo.data != 0) & (labels[coo.row] != labels[coo.col])
+    terminal = np.setdiff1d(np.arange(n_comp), labels[coo.row[crossing]])
     if len(terminal) != 1:
         raise NotIrreducible(f"{len(terminal)} closed communicating classes")
     return np.flatnonzero(labels == terminal[0])
@@ -278,7 +269,6 @@ def blocking_report(
     fb = tuple(float(sum(pi[i] for i in s)) for s in space.frag_blocked)
     rcb = float(pi[n_sa:].sum()) if variant.has_randomization else 0.0
     return BlockingReport(
-        variant=variant.kind,
         resource_blocking=rb,
         fragmentation_blocking=fb,
         reconfiguration_blocking=rcb,

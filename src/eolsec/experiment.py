@@ -100,16 +100,15 @@ def _known_fields(node: dict, path: str, known: tuple[str, ...]) -> None:
             raise ConfigError(f"unknown field {where} (known: {', '.join(known)})")
 
 
-def _num_list(node: dict, path: str, key: str, required: bool = False, default=()):
-    where = f"{path}.{key}" if path else key
-    if key not in node:
-        if required:
-            raise ConfigError(f"missing required field {where}")
-        return tuple(default)
-    value = node[key]
-    if not isinstance(value, list) or not all(isinstance(v, (int, float)) for v in value):
-        raise ConfigError(f"field {where} must be a list of numbers")
-    return tuple(float(v) for v in value)
+def _num_list(node: dict, path: str, key: str, required: bool = False, default=(),
+              integers: bool = False):
+    value = _get(node, path, key, list, required=required, default=list(default))
+    if not all(isinstance(v, (int, float)) and (not integers or float(v).is_integer())
+               for v in value):
+        where = f"{path}.{key}" if path else key
+        kind = "integers" if integers else "numbers"
+        raise ConfigError(f"field {where} must be a list of {kind}")
+    return tuple(int(v) if integers else float(v) for v in value)
 
 
 def load_config(path: str | Path, **overrides) -> ExperimentConfig:
@@ -136,10 +135,7 @@ def load_config(path: str | Path, **overrides) -> ExperimentConfig:
     profile = _get(doc, "", "profile", dict, required=True)
     _known_fields(profile, "profile", ("capacity", "demands", "service_rates"))
     capacity = _get(profile, "profile", "capacity", int, required=True)
-    demands_f = _num_list(profile, "profile", "demands", required=True)
-    demands = tuple(int(d) for d in demands_f)
-    if any(d != int(d) for d in demands_f):
-        raise ConfigError("field profile.demands must contain integers")
+    demands = _num_list(profile, "profile", "demands", required=True, integers=True)
     service = profile.get("service_rates", 1.0)
     if isinstance(service, (int, float)):
         service_rates = (float(service),) * len(demands)
@@ -172,11 +168,7 @@ def load_config(path: str | Path, **overrides) -> ExperimentConfig:
     randomization_rates = _num_list(sweep, "sweep", "randomization_rates", default=(0.0,))
     reconfig_rates = _num_list(sweep, "sweep", "reconfig_rates", default=(1.0,))
 
-    widths_f = _num_list(doc, "", "window_widths", default=())
-    window_widths = tuple(int(w) for w in widths_f)
-    for w in window_widths:
-        if not 1 <= w <= capacity:
-            raise ConfigError(f"field window_widths: width {w} not in 1..{capacity}")
+    window_widths = _num_list(doc, "", "window_widths", integers=True)
 
     engine = _get(doc, "", "engine", str, default="analytic")
     if engine not in ("analytic", "mc", "both"):
@@ -214,6 +206,11 @@ def load_config(path: str | Path, **overrides) -> ExperimentConfig:
     )
     cfg = replace(cfg, **overrides)
 
+    if len(set(cfg.window_widths)) < len(cfg.window_widths):
+        raise ConfigError("field window_widths must not repeat a width")
+    for w in cfg.window_widths:
+        if not 1 <= w <= cfg.capacity:
+            raise ConfigError(f"field window_widths: width {w} not in 1..{cfg.capacity}")
     try:
         structure_profile(cfg)
     except ValueError as exc:
@@ -222,11 +219,11 @@ def load_config(path: str | Path, **overrides) -> ExperimentConfig:
         raise ConfigError("sim.arrivals or sim.horizon is required when the mc engine can run")
     if cfg.jobs < 1:
         raise ConfigError("field jobs must be >= 1")
-    for load in _traffic_points(cfg):
-        try:
-            profile = _profile_for_load(cfg, load)
-        except ValueError as exc:
-            raise ConfigError(f"traffic: {exc}") from exc
+    try:
+        points = _traffic(cfg)
+    except ValueError as exc:
+        raise ConfigError(f"traffic: {exc}") from exc
+    for _, profile in points:
         if cfg.sim_arrivals is not None or cfg.sim_horizon is not None:
             # the simulator's own checks, on what each mc cell would run
             try:
@@ -244,19 +241,18 @@ def structure_profile(cfg: ExperimentConfig) -> DemandProfile:
     return DemandProfile(cfg.capacity, cfg.demands, (0.0,) * len(cfg.demands), cfg.service_rates)
 
 
-def _profile_for_load(cfg: ExperimentConfig, load: float) -> DemandProfile:
+def _traffic(cfg: ExperimentConfig) -> list[tuple[float, DemandProfile]]:
+    """``(load, profile)`` of each traffic point, in grid order."""
     if cfg.arrival_rates is not None:
-        return DemandProfile(cfg.capacity, cfg.demands, cfg.arrival_rates, cfg.service_rates)
-    return DemandProfile.with_uniform_load(cfg.capacity, cfg.demands, load, cfg.service_rates)
-
-
-def _traffic_points(cfg: ExperimentConfig) -> list[float]:
-    if cfg.arrival_rates is not None:
+        profile = DemandProfile(cfg.capacity, cfg.demands, cfg.arrival_rates, cfg.service_rates)
         load = sum(
             l * d / m for l, d, m in zip(cfg.arrival_rates, cfg.demands, cfg.service_rates)
         )
-        return [load]
-    return list(cfg.loads or ())
+        return [(load, profile)]
+    return [
+        (load, DemandProfile.with_uniform_load(cfg.capacity, cfg.demands, load, cfg.service_rates))
+        for load in cfg.loads or ()
+    ]
 
 
 def _variant_for(name: str, lambda_s: float, mu_d: float) -> ModelVariant:
@@ -276,6 +272,9 @@ class CellSpec:
     mu_d: float
     engines: tuple[str, ...]
     config: ExperimentConfig
+    profile: DemandProfile
+    model: ModelVariant
+    fallback: str  # why the analytic engine cannot run, or ""
 
 
 def cell_specs(cfg: ExperimentConfig) -> tuple[list[CellSpec], int | None]:
@@ -290,16 +289,30 @@ def cell_specs(cfg: ExperimentConfig) -> tuple[list[CellSpec], int | None]:
     """
     engines = ("analytic", "mc") if cfg.engine == "both" else (cfg.engine,)
     points = list(product(
-        cfg.variants, _traffic_points(cfg), cfg.randomization_rates, cfg.reconfig_rates
+        cfg.variants, _traffic(cfg), cfg.randomization_rates, cfg.reconfig_rates
     ))
     states = None
+    fallback = ""
     if "analytic" in engines and points:
         states = count_states(structure_profile(cfg))
         if states > cfg.state_budget:
+            exc = StateBudgetExceeded(states, cfg.state_budget)
             if cfg.sim_arrivals is None and cfg.sim_horizon is None:
-                raise StateBudgetExceeded(states, cfg.state_budget)
-            engines = ("mc",)
-    return [CellSpec(i, *point, engines, cfg) for i, point in enumerate(points)], states
+                raise exc
+            engines, fallback = ("mc",), str(exc)
+    try:
+        return [
+            CellSpec(i, name, load, lambda_s, mu_d, engines, cfg, profile,
+                     _variant_for(name, lambda_s, mu_d), fallback)
+            for i, (name, (load, profile), lambda_s, mu_d) in enumerate(points)
+        ], states
+    except ValueError as exc:
+        raise ConfigError(f"sweep: {exc}") from exc
+
+
+def state_space(cfg: ExperimentConfig):
+    """The config's state space, enumerated once per process and link."""
+    return _shared_space(structure_profile(cfg), cfg.randomize_empty, cfg.state_budget)
 
 
 @lru_cache(maxsize=8)
@@ -417,9 +430,9 @@ def _analytic(cfg: ExperimentConfig, space, profile: DemandProfile, variant: Mod
     )
 
 
-def _monte_carlo(spec: CellSpec, profile: DemandProfile, variant: ModelVariant) -> EngineResult:
+def _monte_carlo(spec: CellSpec) -> EngineResult:
     cfg = spec.config
-    result = run_simulation(_sim_config(cfg, profile, variant, cfg.seed + spec.ordinal))
+    result = run_simulation(_sim_config(cfg, spec.profile, spec.model, cfg.seed + spec.ordinal))
     attack = result.attack_success
     return EngineResult(
         engine="mc",
@@ -450,20 +463,18 @@ def _lambda_frac(p_sa: float, spec: CellSpec, warnings: list[str]) -> float:
 
 def _compute_cell(spec: CellSpec) -> CellResult:
     cfg = spec.config
-    profile = _profile_for_load(cfg, spec.load)
-    variant = _variant_for(spec.variant, spec.lambda_s, spec.mu_d)
-    warnings: list[str] = []
+    warnings = [f"analytic engine unavailable: {spec.fallback}"] if spec.fallback else []
     if "analytic" in spec.engines:
-        space = _shared_space(structure_profile(cfg), cfg.randomize_empty, cfg.state_budget)
+        space = state_space(cfg)
 
     results = []
     for engine in spec.engines:
         # times the engine and its security columns, not the shared state space
         start = time.perf_counter()
         if engine == "analytic":
-            result = _analytic(cfg, space, profile, variant)
+            result = _analytic(cfg, space, spec.profile, spec.model)
         else:
-            result = _monte_carlo(spec, profile, variant)
+            result = _monte_carlo(spec)
         fractions = tuple(_lambda_frac(p, spec, warnings) for p in result.p_sa)
         wall_ms = (time.perf_counter() - start) * 1000.0
         results.append(replace(result, lambda_frac=fractions, wall_ms=wall_ms))
@@ -486,20 +497,15 @@ class ExperimentOutcome:
 
 def run_experiments(cfg: ExperimentConfig) -> ExperimentOutcome:
     """Evaluate the whole grid and write the CSV and JSON summary files."""
-    specs, states = cell_specs(cfg)
-    fallback = ()
-    if states is not None and states > cfg.state_budget:
-        exc = StateBudgetExceeded(states, cfg.state_budget)
-        log.warning("%s; falling back to mc in all %d cells", exc, len(specs))
-        fallback = (f"analytic engine unavailable: {exc}",)
+    specs, _ = cell_specs(cfg)
+    if specs and specs[0].fallback:
+        log.warning("%s; falling back to mc in all %d cells", specs[0].fallback, len(specs))
 
     if cfg.jobs > 1 and len(specs) > 1:
         with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
             results = list(pool.map(_compute_cell, specs))
     else:
         results = [_compute_cell(spec) for spec in specs]
-    if fallback:
-        results = [replace(r, warnings=fallback + r.warnings) for r in results]
 
     K = len(cfg.demands)
     header = ["variant", "engine", "C", "load_erlang", "lambda_S", "mu_d"]

@@ -186,7 +186,7 @@ def attack_success_probability(pi: np.ndarray, space: StateSpace, width: int) ->
     """
     per_state = per_state_attack_success(space, width)
     weights = np.asarray(pi)[: space.num_regular].copy()
-    weights[space.empty_index] = 0.0
+    weights[0] = 0.0  # the canonical state order puts the all-free state first
     mass = weights.sum()
     if mass <= 0:
         raise ValueError("no stationary mass on occupied states")

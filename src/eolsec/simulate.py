@@ -8,7 +8,8 @@ exactly one reconfiguration completion while it is reconfiguring.  Frozen
 departure clocks during reconfiguration are therefore implicit, which
 matches the analytic chain exactly.
 
-Attack success is scored at every measured randomization completion.  A
+Attack success is scored at every measured randomization completion on an
+occupied link, as the exact engine excludes the all-free state.  A
 randomization redraws the arrangement uniformly within its pattern, so it
 adds the exact survival given the pre-state, averaged over all window
 positions (``security.WindowSurvival``): a conditional Monte Carlo estimate
@@ -244,7 +245,7 @@ def _simulate_replication(
         elif reconfig:
             # reconfiguration completes: redraw the arrangement
             if reconfig == _RANDOMIZING:
-                if widths and measuring:
+                if widths and measuring and free_total < capacity:
                     # the tokens are frozen since the request, so they are the
                     # pre-state; the shuffle redraws uniformly within the
                     # pattern, so score the exact survival given the pre-state

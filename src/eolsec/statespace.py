@@ -164,14 +164,11 @@ class StateSpace:
     profile: DemandProfile
     arrangements: tuple[tuple[int, ...], ...]
     state_patterns: tuple[tuple[int, ...], ...]
-    index_of: dict[tuple[int, ...], int]
     pattern_groups: dict[tuple[int, ...], tuple[int, ...]]
     frag_blocked: tuple[frozenset[int], ...]
     resource_blocked: tuple[frozenset[int], ...]
     raas_patterns: tuple[tuple[int, ...], ...]
-    raas_index: dict[tuple[int, ...], int]
     daas_patterns: tuple[tuple[int, ...], ...]
-    daas_index: dict[tuple[int, ...], int]
     defrag_targets: tuple[tuple[int, ...], ...]
     # security.SurvivalMemo of this space, created on first use
     survival_memo: object = field(default=None, repr=False, compare=False)
@@ -188,14 +185,6 @@ class StateSpace:
     def num_daas(self) -> int:
         return len(self.daas_patterns)
 
-    @property
-    def empty_index(self) -> int:
-        return 0
-
-    def gamma_of(self, pat: tuple[int, ...]) -> tuple[int, ...]:
-        """Indices of all regular states with pattern ``pat`` (empty if unrealizable)."""
-        return self.pattern_groups.get(tuple(pat), ())
-
     @cached_property
     def transitions(self) -> TransitionStructure:
         """The transition structure, derived on first use."""
@@ -204,22 +193,25 @@ class StateSpace:
         randomize, return_raas, return_daas = 3 * K, 3 * K + 1, 3 * K + 2
         n_sa = self.num_regular
         n_r = self.num_raas
+        index_of = {arr: i for i, arr in enumerate(self.arrangements)}
+        raas_index = {pat: v for v, pat in enumerate(self.raas_patterns)}
+        daas_index = {pat: v for v, pat in enumerate(self.daas_patterns)}
         entries = array("q")  # flat (row, col, kind, mult, div) records
         for i, arr in enumerate(self.arrangements):
             pat = self.state_patterns[i]
             for k in range(1, K + 1):
                 # build_state_space classified every state; reuse its sets
                 if i in self.frag_blocked[k - 1]:
-                    entries.extend((i, n_sa + n_r + self.daas_index[pat], K + k - 1, 1, 1))
+                    entries.extend((i, n_sa + n_r + daas_index[pat], K + k - 1, 1, 1))
                 elif i not in self.resource_blocked[k - 1]:
                     targets = placements(arr, k, profile)
                     for target in targets:
-                        entries.extend((i, self.index_of[target], k - 1, 1, len(targets)))
+                        entries.extend((i, index_of[target], k - 1, 1, len(targets)))
                 if pat[k - 1]:
                     for target, mult in removals(arr, k, profile):
-                        entries.extend((i, self.index_of[target], 2 * K + k - 1, mult, 1))
-            if pat in self.raas_index:
-                entries.extend((i, n_sa + self.raas_index[pat], randomize, 1, 1))
+                        entries.extend((i, index_of[target], 2 * K + k - 1, mult, 1))
+            if pat in raas_index:
+                entries.extend((i, n_sa + raas_index[pat], randomize, 1, 1))
         for v, pat in enumerate(self.raas_patterns):
             members = self.pattern_groups[pat]
             for j in members:
@@ -248,11 +240,13 @@ def build_state_space(profile: DemandProfile, options: SpaceOptions | None = Non
     pattern_groups: dict[tuple[int, ...], tuple[int, ...]] = {}
     frag: list[set[int]] = [set() for _ in range(K)]
     res: list[set[int]] = [set() for _ in range(K)]
+    daas_patterns: list[tuple[int, ...]] = []  # patterns with a fragmentation-blocked state
 
     for pat in feasible_patterns(profile):
         used = sum(n * d for n, d in zip(pat, profile.demands))
         counts = [profile.capacity - used] + list(pat)
         members: list[int] = []
+        fragmentable = False
         for tokens in _token_sequences(counts):
             idx = len(arrangements)
             arrangements.append(tokens)
@@ -262,25 +256,17 @@ def build_state_space(profile: DemandProfile, options: SpaceOptions | None = Non
                 c = classify(tokens, k, profile)
                 if c is Classification.FRAG_BLOCKED:
                     frag[k - 1].add(idx)
+                    fragmentable = True
                 elif c is Classification.RESOURCE_BLOCKED:
                     res[k - 1].add(idx)
         pattern_groups[pat] = tuple(members)
-
-    index_of = {arr: i for i, arr in enumerate(arrangements)}
+        if fragmentable:
+            daas_patterns.append(pat)
 
     raas_patterns = tuple(
         pat for pat in pattern_groups
         if sum(pat) >= 1 or options.randomize_empty
     )
-    raas_index = {pat: v for v, pat in enumerate(raas_patterns)}
-
-    frag_sets = tuple(frozenset(s) for s in frag)
-    daas_patterns = tuple(
-        pat for pat, members in pattern_groups.items()
-        if any(any(i in fs for i in members) for fs in frag_sets)
-    )
-    daas_index = {pat: v for v, pat in enumerate(daas_patterns)}
-
     defrag_targets = tuple(
         tuple(i for i in pattern_groups[pat] if is_defragmented(arrangements[i]))
         for pat in daas_patterns
@@ -290,14 +276,11 @@ def build_state_space(profile: DemandProfile, options: SpaceOptions | None = Non
         profile=profile,
         arrangements=tuple(arrangements),
         state_patterns=tuple(state_patterns),
-        index_of=index_of,
         pattern_groups=pattern_groups,
-        frag_blocked=frag_sets,
+        frag_blocked=tuple(frozenset(s) for s in frag),
         resource_blocked=tuple(frozenset(s) for s in res),
         raas_patterns=raas_patterns,
-        raas_index=raas_index,
-        daas_patterns=daas_patterns,
-        daas_index=daas_index,
+        daas_patterns=tuple(daas_patterns),
         defrag_targets=defrag_targets,
     )
 
@@ -318,9 +301,5 @@ def dump_states(space: StateSpace, out: TextIO) -> None:
     """
     for i, arr in enumerate(space.arrangements):
         out.write(f"{i}\t{_render_pattern(space.state_patterns[i])}\t{_render_tokens(arr)}\n")
-    base = space.num_regular
-    for v, pat in enumerate(space.raas_patterns):
-        out.write(f"{base + v}\t{_render_pattern(pat)}\t-\n")
-    base += space.num_raas
-    for v, pat in enumerate(space.daas_patterns):
-        out.write(f"{base + v}\t{_render_pattern(pat)}\t-\n")
+    for v, pat in enumerate(space.raas_patterns + space.daas_patterns, start=space.num_regular):
+        out.write(f"{v}\t{_render_pattern(pat)}\t-\n")

@@ -140,6 +140,9 @@ def loop_generator(space: StateSpace, profile: DemandProfile, variant: ModelVari
     mu = profile.service_rates
     lam_s = variant.randomization_rate
     mu_d = variant.reconfig_rate
+    index_of = {arr: i for i, arr in enumerate(space.arrangements)}
+    raas_index = {pat: v for v, pat in enumerate(space.raas_patterns)}
+    daas_index = {pat: v for v, pat in enumerate(space.daas_patterns)}
 
     rows: list[int] = []
     cols: list[int] = []
@@ -159,14 +162,14 @@ def loop_generator(space: StateSpace, profile: DemandProfile, variant: ModelVari
                 targets = placements(arr, k, profile)
                 rate = lam[k - 1] / len(targets)
                 for target in targets:
-                    add(i, space.index_of[target], rate)
+                    add(i, index_of[target], rate)
             elif outcome is Classification.FRAG_BLOCKED and variant.has_defrag:
-                add(i, n_sa + n_r + space.daas_index[pat], lam[k - 1])
+                add(i, n_sa + n_r + daas_index[pat], lam[k - 1])
             if pat[k - 1]:
                 for target, mult in removals(arr, k, profile):
-                    add(i, space.index_of[target], mu[k - 1] * mult)
-        if variant.has_randomization and pat in space.raas_index:
-            add(i, n_sa + space.raas_index[pat], lam_s)
+                    add(i, index_of[target], mu[k - 1] * mult)
+        if variant.has_randomization and pat in raas_index:
+            add(i, n_sa + raas_index[pat], lam_s)
 
     if variant.has_randomization:
         for v, pat in enumerate(space.raas_patterns):
@@ -184,7 +187,7 @@ def loop_generator(space: StateSpace, profile: DemandProfile, variant: ModelVari
 
     q = sp.coo_matrix((vals, (rows, cols)), shape=(dim, dim)).tocsr()
     q = q + sp.diags(-np.asarray(q.sum(axis=1)).ravel(), format="csr")
-    return RateMatrix(matrix=q, variant=variant, num_regular=n_sa, num_raas=n_r, num_daas=n_d)
+    return RateMatrix(q)
 
 
 def lil_bordered_matrix(q_sub: sp.csr_matrix) -> sp.csc_matrix:

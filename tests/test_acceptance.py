@@ -118,7 +118,7 @@ def test_criterion_1_worked_example_fixtures():
     space = build_state_space(profile)
     assert space.num_regular == 15
     assert placement_count((0,) * profile.capacity, 1, profile) == 5
-    assert len(space.gamma_of((1, 0))) == 5
+    assert len(space.pattern_groups[(1, 0)]) == 5
     assert len(space.frag_blocked[1]) == 3
     assert len(space.frag_blocked[0]) == 3
     assert len(space.frag_blocked[0] & space.frag_blocked[1]) == 1
@@ -147,17 +147,17 @@ def test_criterion_2_balance_equation_rows():
 
     # row of the state that is fragmentation-blocked for both classes
     shared = next(iter(space.frag_blocked[0] & space.frag_blocked[1]))
-    raas_10 = n_sa + space.raas_index[(1, 0)]
-    daas_10 = n_sa + n_r + space.daas_index[(1, 0)]
+    raas_10 = n_sa + space.raas_patterns.index((1, 0))
+    daas_10 = n_sa + n_r + space.daas_patterns.index((1, 0))
     assert q[shared, shared] == -(lam1 + lam2 + mu1 + lam_s)
     assert q[shared, daas_10] == lam1 + lam2
-    assert q[shared, space.empty_index] == mu1
+    assert q[shared, 0] == mu1
     assert q[shared, raas_10] == lam_s
     inflows = {i: q[i, shared] for i in range(rm.dimension) if i != shared and q[i, shared] != 0}
-    assert inflows == {space.empty_index: lam1 / 5.0, raas_10: mu_d / 5.0}
+    assert inflows == {0: lam1 / 5.0, raas_10: mu_d / 5.0}
 
     # randomization state of the full-link pattern
-    raas_11 = n_sa + space.raas_index[(1, 1)]
+    raas_11 = n_sa + space.raas_patterns.index((1, 1))
     members = space.pattern_groups[(1, 1)]
     assert len(members) == 2
     for i in members:
@@ -191,7 +191,7 @@ def test_criterion_3_window_counting_fixtures(profile14):
 
     # the per-position weight 1/11 drives the state-conditional probability
     space = build_state_space(profile14)
-    idx = space.index_of[arr]
+    idx = space.arrangements.index(arr)
     pi = np.zeros(space.num_regular)
     pi[idx] = 1.0
     by_hand = sum(

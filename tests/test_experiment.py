@@ -8,7 +8,8 @@ import yaml
 
 from eolsec.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
 from eolsec.ctmc import NegativeStationaryMass
-from eolsec.experiment import ConfigError, load_config, run_experiments
+from eolsec.experiment import ConfigError, cell_specs, load_config, run_experiments
+from eolsec.link import DemandProfile
 from eolsec.statespace import StateBudgetExceeded
 
 BASE_CONFIG = """\
@@ -105,6 +106,11 @@ class TestLoadConfig:
         cfg = load_config(config_path, engine="mc", seed=1)
         assert cfg.engine == "mc"
         assert cfg.seed == 1
+
+    @pytest.mark.parametrize("widths", [(3, 3), (8,)])
+    def test_overridden_widths_are_checked(self, config_path, widths):
+        with pytest.raises(ConfigError, match="field window_widths"):
+            load_config(config_path, window_widths=widths)
 
 
 class TestRunExperiments:
@@ -218,6 +224,15 @@ class TestRunExperiments:
             "budget is 5; use the Monte Carlo engine instead"
         )
         assert all(cell["warnings"] == [message] for cell in cells)
+
+    def test_cells_carry_their_chain(self, config_path):
+        cfg = load_config(config_path, randomization_rates=(1.0, 2.0))
+        specs, _ = cell_specs(cfg)
+        assert len(specs) == 12
+        # the regular cells at one load share one chain, whatever lambda_S
+        assert len({(spec.profile, spec.model) for spec in specs}) == 10
+        for spec in specs:
+            assert spec.profile == DemandProfile.with_uniform_load(7, (3, 4), spec.load)
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_budget_without_mc_budget_is_an_error(self, tmp_path, jobs):
@@ -416,6 +431,46 @@ class TestCli:
             captured = capsys.readouterr()
             assert "config ok" not in captured.out
             assert f"config error: unknown field {where} " in captured.err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("extra, message", [
+        ("window_widths: [2.5, 3.9]\n", "field window_widths must be a list of integers"),
+        ("window_widths: [3, 3]\n", "field window_widths must not repeat a width"),
+    ])
+    def test_invalid_window_widths(self, tmp_path, capsys, extra, message):
+        out_dir = tmp_path / "out"
+        path = tmp_path / "widths.yaml"
+        path.write_text(
+            "schema_version: 1\n"
+            "profile: {capacity: 7, demands: [3, 4]}\n"
+            "traffic: {loads: [2.0]}\n"
+            "sweep: {variants: [randomized], randomization_rates: [1.0]}\n"
+            + extra
+            + f"output: {{dir: '{out_dir}'}}\n"
+        )
+        with pytest.raises(ConfigError, match=message):
+            load_config(path)
+        for command in ("validate", "run"):
+            assert main([command, "--config", str(path)]) == EXIT_CONFIG
+            assert f"config error: {message}" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    def test_invalid_sweep_rate_is_config_error(self, tmp_path, capsys):
+        out_dir = tmp_path / "out"
+        path = tmp_path / "sweep.yaml"
+        path.write_text(
+            "schema_version: 1\n"
+            "profile: {capacity: 7, demands: [3, 4]}\n"
+            "traffic: {loads: [2.0]}\n"
+            "sweep: {variants: [randomized], reconfig_rates: [0.0]}\n"
+            f"output: {{dir: '{out_dir}'}}\n"
+        )
+        message = "config error: sweep: reconfiguration rate must be > 0"
+        for command in ("validate", "run"):
+            assert main([command, "--config", str(path)]) == EXIT_CONFIG
+            captured = capsys.readouterr()
+            assert "config ok" not in captured.out
+            assert message in captured.err
         assert not out_dir.exists()
 
     def test_negative_mass_is_numerical_failure(self, config_path, tmp_path, monkeypatch, capsys):

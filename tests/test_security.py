@@ -58,7 +58,7 @@ class TestTotalRearrangements:
 
     def test_full_link_pair(self, profile7, space7):
         assert pattern_size((1, 1), profile7) == 2
-        assert pattern_size((1, 1), profile7) == len(space7.gamma_of((1, 1)))
+        assert pattern_size((1, 1), profile7) == len(space7.pattern_groups[(1, 1)])
 
     def test_three_class_instance(self, profile14):
         # 5 free slots + 3 distinct connections: 8!/5! orderings
@@ -115,7 +115,7 @@ class TestCountMatching:
     def test_full_window_counts_whole_group(self, profile7, space7):
         window = ObservationWindow(1, 7)
         for idx, arr in enumerate(space7.arrangements):
-            expected = len(space7.gamma_of(space7.state_patterns[idx]))
+            expected = len(space7.pattern_groups[space7.state_patterns[idx]])
             assert count_matching_rearrangements(arr, window, profile7) == expected
 
     def test_pinned_original_only(self, profile7):
@@ -232,7 +232,7 @@ class TestAttackProbability:
     def test_point_mass_on_full_link_state(self, space7, profile7):
         # pi concentrated on one full-link state: compare to a direct
         # enumeration over both arrangements and all window positions
-        members = space7.gamma_of((1, 1))
+        members = space7.pattern_groups[(1, 1)]
         target = members[0]
         pi = np.zeros(space7.num_regular + space7.num_raas)
         pi[target] = 1.0
@@ -253,7 +253,7 @@ class TestAttackProbability:
 
     def test_requires_occupied_mass(self, space7):
         pi = np.zeros(space7.num_regular)
-        pi[space7.empty_index] = 1.0
+        pi[0] = 1.0
         with pytest.raises(ValueError):
             attack_success_probability(pi, space7, 3)
 

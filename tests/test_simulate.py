@@ -10,6 +10,7 @@ from eolsec import (
     DemandProfile,
     ModelVariant,
     SimConfig,
+    SpaceOptions,
     assemble_generator,
     attack_success_probability,
     blocking_report,
@@ -43,7 +44,7 @@ class TestSampling:
         rng = random.Random(2024)
         draws = 100_000
         counts = Counter(shuffled((1, 0), profile7, rng) for _ in range(draws))
-        members = [space7.arrangements[i] for i in space7.gamma_of((1, 0))]
+        members = [space7.arrangements[i] for i in space7.pattern_groups[(1, 0)]]
         assert set(counts) == set(members)
         _, p_value = chisquare(list(counts.values()))
         assert p_value > 0.01
@@ -57,13 +58,13 @@ class TestSampling:
 
     def test_defragmented_two_targets_uniform(self, profile7, space7):
         rng = random.Random(99)
-        start = list(space7.arrangements[space7.gamma_of((0, 1))[0]])
+        start = list(space7.arrangements[space7.pattern_groups[(0, 1)][0]])
         counts = Counter(
             tuple(defragmented(start, rng)) for _ in range(20_000)
         )
         expected = {
             space7.arrangements[i]
-            for i in space7.defrag_targets[space7.daas_index[(0, 1)]]
+            for i in space7.defrag_targets[space7.daas_patterns.index((0, 1))]
         }
         assert set(counts) == expected
         assert len(expected) == 2
@@ -73,7 +74,7 @@ class TestSampling:
     def test_defragmented_always_valid(self, profile7, space7):
         rng = random.Random(5)
         for pat in [(1, 0), (2, 0), (0, 1), (1, 1)]:
-            for i in space7.gamma_of(pat):
+            for i in space7.pattern_groups[pat]:
                 for _ in range(10):
                     arr = tuple(defragmented(space7.arrangements[i], rng))
                     check_arrangement(arr, profile7)
@@ -191,6 +192,22 @@ class TestRunSimulation:
         exact_p = attack_success_probability(dist.pi, space7, 3)
         est = result.attack_success[3]
         assert abs(est.mean - exact_p) <= est.ci_half_width
+
+    def test_empty_link_randomizations_are_not_scored(self):
+        # with randomize_empty the empty link is randomized too; like the
+        # exact engine, p_sa averages over occupied links only
+        profile = DemandProfile.with_uniform_load(7, (3, 4), 1.0)
+        variant = ModelVariant.randomized(2.0, 10.0)
+        space = build_state_space(profile, SpaceOptions(randomize_empty=True))
+        dist = solve_stationary(assemble_generator(space, profile, variant))
+        exact_p = attack_success_probability(dist.pi, space, 3)
+        result = run_simulation(SimConfig(
+            profile=profile, variant=variant, arrivals=5000, warmup=10.0, replications=4,
+            seed=2, window_widths=(3,), randomize_empty=True,
+        ))
+        assert result.counts.randomizations_ignored_empty == 0
+        est = result.attack_success[3]
+        assert abs(est.mean - exact_p) <= 3 * est.ci_half_width
 
     def test_windows_leave_trajectory_untouched(self, profile7):
         # replication intervals, then batch means

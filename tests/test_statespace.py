@@ -41,10 +41,10 @@ class TestWorkedExample:
             assert set(targets) <= set(space7.pattern_groups[pat])
 
     def test_gamma_of(self, space7):
-        assert len(space7.gamma_of((1, 1))) == 2
-        assert space7.gamma_of((0, 0)) == (space7.empty_index,)
-        assert len(space7.gamma_of((2, 0))) == 3
-        assert space7.gamma_of((9, 9)) == ()
+        assert len(space7.pattern_groups[(1, 1)]) == 2
+        assert space7.pattern_groups[(0, 0)] == (0,)
+        assert len(space7.pattern_groups[(2, 0)]) == 3
+        assert space7.pattern_groups.get((9, 9), ()) == ()
 
     def test_empty_state_is_index_zero(self, space7):
         assert space7.arrangements[0] == (0,) * space7.profile.capacity
@@ -119,8 +119,8 @@ def test_randomize_empty_flag(profile7):
     base = build_state_space(profile7)
     with_empty = build_state_space(profile7, SpaceOptions(randomize_empty=True))
     assert with_empty.num_raas == base.num_raas + 1
-    assert (0, 0) in with_empty.raas_index
-    assert (0, 0) not in base.raas_index
+    assert (0, 0) in with_empty.raas_patterns
+    assert (0, 0) not in base.raas_patterns
 
 
 def test_state_budget_enforced(profile7):

@@ -19,6 +19,7 @@ from .ctmc import NegativeStationaryMass, NoConvergence, NotIrreducible
 from .experiment import (
     ConfigError,
     cell_specs,
+    exact_solves,
     load_config,
     run_experiments,
     state_space,
@@ -93,7 +94,8 @@ def _cmd_dump_states(args: argparse.Namespace) -> int:
 def _cmd_validate(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
     specs, states = cell_specs(cfg)
-    line = f"config ok: {len(specs)} grid cells, engine={cfg.engine}, C={cfg.capacity}"
+    line = (f"config ok: {len(specs)} grid cells, {exact_solves(specs)} exact solves, "
+            f"engine={cfg.engine}, C={cfg.capacity}")
     if states is not None:
         line += f", {states} regular states (budget {cfg.state_budget})"
         if states > cfg.state_budget:

@@ -18,7 +18,7 @@ rate only: departures are frozen and further arrivals cause no transition.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -220,16 +220,13 @@ def solve_stationary(rm: RateMatrix, tol: float = DEFAULT_SOLVER_TOL) -> Station
     pi = np.zeros(n)
     pi[keep] = x
 
-    def residual_of(p: np.ndarray) -> float:
-        return float(np.max(np.abs(p @ q)))
-
-    res = residual_of(pi)
+    res = _residual(pi, q)
     iterations = 0
     while res > tol and iterations < 3:
         x = x + lu.solve(b - a @ x)
         pi = np.zeros(n)
         pi[keep] = x
-        res = residual_of(pi)
+        res = _residual(pi, q)
         iterations += 1
     if res > tol:
         raise NoConvergence(iterations, res)
@@ -241,13 +238,38 @@ def solve_stationary(rm: RateMatrix, tol: float = DEFAULT_SOLVER_TOL) -> Station
     pi /= pi.sum()
     return StationaryDistribution(
         pi=pi,
-        residual=residual_of(pi),
+        residual=_residual(pi, q),
         method=SOLVER_METHOD,
         dimension=n,
         nnz=int(q.nnz),
         lu_nnz=int(lu.L.nnz + lu.U.nnz),
         refinements=iterations,
     )
+
+
+def _residual(pi: np.ndarray, q: sp.csr_matrix) -> float:
+    return float(np.max(np.abs(pi @ q)))
+
+
+def rescale_reconfiguration(
+    dist: StationaryDistribution, rm: RateMatrix, num_regular: int, factor: float
+) -> StationaryDistribution:
+    """The stationary distribution of ``rm`` from the solution ``dist`` of
+    the same chain at ``factor`` times ``rm``'s reconfiguration rate.
+
+    A reconfiguration state ignores arrivals, freezes departures and leaves
+    at the reconfiguration rate to targets that do not depend on that rate.
+    So the chain censored to the regular states does not depend on it
+    either (Meyer, "Stochastic complementation, uncoupling Markov chains",
+    SIAM Review 31(2), 1989), and the mass of every reconfiguration state
+    scales with the inverse rate: multiply it by ``factor`` and
+    renormalize.  The residual is measured on ``rm``; the LU diagnostics
+    are those of the solve behind ``dist``.
+    """
+    pi = dist.pi.copy()
+    pi[num_regular:] *= factor
+    pi /= pi.sum()
+    return replace(dist, pi=pi, residual=_residual(pi, rm.matrix), nnz=int(rm.matrix.nnz))
 
 
 def blocking_report(

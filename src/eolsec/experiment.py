@@ -27,10 +27,13 @@ from pathlib import Path
 import yaml
 
 from .ctmc import (
+    DEFAULT_SOLVER_TOL,
     ModelVariant,
+    StationaryDistribution,
     VariantKind,
     assemble_generator,
     blocking_report,
+    rescale_reconfiguration,
     solve_stationary,
 )
 from .link import DemandProfile
@@ -162,9 +165,6 @@ def load_config(path: str | Path, **overrides) -> ExperimentConfig:
     variants = sweep.get("variants", ["regular"])
     if not isinstance(variants, list) or not all(isinstance(v, str) for v in variants):
         raise ConfigError("field sweep.variants must be a list of strings")
-    for v in variants:
-        if v not in VARIANT_NAMES:
-            raise ConfigError(f"field sweep.variants: unknown variant {v!r} (choose from {VARIANT_NAMES})")
     randomization_rates = _num_list(sweep, "sweep", "randomization_rates", default=(0.0,))
     reconfig_rates = _num_list(sweep, "sweep", "reconfig_rates", default=(1.0,))
 
@@ -206,6 +206,9 @@ def load_config(path: str | Path, **overrides) -> ExperimentConfig:
     )
     cfg = replace(cfg, **overrides)
 
+    for v in cfg.variants:
+        if v not in VARIANT_NAMES:
+            raise ConfigError(f"field sweep.variants: unknown variant {v!r} (choose from {VARIANT_NAMES})")
     if len(set(cfg.window_widths)) < len(cfg.window_widths):
         raise ConfigError("field window_widths must not repeat a width")
     for w in cfg.window_widths:
@@ -256,11 +259,10 @@ def _traffic(cfg: ExperimentConfig) -> list[tuple[float, DemandProfile]]:
 
 
 def _variant_for(name: str, lambda_s: float, mu_d: float) -> ModelVariant:
-    if name == VariantKind.REGULAR.value:
+    kind = VariantKind(name)
+    if kind is VariantKind.REGULAR:
         return ModelVariant.regular()
-    if name == VariantKind.RANDOMIZED.value:
-        return ModelVariant.randomized(lambda_s, mu_d)
-    return ModelVariant.randomized_defrag(lambda_s, mu_d)
+    return ModelVariant(kind, lambda_s, mu_d)
 
 
 @dataclass(frozen=True)
@@ -308,6 +310,35 @@ def cell_specs(cfg: ExperimentConfig) -> tuple[list[CellSpec], int | None]:
         ], states
     except ValueError as exc:
         raise ConfigError(f"sweep: {exc}") from exc
+
+
+def _chain(spec: CellSpec) -> tuple[DemandProfile, ModelVariant]:
+    """The chain whose one exact solve serves ``spec``: its profile, and
+    its model at the reference rate mu_ref = ``reconfig_rates[0]``.
+
+    A reconfiguration state leaves at rate mu_d and does nothing else, so
+    the distribution at any mu_d follows from the one at mu_ref in closed
+    form (``ctmc.rescale_reconfiguration``), and the regular model depends
+    on neither lambda_S nor mu_d.  mu_d is the innermost grid axis: the
+    cells of one chain are adjacent, and a randomized chain spans
+    ``len(reconfig_rates)`` cells.
+    """
+    model = spec.model
+    if model.has_randomization:
+        model = replace(model, reconfig_rate=spec.config.reconfig_rates[0])
+    return spec.profile, model
+
+
+def exact_solves(specs: list[CellSpec]) -> int:
+    """The number of exact solves a grid takes: one per chain of its analytic cells."""
+    return len({_chain(spec) for spec in specs if "analytic" in spec.engines})
+
+
+@lru_cache(maxsize=1)
+def _reference(cfg: ExperimentConfig, profile: DemandProfile,
+               model: ModelVariant) -> StationaryDistribution:
+    """The solved chain; one entry suffices, as a chain's cells are adjacent."""
+    return solve_stationary(assemble_generator(state_space(cfg), profile, model))
 
 
 def state_space(cfg: ExperimentConfig):
@@ -411,9 +442,30 @@ def _sim_config(cfg: ExperimentConfig, profile: DemandProfile, variant: ModelVar
     )
 
 
-def _analytic(cfg: ExperimentConfig, space, profile: DemandProfile, variant: ModelVariant) -> EngineResult:
-    dist = solve_stationary(assemble_generator(space, profile, variant))
+def _analytic(spec: CellSpec, space) -> EngineResult:
+    """Exact numbers of one cell from its chain's solve.
+
+    A randomized cell at mu_d != mu_ref rescales the reference; its
+    residual is measured on its own generator, and a direct solve takes
+    over where that residual misses the gate.
+    """
+    cfg, profile, variant = spec.config, spec.profile, spec.model
+    _, ref_model = _chain(spec)
+    dist = _reference(cfg, profile, ref_model)
+    mu_ref = None
+    if ref_model != variant:
+        rm = assemble_generator(space, profile, variant)
+        dist = rescale_reconfiguration(
+            dist, rm, space.num_regular, ref_model.reconfig_rate / variant.reconfig_rate
+        )
+        if dist.residual > DEFAULT_SOLVER_TOL:
+            dist = solve_stationary(rm)
+        else:
+            mu_ref = ref_model.reconfig_rate
     report = blocking_report(dist, space, profile, variant)
+    solver = {k: getattr(dist, k) for k in ("method", "dimension", "nnz", "lu_nnz", "refinements")}
+    if mu_ref is not None:
+        solver["mu_ref"] = mu_ref
     return EngineResult(
         engine="analytic",
         rb=tuple(report.resource_blocking),
@@ -426,7 +478,7 @@ def _analytic(cfg: ExperimentConfig, space, profile: DemandProfile, variant: Mod
             for w in cfg.window_widths
         ),
         residual_or_ci=dist.residual,
-        solver={k: getattr(dist, k) for k in ("method", "dimension", "nnz", "lu_nnz", "refinements")},
+        solver=solver,
     )
 
 
@@ -472,7 +524,7 @@ def _compute_cell(spec: CellSpec) -> CellResult:
         # times the engine and its security columns, not the shared state space
         start = time.perf_counter()
         if engine == "analytic":
-            result = _analytic(cfg, space, spec.profile, spec.model)
+            result = _analytic(spec, space)
         else:
             result = _monte_carlo(spec)
         fractions = tuple(_lambda_frac(p, spec, warnings) for p in result.p_sa)
@@ -500,10 +552,12 @@ def run_experiments(cfg: ExperimentConfig) -> ExperimentOutcome:
     specs, _ = cell_specs(cfg)
     if specs and specs[0].fallback:
         log.warning("%s; falling back to mc in all %d cells", specs[0].fallback, len(specs))
+    log.info("%d grid cells, %d exact solves", len(specs), exact_solves(specs))
 
     if cfg.jobs > 1 and len(specs) > 1:
         with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            results = list(pool.map(_compute_cell, specs))
+            # one chunk per randomized chain keeps its cells in one worker
+            results = list(pool.map(_compute_cell, specs, chunksize=len(cfg.reconfig_rates)))
     else:
         results = [_compute_cell(spec) for spec in specs]
 

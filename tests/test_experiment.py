@@ -1,15 +1,23 @@
 import json
 import logging
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 import yaml
 
+from eolsec import experiment
 from eolsec.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
-from eolsec.ctmc import NegativeStationaryMass
-from eolsec.experiment import ConfigError, cell_specs, load_config, run_experiments
+from eolsec.ctmc import (
+    NegativeStationaryMass,
+    assemble_generator,
+    blocking_report,
+    solve_stationary,
+)
+from eolsec.experiment import ConfigError, cell_specs, exact_solves, load_config, run_experiments
 from eolsec.link import DemandProfile
+from eolsec.security import attack_success_probability
 from eolsec.statespace import StateBudgetExceeded
 
 BASE_CONFIG = """\
@@ -111,6 +119,10 @@ class TestLoadConfig:
     def test_overridden_widths_are_checked(self, config_path, widths):
         with pytest.raises(ConfigError, match="field window_widths"):
             load_config(config_path, window_widths=widths)
+
+    def test_overridden_variants_are_checked(self, config_path):
+        with pytest.raises(ConfigError, match="unknown variant 'turbo'"):
+            load_config(config_path, variants=("turbo",))
 
 
 class TestRunExperiments:
@@ -296,6 +308,134 @@ class TestRunExperiments:
         line = outcome.csv_path.read_text().splitlines()[1]
         load = float(line.split(",")[3])
         assert load == pytest.approx(0.5 * 3 + 0.25 * 4)
+
+
+@pytest.fixture
+def multi_rate_path(tmp_path):
+    """2 loads x 3 variants x 2 lambda_S x 2 mu_d = 24 cells on 2 + 2 * 2 * 2 = 10 chains."""
+    path = tmp_path / "multi_rate.yaml"
+    path.write_text(
+        BASE_CONFIG.format(out_dir=tmp_path / "out")
+        .replace("randomization_rates: [1.0]", "randomization_rates: [1.0, 2.0]")
+        .replace("reconfig_rates: [10.0]", "reconfig_rates: [10.0, 100.0]")
+    )
+    return path
+
+
+def _count_solves(monkeypatch) -> list:
+    calls = []
+    solve = experiment.solve_stationary
+
+    def counted(rm):
+        calls.append(rm.dimension)
+        return solve(rm)
+
+    monkeypatch.setattr(experiment, "solve_stationary", counted)
+    experiment._reference.cache_clear()
+    return calls
+
+
+class TestChainSolves:
+    """Each exact chain is solved once; other mu_d follow from that solve."""
+
+    @pytest.mark.parametrize("reconfig_rates", [
+        (1.0, 10.0, 1000.0),
+        pytest.param((1000.0, 10.0, 1.0), marks=pytest.mark.slow),  # about 15 s
+    ])
+    def test_rescaled_cells_match_direct_solves(self, tmp_path, profile14, reconfig_rates):
+        path = tmp_path / "c14.yaml"
+        path.write_text(
+            "schema_version: 1\n"
+            "profile: {capacity: 14, demands: [2, 3, 4]}\n"
+            "traffic: {arrival_rates: [1.0, 1.0, 1.0]}\n"
+            "sweep: {variants: [regular, randomized, randomized-defrag], "
+            "randomization_rates: [0, 1, 5]}\n"
+            "window_widths: [3, 7, 14]\n"
+        )
+        cfg = load_config(path, reconfig_rates=reconfig_rates)
+        specs, _ = cell_specs(cfg)
+        assert len(specs) == 27
+        space = experiment.state_space(cfg)
+        derived = 0
+        for spec in specs:
+            assert spec.profile == profile14
+            (result,) = experiment._compute_cell(spec).engines
+            assert result.residual_or_ci <= 1e-10
+            if not spec.model.has_randomization or spec.mu_d == reconfig_rates[0]:
+                # the chain's own solve, reported unchanged
+                assert "mu_ref" not in result.solver
+                reference = experiment._reference(cfg, spec.profile, spec.model)
+                assert result.residual_or_ci == reference.residual
+                continue
+            derived += 1
+            assert result.solver["mu_ref"] == reconfig_rates[0]
+            direct = solve_stationary(assemble_generator(space, spec.profile, spec.model))
+            report = blocking_report(direct, space, spec.profile, spec.model)
+            expected = (
+                *report.resource_blocking, *report.fragmentation_blocking,
+                report.reconfiguration_blocking, report.overall_blocking,
+                *(attack_success_probability(direct.pi, space, w) for w in cfg.window_widths),
+            )
+            got = (*result.rb, *result.fb, result.rcb, result.bp, *result.p_sa)
+            assert max(abs(a - b) for a, b in zip(got, expected)) <= 1e-12
+        assert derived == 2 * 3 * 2
+
+    def test_regular_cells_are_equal_across_rates(self, multi_rate_path):
+        summary = json.loads(run_experiments(load_config(multi_rate_path)).summary_path.read_text())
+        regular = [c for c in summary["cells"] if c["variant"] == "regular"]
+        assert len(regular) == 8
+        for load in (2.0, 3.5):
+            blocks = {json.dumps(c["analytic"]) for c in regular if c["load_erlang"] == load}
+            assert len(blocks) == 1
+
+    def test_one_solve_per_chain(self, multi_rate_path, monkeypatch, caplog, capsys):
+        cfg = load_config(multi_rate_path)
+        specs, _ = cell_specs(cfg)
+        assert (len(specs), exact_solves(specs)) == (24, 10)
+        calls = _count_solves(monkeypatch)
+        with caplog.at_level(logging.INFO, logger="eolsec.experiment"):
+            summary = json.loads(run_experiments(cfg).summary_path.read_text())
+        assert len(calls) == 10
+        assert [r.getMessage() for r in caplog.records] == ["24 grid cells, 10 exact solves"]
+        derived = [c for c in summary["cells"] if "mu_ref" in c["analytic"]["solver"]]
+        assert len(derived) == 8
+        assert all(c["mu_d"] == 100.0 and c["analytic"]["solver"]["mu_ref"] == 10.0 for c in derived)
+        assert main(["validate", "--config", str(multi_rate_path)]) == EXIT_OK
+        assert "24 grid cells, 10 exact solves" in capsys.readouterr().out
+
+    def test_rescale_that_misses_the_gate_is_solved_directly(self, multi_rate_path, monkeypatch):
+        cfg = load_config(multi_rate_path, variants=("randomized",), loads=(2.0,))
+        specs, _ = cell_specs(cfg)
+        calls = _count_solves(monkeypatch)
+        reference = experiment._reference
+
+        def off_balance(*chain):
+            dist = reference(*chain)
+            pi = dist.pi.copy()
+            pi[0] *= 1 + 1e-6
+            return replace(dist, pi=pi / pi.sum())
+
+        monkeypatch.setattr(experiment, "_reference", off_balance)
+        space = experiment.state_space(cfg)
+        for spec in specs:
+            (result,) = experiment._compute_cell(spec).engines
+            if spec.mu_d == 100.0:
+                direct = solve_stationary(assemble_generator(space, spec.profile, spec.model))
+                assert "mu_ref" not in result.solver
+                assert result.residual_or_ci == direct.residual <= 1e-10
+                assert result.bp == blocking_report(direct, space, spec.profile, spec.model).overall_blocking
+        # a reference per lambda_S, a direct solve per mu_d = 100 cell
+        assert len(calls) == 2 + 2
+
+    def test_multi_rate_grid_is_deterministic(self, multi_rate_path):
+        def outputs(**overrides):
+            outcome = run_experiments(load_config(multi_rate_path, **overrides))
+            return outcome.csv_path.read_bytes(), outcome.summary_path.read_bytes()
+
+        serial = outputs(jobs=1)
+        assert outputs(jobs=2) == serial
+        assert outputs(jobs=1) == serial
+        assert outputs(jobs=2) == serial
 
 
 def test_readme_schema_loads(tmp_path):

@@ -18,7 +18,7 @@ import logging
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from datetime import datetime, timezone
 from functools import lru_cache
 from itertools import chain, product
@@ -358,7 +358,7 @@ class EngineResult:
     ``residual_or_ci`` is the solver residual (analytic) or the 95%
     half-width of ``bp`` (mc), as in the CSV column.  Analytic results also
     carry the ``solver`` diagnostics, Monte Carlo results the ``half_widths``
-    of ``rcb`` and the summed ``fb``.
+    of ``rcb`` and the summed ``fb`` and the simulator's ``events`` counts.
     """
 
     engine: str
@@ -372,6 +372,7 @@ class EngineResult:
     wall_ms: float = 0.0
     solver: dict | None = None
     half_widths: dict | None = None
+    events: dict | None = None
 
     def summary(self) -> dict:
         block = {"rb": list(self.rb), "fb": list(self.fb)}
@@ -384,6 +385,7 @@ class EngineResult:
             "rcb": {"mean": self.rcb, "ci_half_width": hw["rcb"]},
             "bp": {"mean": self.bp, "ci_half_width": self.residual_or_ci},
             "fb_sum": {"mean": sum(self.fb), "ci_half_width": hw["fb_sum"]},
+            "events": self.events,
         }
 
 
@@ -498,6 +500,7 @@ def _monte_carlo(spec: CellSpec) -> EngineResult:
             "rcb": result.reconfiguration_blocking.ci_half_width,
             "fb_sum": sum(e.ci_half_width for e in result.fragmentation_blocking),
         },
+        events={**asdict(result.counts), "randomizations_scored": result.randomizations_scored},
     )
 
 

@@ -12,11 +12,15 @@ pre-state it averages, over every window position, the fraction of the
 pattern's arrangements that keep the observation.  The surviving
 arrangements of one position are counted in closed form: the inside
 orderings times the ways to split the outside tokens onto the two sides of
-the window (``_outside_split_prefix``).  The exact engine scores every
-regular state with it (``per_state_attack_success``) and the simulator
-every measured randomization.  A per-position reference that counts one
-window at a time, which the tests check this kernel against, lives in
-``tests/oracles.py``.
+the window (``_outside_split_prefix``).  One call sweeps the window starts
+once: the spans' entry and exit breakpoints are merged without a sort, the
+inside counts are one mixed-radix integer updated at each breakpoint, and
+the denominator is cached per (pattern, width).  Numerator and denominator
+stay exact integers and are divided once, so every value is the correctly
+rounded probability.  The exact engine scores every regular state with it
+(``per_state_attack_success``) and the simulator every measured
+randomization.  A per-position reference that counts one window at a time,
+which the tests check this kernel against, lives in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -66,11 +70,17 @@ class WindowSurvival:
     For a pre-state given by its connection spans, averages over every
     window position the fraction of the pattern's arrangements that keep
     the observation.  Spans are sorted and disjoint, so the fully-inside
-    pattern changes only at two breakpoints per span; each run of window
-    starts with one inside pattern costs one prefix-sum difference of the
-    outside-split counts.
-    The counts stay exact integers and are divided once, so the value is
-    the correctly rounded exact probability.
+    pattern changes only at two breakpoints per span, and the entry and
+    exit breakpoints are each nondecreasing: two pointers merge them
+    without a sort.  The inside counts are kept as one mixed-radix integer
+    (class k's digit has radix ``capacity // d_k + 1``), updated with one
+    addition per breakpoint and decoded only on a cache miss.  Each run of
+    window starts with one inside pattern costs one prefix-sum difference
+    of the outside-split counts, times its inside orderings.  The
+    denominator, the pattern's arrangements times the window positions,
+    is cached per (pattern, width).  The counts stay exact integers and
+    are divided once, so the value is the correctly rounded exact
+    probability.
 
     An instance caches per link structure, so it serves one profile.
     """
@@ -78,53 +88,69 @@ class WindowSurvival:
     def __init__(self, profile: DemandProfile):
         self.capacity = profile.capacity
         self.demands = profile.demands
+        # Inside counts are one integer in mixed radix: class k (1-based)
+        # holds at most capacity // d_k connections, so its digit has radix
+        # capacity // d_k + 1 and place value _place[k] (slot 0 unused).
+        self._radix = [self.capacity // d + 1 for d in self.demands]
+        self._place = [0, 1]
+        for r in self._radix[:-1]:
+            self._place.append(self._place[-1] * r)
         # (outside pattern, outside frees) -> prefix sums over cap_left
         self._prefix: dict[tuple[tuple[int, ...], int], list[int]] = {}
-        # (pattern, width) -> {inside counts: (inside orderings, prefix) or ()}
-        self._runs: dict[tuple[tuple[int, ...], int], dict] = {}
+        # (pattern, width) -> ({inside key: (inside orderings, prefix) or ()},
+        #                      arrangements of the pattern * window positions)
+        self._runs: dict[tuple[tuple[int, ...], int], tuple[dict, int]] = {}
 
     def expected(self, spans: list[tuple[int, int, int]], pat: tuple[int, ...], width: int) -> float:
         """E[survival | spans] for a window of ``width`` slots; ``pat`` is the spans' pattern."""
         positions = self.capacity - width + 1
-        runs = self._runs.get((pat, width))
-        if runs is None:
-            runs = self._runs[(pat, width)] = {}
+        table = self._runs.get((pat, width))
+        if table is None:
+            total = _permutation_count(self._frees(pat), pat)
+            table = self._runs[(pat, width)] = ({}, total * positions)
+        runs, denominator = table
         # A span (k, s, e) lies fully inside the windows starting in
-        # [e - width + 1, s]: +k where it enters, -k after it leaves.
-        events = []
+        # [e - width + 1, s]: it enters there and leaves after s.  Spans are
+        # sorted and disjoint, so both lists of breakpoints are nondecreasing.
+        place = self._place
+        enters = []
+        leaves = []
+        steps = []
         for k, s, e in spans:
             lo = e - width + 1 if e > width else 1
             hi = s if s < positions else positions
             if lo <= hi:
-                events.append((lo, k))
-                events.append((hi + 1, -k))
-        events.sort()
+                enters.append(lo)
+                leaves.append(hi + 1)
+                steps.append(place[k])
+        enters.append(positions + 1)  # sentinels: past the last window start
+        leaves.append(positions + 1)
 
-        n_in = [0] * (len(self.demands) + 1)  # indexed by class; slot 0 unused
         numerator = 0
-        i = 0
+        key = 0
+        i = j = 0
         first = 1
         while first <= positions:
-            while i < len(events) and events[i][0] == first:
-                k = events[i][1]
-                if k > 0:
-                    n_in[k] += 1
-                else:
-                    n_in[-k] -= 1
+            while enters[i] == first:
+                key += steps[i]
                 i += 1
-            last = events[i][0] - 1 if i < len(events) else positions
-            key = tuple(n_in)
+            while leaves[j] == first:
+                key -= steps[j]
+                j += 1
+            nxt = enters[i] if enters[i] < leaves[j] else leaves[j]
             run = runs.get(key)
             if run is None:
-                run = runs[key] = self._run(pat, key[1:], width)
+                run = runs[key] = self._run(pat, self._decode(key), width)
             if run:
                 inside, prefix = run
                 # window start s leaves cap_left = s - 1 slots on the left
-                numerator += inside * (prefix[last] - prefix[first - 1])
-            first = last + 1
+                numerator += inside * (prefix[nxt - 1] - prefix[first - 1])
+            first = nxt
+        return numerator / denominator
 
-        total = _permutation_count(self._frees(pat), pat)
-        return numerator / (total * positions)
+    def _decode(self, key: int) -> tuple[int, ...]:
+        """Per-class inside counts of a mixed-radix key."""
+        return tuple(key // p % r for p, r in zip(self._place[1:], self._radix))
 
     def _frees(self, pat: tuple[int, ...]) -> int:
         return self.capacity - sum(n * d for n, d in zip(pat, self.demands))

@@ -104,6 +104,8 @@ class SimResult:
     overall_blocking: MetricEstimate
     attack_success: dict[int, MetricEstimate]
     counts: EventCounts
+    # measured randomizations behind ``attack_success`` (0 without windows)
+    randomizations_scored: int
 
 
 @dataclass
@@ -376,4 +378,5 @@ def run_simulation(cfg: SimConfig) -> SimResult:
         overall_blocking=est[2 * K + 1],
         attack_success=attack,
         counts=counts,
+        randomizations_scored=sum(r.rp_events for r in reps),
     )

@@ -178,6 +178,18 @@ class TestRunExperiments:
         compared = [c for c in summary["cells"] if "within_ci" in c]
         assert all(set(c["within_ci"]) == {"bp", "rcb", "fb_sum"} for c in compared)
 
+    def test_mc_summary_carries_event_counts(self, config_path):
+        cfg = load_config(config_path, engine="mc")
+        summary = json.loads(run_experiments(cfg).summary_path.read_text())
+        for cell in summary["cells"]:
+            events = cell["mc"]["events"]
+            assert sum(events["arrivals"]) == cfg.sim_arrivals * cfg.sim_replications
+            assert 0 <= events["randomizations_scored"] <= events["randomizations_started"]
+            if cell["variant"] == "regular":
+                assert events["randomizations_started"] == 0
+            else:
+                assert events["randomizations_scored"] > 0
+
     @pytest.mark.parametrize("state_budget", [35000, 5], ids=["both-engines", "mc-fallback"])
     def test_csv_rows_match_summary_blocks(self, config_path, state_budget):
         cfg = load_config(config_path, engine="both", state_budget=state_budget)

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 from itertools import permutations
 
 import numpy as np
@@ -221,6 +222,41 @@ def test_window_survival_matches_group_tables(data):
     width = data.draw(st.integers(1, capacity))
     expected = group_table_attack_success(space, width)
     assert np.abs(per_state_attack_success(space, width) - expected).max() <= 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_window_survival_is_exact_at_scale(data):
+    # links up to the C=100 benchmark link; a width-1 class has the largest
+    # mixed radix of the kernel's inside key
+    capacity = data.draw(st.integers(20, 100))
+    others = data.draw(st.lists(st.integers(2, 15), max_size=2))
+    demands = tuple(data.draw(st.permutations([1, *others])))
+    k = len(demands)
+    profile = DemandProfile(capacity, demands, (1.0,) * k, (1.0,) * k)
+    widths = sorted({1, capacity, *data.draw(st.lists(st.integers(1, capacity), max_size=2))})
+    shared = WindowSurvival(profile)
+    for _ in range(2):
+        # at most 7 connections keep the oracle's outside-split product small
+        tokens, room = [], capacity
+        for _ in range(data.draw(st.integers(0, 7))):
+            c = data.draw(st.integers(1, k))
+            if demands[c - 1] <= room:
+                tokens.append(c)
+                room -= demands[c - 1]
+        arr = tuple(data.draw(st.permutations(tokens + [0] * room)))
+        pat = pattern(arr, profile)
+        spans = token_spans(arr, demands)
+        for width in widths:
+            positions = capacity - width + 1
+            matches = sum(
+                count_matching_rearrangements(arr, ObservationWindow(s, width), profile)
+                for s in range(1, positions + 1)
+            )
+            exact = float(Fraction(matches, pattern_size(pat, profile) * positions))
+            assert WindowSurvival(profile).expected(spans, pat, width) == exact
+            # a kernel already used on other patterns and widths agrees
+            assert shared.expected(spans, pat, width) == exact
 
 
 class TestAttackProbability:

@@ -230,6 +230,26 @@ class TestRunSimulation:
             assert scored.overall_blocking == bare.overall_blocking
             assert not math.isnan(scored.attack_success[3].mean)
 
+    def test_windows_leave_trajectory_untouched_at_c100(self):
+        # the benchmark's C=100 link, whose window time is measured as the
+        # difference to the same run without windows
+        shared = dict(
+            profile=DemandProfile.with_uniform_load(100, (5, 10, 15), 60.0),
+            variant=ModelVariant.randomized_defrag(5.0, 1000.0),
+            arrivals=3000,
+            warmup=10.0,
+            replications=2,
+            seed=7,
+        )
+        bare = run_simulation(SimConfig(window_widths=(), **shared))
+        scored = run_simulation(SimConfig(window_widths=(25, 50, 100), **shared))
+        assert scored.randomizations_scored > 0
+        assert scored.counts == bare.counts
+        assert scored.resource_blocking == bare.resource_blocking
+        assert scored.fragmentation_blocking == bare.fragmentation_blocking
+        assert scored.reconfiguration_blocking == bare.reconfiguration_blocking
+        assert scored.overall_blocking == bare.overall_blocking
+
     def test_single_replication_batch_means(self, profile7):
         cfg = SimConfig(
             profile=profile7,

@@ -50,6 +50,12 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="suppress the timestamp header and zero the wall_ms column for byte-identical reruns",
     )
+    run.add_argument(
+        "--log-level",
+        choices=["DEBUG", "INFO", "WARNING", "ERROR"],
+        default="INFO",
+        help="least severe log message to show (default INFO)",
+    )
 
     dump = sub.add_parser("dump-states", help="dump the enumerated state space")
     dump.add_argument("--config", required=True, help="path to the YAML config")
@@ -105,8 +111,10 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
     args = _build_parser().parse_args(argv)
+    logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
+    # the package logger, not the root: basicConfig is a no-op once the root has handlers
+    logging.getLogger("eolsec").setLevel(getattr(args, "log_level", "INFO"))
     try:
         if args.command == "run":
             return _cmd_run(args)

@@ -33,6 +33,21 @@ DEFAULT_SOLVER_TOL = 1e-10
 # Minimum-degree ordering on A^T + A keeps the LU of the bordered balance
 # system near the size of Q; the default COLAMD fills it almost completely.
 SOLVER_METHOD = "splu:MMD_AT_PLUS_A"
+# Terminal-class generators with more nonzeros than this are solved by power
+# iteration.  The LU fills in superlinearly (18x nnz at 68k nnz, 100x at
+# 377k, 40x already at 62k on a (2,3,4) link) while a sweep costs one pass
+# over nnz; every chain of a C=20, demands (4,6,8) link (nnz <= 12,206)
+# stays on the LU.
+POWER_MIN_NNZ = 20_000
+POWER_METHOD = "power:jacobi-scaled"
+# Damping of the row-scaled step: every state keeps a self-loop of
+# 1 - 1/POWER_DAMPING, so the iteration matrix is aperiodic.
+POWER_DAMPING = 1.05
+POWER_CHECK_EVERY = 50
+# The residual target is tol / POWER_TOL_MARGIN, so that closed-form rescaling
+# (which amplifies the residual up to about 10x) still meets the gate.
+POWER_TOL_MARGIN = 1000.0
+POWER_MAX_SWEEPS = 20_000
 
 
 class VariantKind(str, Enum):
@@ -85,13 +100,16 @@ class NotIrreducible(RuntimeError):
 
 
 class NoConvergence(RuntimeError):
-    def __init__(self, iterations: int, residual: float):
+    """A solve ended above its residual target; ``steps`` names its iterations."""
+
+    def __init__(self, iterations: int, residual: float, steps: str = "refinement steps"):
         self.iterations = iterations
         self.residual = residual
-        super().__init__(f"solver residual {residual:.3e} after {iterations} refinement steps")
+        self.steps = steps
+        super().__init__(f"solver residual {residual:.3e} after {iterations} {steps}")
 
     def __reduce__(self):
-        return type(self), (self.iterations, self.residual)
+        return type(self), (self.iterations, self.residual, self.steps)
 
 
 class NegativeStationaryMass(RuntimeError):
@@ -121,8 +139,10 @@ class RateMatrix:
 class StationaryDistribution:
     """Solution of pi Q = 0 plus the solver's diagnostics.
 
-    ``lu_nnz`` counts the nonzeros of the L and U factors; ``refinements``
-    the iterative-refinement steps taken to meet the residual gate.
+    An LU solve fills ``lu_nnz``, the nonzeros of the L and U factors, and
+    ``refinements``, the iterative-refinement steps taken to meet the
+    residual gate; a power solve fills ``sweeps``.  The other route's
+    fields stay ``None``.
     """
 
     pi: np.ndarray
@@ -130,8 +150,14 @@ class StationaryDistribution:
     method: str
     dimension: int
     nnz: int
-    lu_nnz: int
-    refinements: int
+    lu_nnz: int | None = None
+    refinements: int | None = None
+    sweeps: int | None = None
+
+    def diagnostics(self) -> dict:
+        """The route's diagnostics by name, without the other route's fields."""
+        names = ("method", "dimension", "nnz", "lu_nnz", "refinements", "sweeps")
+        return {k: getattr(self, k) for k in names if getattr(self, k) is not None}
 
 
 @dataclass(frozen=True)
@@ -197,19 +223,36 @@ def _terminal_states(q: sp.csr_matrix) -> np.ndarray:
 
 
 def solve_stationary(rm: RateMatrix, tol: float = DEFAULT_SOLVER_TOL) -> StationaryDistribution:
-    """Solve pi Q = 0 with sum(pi) = 1 by sparse LU.
+    """Solve pi Q = 0 with sum(pi) = 1 on the terminal class of ``rm``.
+
+    The route depends on the size of that class's generator: up to
+    ``POWER_MIN_NNZ`` nonzeros a sparse LU (``_solve_by_lu``), above it
+    power iteration (``_solve_by_power``).  Both gate the residual on the
+    full generator (NoConvergence), reject a clearly negative mass
+    (NegativeStationaryMass), and clip and renormalize; more than one
+    closed class raises NotIrreducible.
+    """
+    q = rm.matrix
+    keep = _terminal_states(q)
+    # the class is closed, so its rows hold every nonzero of its generator
+    closed_nnz = int(np.diff(q.indptr)[keep].sum())
+    solve = _solve_by_power if closed_nnz > POWER_MIN_NNZ else _solve_by_lu
+    return solve(q, keep, tol)
+
+
+def _closed_generator(q: sp.csr_matrix, keep: np.ndarray) -> sp.csr_matrix:
+    return q[np.ix_(keep, keep)] if len(keep) < q.shape[0] else q
+
+
+def _solve_by_lu(q: sp.csr_matrix, keep: np.ndarray, tol: float) -> StationaryDistribution:
+    """Sparse LU of the terminal class's balance equations.
 
     The last balance equation is replaced by the normalization constraint
     and the system is factored once.  Up to three steps of iterative
-    refinement reuse the factor while the residual exceeds ``tol``;
-    failure to reach ``tol`` raises NoConvergence, and a clearly negative
-    mass raises NegativeStationaryMass.
+    refinement reuse the factor while the residual exceeds ``tol``.
     """
-    q = rm.matrix
     n = q.shape[0]
-    keep = _terminal_states(q)
-    q_sub = q[np.ix_(keep, keep)] if len(keep) < n else q
-
+    q_sub = _closed_generator(q, keep)
     m = q_sub.shape[0]
     a = sp.vstack([q_sub.T.tocsr()[: m - 1], sp.csr_matrix(np.ones((1, m)))]).tocsc()
     b = np.zeros(m)
@@ -230,7 +273,49 @@ def solve_stationary(rm: RateMatrix, tol: float = DEFAULT_SOLVER_TOL) -> Station
         iterations += 1
     if res > tol:
         raise NoConvergence(iterations, res)
+    return _distribution(pi, q, SOLVER_METHOD, lu_nnz=int(lu.L.nnz + lu.U.nnz),
+                         refinements=iterations)
 
+
+def _solve_by_power(q: sp.csr_matrix, keep: np.ndarray, tol: float) -> StationaryDistribution:
+    """Power iteration on the row-scaled generator of the terminal class.
+
+    With D = diag(1 / |q_ii|), y <- y (I + D Q / POWER_DAMPING) is a
+    stochastic step whose fixed point gives pi = y D / |y D|.  Every state
+    leaves at the same scaled rate, so fast reconfiguration states do not
+    stiffen it as they would a uniformized chain, and nothing fills in.
+    The residual on the full generator is checked every
+    ``POWER_CHECK_EVERY`` sweeps until it is at most tol /
+    ``POWER_TOL_MARGIN``; after ``POWER_MAX_SWEEPS`` sweeps NoConvergence
+    is raised.  (Stewart, *Introduction to the Numerical Solution of Markov
+    Chains*, 1994, ch. 3.)
+    """
+    n = q.shape[0]
+    q_sub = _closed_generator(q, keep)
+    m = q_sub.shape[0]
+    # a one-state class has no outflow: its whole mass is the solution
+    scale = 1.0 / -q_sub.diagonal() if m > 1 else np.ones(1)
+    # the transposed step, so that each sweep is one CSR product
+    step = (sp.identity(m, format="csr") + sp.diags(scale / POWER_DAMPING) @ q_sub).T.tocsr()
+    y = np.full(m, 1.0 / m)
+    sweeps = 0
+    while True:
+        burst = min(POWER_CHECK_EVERY, POWER_MAX_SWEEPS - sweeps)
+        for _ in range(burst):
+            y = step @ y
+        sweeps += burst
+        pi = np.zeros(n)
+        pi[keep] = y * scale
+        pi /= pi.sum()
+        res = _residual(pi, q)
+        if res <= tol / POWER_TOL_MARGIN:
+            return _distribution(pi, q, POWER_METHOD, sweeps=sweeps)
+        if sweeps >= POWER_MAX_SWEEPS:
+            raise NoConvergence(sweeps, res, "power sweeps")
+
+
+def _distribution(pi: np.ndarray, q: sp.csr_matrix, method: str, **diagnostics) -> StationaryDistribution:
+    """The gated distribution: no clearly negative mass, clipped and renormalized."""
     worst = int(np.argmin(pi))
     if pi[worst] < -1e-14:
         raise NegativeStationaryMass(worst, float(pi[worst]))
@@ -239,11 +324,10 @@ def solve_stationary(rm: RateMatrix, tol: float = DEFAULT_SOLVER_TOL) -> Station
     return StationaryDistribution(
         pi=pi,
         residual=_residual(pi, q),
-        method=SOLVER_METHOD,
-        dimension=n,
+        method=method,
+        dimension=q.shape[0],
         nnz=int(q.nnz),
-        lu_nnz=int(lu.L.nnz + lu.U.nnz),
-        refinements=iterations,
+        **diagnostics,
     )
 
 
@@ -263,8 +347,8 @@ def rescale_reconfiguration(
     either (Meyer, "Stochastic complementation, uncoupling Markov chains",
     SIAM Review 31(2), 1989), and the mass of every reconfiguration state
     scales with the inverse rate: multiply it by ``factor`` and
-    renormalize.  The residual is measured on ``rm``; the LU diagnostics
-    are those of the solve behind ``dist``.
+    renormalize.  The residual is measured on ``rm``; the route's
+    diagnostics are those of the solve behind ``dist``.
     """
     pi = dist.pi.copy()
     pi[num_regular:] *= factor

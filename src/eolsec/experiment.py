@@ -465,7 +465,7 @@ def _analytic(spec: CellSpec, space) -> EngineResult:
         else:
             mu_ref = ref_model.reconfig_rate
     report = blocking_report(dist, space, profile, variant)
-    solver = {k: getattr(dist, k) for k in ("method", "dimension", "nnz", "lu_nnz", "refinements")}
+    solver = dist.diagnostics()
     if mu_ref is not None:
         solver["mu_ref"] = mu_ref
     return EngineResult(

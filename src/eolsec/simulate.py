@@ -8,13 +8,14 @@ exactly one reconfiguration completion while it is reconfiguring.  Frozen
 departure clocks during reconfiguration are therefore implicit, which
 matches the analytic chain exactly.
 
-Attack success is scored at every measured randomization completion on an
-occupied link, as the exact engine excludes the all-free state.  A
-randomization redraws the arrangement uniformly within its pattern, so it
-adds the exact survival given the pre-state, averaged over all window
-positions (``security.WindowSurvival``): a conditional Monte Carlo estimate
-with the same mean and less variance than checking the one redraw.  Defrag
-completions are not scored.  Scoring draws no random numbers, so it never
+Attack success is scored at the completion of every randomization requested
+after the warmup on an occupied link, as the exact engine excludes the
+all-free state; the request fixes the pre-state, so one requested during
+the warmup is not scored.  A randomization redraws the arrangement
+uniformly within its pattern, so it adds the exact survival given the
+pre-state, averaged over all window positions (``security.WindowSurvival``):
+a conditional Monte Carlo estimate with the same mean and less variance
+than checking the one redraw.  Defrag completions are not scored.  Scoring draws no random numbers, so it never
 changes the trajectory.
 
 Replications differ only in their seed-derived random streams; results are
@@ -85,6 +86,8 @@ class MetricEstimate:
 
 @dataclass(frozen=True)
 class EventCounts:
+    """Events after the warmup, summed over the replications."""
+
     arrivals: tuple[int, ...]
     resource_blocked: tuple[int, ...]
     frag_blocked: tuple[int, ...]
@@ -112,6 +115,7 @@ class SimResult:
 class _Replication:
     # One 4×K table per batch; rows count the measured arrivals and the
     # resource-, fragmentation- and reconfiguration-blocked ones per class.
+    # The other counts, like the tables, skip the warmup.
     tables: list[list[list[int]]]
     rp_started: int = 0
     rp_ignored_empty: int = 0
@@ -175,6 +179,7 @@ def _simulate_replication(
     free_total = capacity
     dep_rate = 0.0
     reconfig = _NO_RECONFIG
+    request_measured = False  # the pending randomization was requested after the warmup
     t = 0.0
     measured_arrivals = 0
 
@@ -229,7 +234,8 @@ def _simulate_replication(
                         table[2][k] += 1
                     if has_defrag:
                         reconfig = _DEFRAGMENTING
-                        rec.defrags_started += 1
+                        if measuring:
+                            rec.defrags_started += 1
                 else:
                     if measuring:
                         table[1][k] += 1
@@ -238,16 +244,19 @@ def _simulate_replication(
         elif u < lam_total + lam_s:
             # randomization request
             if reconfig:
-                rec.rp_discarded += 1
+                if measuring:
+                    rec.rp_discarded += 1
             elif free_total < capacity or cfg.randomize_empty:
                 reconfig = _RANDOMIZING
-                rec.rp_started += 1
-            else:
+                request_measured = measuring
+                if measuring:
+                    rec.rp_started += 1
+            elif measuring:
                 rec.rp_ignored_empty += 1
         elif reconfig:
             # reconfiguration completes: redraw the arrangement
             if reconfig == _RANDOMIZING:
-                if widths and measuring and free_total < capacity:
+                if widths and request_measured and free_total < capacity:
                     # the tokens are frozen since the request, so they are the
                     # pre-state; the shuffle redraws uniformly within the
                     # pattern, so score the exact survival given the pre-state
@@ -261,7 +270,8 @@ def _simulate_replication(
                 tokens = defragmented(tokens, rng)
             if debug:
                 check_state()
-            rec.completions += 1
+            if measuring:
+                rec.completions += 1
             reconfig = _NO_RECONFIG
         else:
             # departure

@@ -29,10 +29,12 @@ from .link import (
     removals,
 )
 
-# Regular states the exact engine is known to finish (demands (4,6,8), C=28:
-# 32,765 states solve in about 40 s and 1 GB); beyond it analytic falls back
-# to Monte Carlo.
-DEFAULT_STATE_BUDGET = 35_000
+# Regular states the exact engine is known to finish: one randomized-defrag
+# cell (enumerate, transitions, power solve, three window widths) takes 13 s
+# and 275 MB at C=32, demands (4,6,8), 163,312 states, and 12 s and 258 MB
+# at C=19, demands (2,3,4), 147,312 states (2-core VM).  Beyond it analytic
+# falls back to Monte Carlo.
+DEFAULT_STATE_BUDGET = 163_312
 
 
 class StateBudgetExceeded(RuntimeError):

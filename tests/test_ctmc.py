@@ -1,16 +1,22 @@
+import pickle
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eolsec import (
     DemandProfile,
     ModelVariant,
     NegativeStationaryMass,
+    NoConvergence,
     NotIrreducible,
     RateMatrix,
     VariantKind,
     assemble_generator,
     blocking_report,
+    attack_success_probability,
     build_state_space,
     solve_stationary,
 )
@@ -21,6 +27,16 @@ from oracles import (
     lil_bordered_matrix,
     loop_generator,
 )
+
+
+def solve_by_lu(rm, tol=1e-10):
+    """The LU route, whatever the size of the chain."""
+    return ctmc._solve_by_lu(rm.matrix, ctmc._terminal_states(rm.matrix), tol)
+
+
+def solve_by_power(rm, tol=1e-10):
+    """The power route, whatever the size of the chain."""
+    return ctmc._solve_by_power(rm.matrix, ctmc._terminal_states(rm.matrix), tol)
 
 
 @pytest.fixture(scope="module")
@@ -256,7 +272,7 @@ def test_bordered_matrix_matches_lil_construction(variant, space14, monkeypatch)
         return real_splu(a, **kwargs)
 
     monkeypatch.setattr(ctmc, "splu", capture)
-    solve_stationary(rm)
+    solve_by_lu(rm)
     keep = ctmc._terminal_states(rm.matrix)
     q_sub = rm.matrix[np.ix_(keep, keep)] if len(keep) < rm.dimension else rm.matrix
     expected = lil_bordered_matrix(q_sub)
@@ -274,7 +290,7 @@ def test_lu_fill_stays_near_generator_size():
     profile = DemandProfile.with_uniform_load(22, (4, 6, 8), 14.0)
     space = build_state_space(profile)
     rm = assemble_generator(space, profile, ModelVariant.randomized_defrag(5.0, 100.0))
-    dist = solve_stationary(rm)
+    dist = solve_by_lu(rm)
     assert dist.nnz == rm.matrix.nnz
     assert dist.lu_nnz <= 25 * dist.nnz
     assert dist.residual <= 1e-10
@@ -296,3 +312,96 @@ def test_negative_mass_raises_typed_error(space7, rates7, monkeypatch):
     with pytest.raises(NegativeStationaryMass, match="negative") as info:
         solve_stationary(rm)
     assert info.value.mass < 0.0
+
+
+@pytest.fixture(scope="module")
+def space22():
+    # demands (4,6,8) at 14 Erlang: dim 2,945 to 2,986, nnz 20,585 to 28,909
+    profile = DemandProfile.with_uniform_load(22, (4, 6, 8), 14.0)
+    return profile, build_state_space(profile)
+
+
+def test_route_follows_terminal_class_size(space7, rates7, space22):
+    small = solve_stationary(assemble_generator(space7, rates7, ModelVariant.randomized(0.7, 11.0)))
+    assert small.method == ctmc.SOLVER_METHOD
+    assert small.diagnostics() == {
+        "method": ctmc.SOLVER_METHOD, "dimension": small.dimension, "nnz": small.nnz,
+        "lu_nnz": small.lu_nnz, "refinements": 0,
+    }
+    profile, space = space22
+    rm = assemble_generator(space, profile, ModelVariant.randomized_defrag(5.0, 100.0))
+    assert rm.matrix.nnz > ctmc.POWER_MIN_NNZ
+    large = solve_stationary(rm)
+    assert large.method == ctmc.POWER_METHOD
+    assert set(large.diagnostics()) == {"method", "dimension", "nnz", "sweeps"}
+    assert large.sweeps % ctmc.POWER_CHECK_EVERY == 0 and large.sweeps > 0
+    assert large.residual <= 1e-10 / ctmc.POWER_TOL_MARGIN
+
+
+POWER_VARIANTS = [ModelVariant.regular()] + [
+    kind(lam_s, mu_d)
+    for kind in (ModelVariant.randomized, ModelVariant.randomized_defrag)
+    for lam_s in (0.5, 1.0, 5.0, 10.0)
+    for mu_d in (1.0, 10.0, 100.0, 1000.0)
+]
+
+
+@pytest.mark.parametrize("variant", POWER_VARIANTS,
+                         ids=lambda v: f"{v.kind.value}-{v.randomization_rate}-{v.reconfig_rate}")
+def test_power_route_matches_lu_at_c22(variant, space22):
+    profile, space = space22
+    rm = assemble_generator(space, profile, variant)
+    lu, power = solve_by_lu(rm), solve_by_power(rm)
+    assert power.residual <= 1e-10
+    widths = (10, 15, 22) if variant.has_randomization else ()
+
+    def numbers(dist):
+        report = blocking_report(dist, space, profile, variant)
+        return (
+            report.overall_blocking, *report.resource_blocking, *report.fragmentation_blocking,
+            *(attack_success_probability(dist.pi, space, w) for w in widths),
+        )
+
+    assert numbers(power) == pytest.approx(numbers(lu), rel=1e-9, abs=0.0)
+
+
+@st.composite
+def small_chains(draw):
+    """A random link with C <= 9 and K <= 3 under a random variant.
+
+    Zero arrival rates and lambda_S = 0 leave transient states, and with
+    no traffic at all the terminal class is the empty link alone.
+    """
+    capacity = draw(st.integers(1, 9))
+    demands = tuple(sorted(draw(st.sets(st.integers(1, capacity), min_size=1, max_size=3))))
+    rate = st.one_of(st.just(0.0), st.floats(0.1, 5.0))
+    profile = DemandProfile(
+        capacity, demands,
+        tuple(draw(rate) for _ in demands),
+        tuple(draw(st.floats(0.5, 2.0)) for _ in demands),
+    )
+    kind = draw(st.sampled_from(list(VariantKind)))
+    if kind is VariantKind.REGULAR:
+        return profile, ModelVariant.regular()
+    return profile, ModelVariant(kind, draw(rate), draw(st.floats(1.0, 1000.0)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_chains())
+def test_power_route_matches_dense_oracle(chain):
+    profile, variant = chain
+    rm = assemble_generator(build_state_space(profile), profile, variant)
+    dist = solve_by_power(rm)
+    assert dist.method == ctmc.POWER_METHOD
+    assert dist.residual <= 1e-10
+    assert np.abs(dist.pi - dense_stationary_oracle(rm)).max() <= 1e-10
+
+
+def test_power_sweep_cap_raises_no_convergence(space7, rates7, monkeypatch):
+    monkeypatch.setattr(ctmc, "POWER_MAX_SWEEPS", 1)
+    rm = assemble_generator(space7, rates7, ModelVariant.randomized_defrag(0.7, 11.0))
+    with pytest.raises(NoConvergence, match="after 1 power sweeps") as info:
+        solve_by_power(rm)
+    assert info.value.iterations == 1 and info.value.residual > 1e-13
+    again = pickle.loads(pickle.dumps(info.value))
+    assert str(again) == str(info.value)

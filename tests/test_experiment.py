@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 import yaml
 
-from eolsec import experiment
+from eolsec import ctmc, experiment
 from eolsec.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
 from eolsec.ctmc import (
     NegativeStationaryMass,
@@ -287,6 +287,16 @@ class TestRunExperiments:
             assert 0 < solver["nnz"] <= solver["lu_nnz"]
             assert solver["refinements"] == 0
 
+    def test_summary_names_the_power_route(self, config_path, monkeypatch):
+        monkeypatch.setattr(ctmc, "POWER_MIN_NNZ", 0)
+        summary = json.loads(run_experiments(load_config(config_path)).summary_path.read_text())
+        for cell in summary["cells"]:
+            solver = cell["analytic"]["solver"]
+            assert set(solver) == {"method", "dimension", "nnz", "sweeps"}
+            assert solver["method"] == "power:jacobi-scaled"
+            assert solver["sweeps"] > 0
+            assert cell["analytic"]["residual"] <= 1e-10
+
     def test_empty_load_list_gives_header_only(self, tmp_path):
         path = tmp_path / "empty.yaml"
         path.write_text(
@@ -470,7 +480,7 @@ class TestCli:
         assert main(["validate", "--config", str(config_path)]) == EXIT_OK
         out = capsys.readouterr().out
         assert "config ok" in out
-        assert "15 regular states (budget 35000)" in out
+        assert "15 regular states (budget 163312)" in out
 
     def test_validate_bad_config(self, tmp_path, capsys):
         path = tmp_path / "bad.yaml"
@@ -633,6 +643,26 @@ class TestCli:
         code = main(["run", "--config", str(config_path), "--out-dir", str(tmp_path / "o")])
         assert code == EXIT_NUMERICAL
         assert "negative" in capsys.readouterr().err
+
+    def test_power_sweep_cap_is_numerical_failure(self, config_path, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(ctmc, "POWER_MIN_NNZ", 0)
+        monkeypatch.setattr(ctmc, "POWER_MAX_SWEEPS", 1)
+        code = main(["run", "--config", str(config_path), "--out-dir", str(tmp_path / "o")])
+        assert code == EXIT_NUMERICAL
+        assert "after 1 power sweeps" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("level, shown", [(None, True), ("WARNING", False)])
+    def test_run_log_level(self, config_path, tmp_path, caplog, level, shown):
+        argv = ["run", "--config", str(config_path), "--out-dir", str(tmp_path / "o")]
+        if level:
+            argv += ["--log-level", level]
+        try:
+            with caplog.at_level(logging.DEBUG):
+                assert main(argv) == EXIT_OK
+        finally:
+            logging.getLogger("eolsec").setLevel(logging.NOTSET)
+        messages = [r.getMessage() for r in caplog.records]
+        assert ("6 grid cells, 6 exact solves" in messages) == shown
 
     def test_run_engine_override(self, config_path, tmp_path):
         out_dir = tmp_path / "cli-mc"

@@ -21,7 +21,7 @@ from eolsec import (
 )
 from eolsec import simulate
 from eolsec.link import check_arrangement, defragmented, pattern, random_fit
-from eolsec.simulate import _blocking_values, _t_quantile
+from eolsec.simulate import EventCounts, _blocking_values, _t_quantile
 
 
 def shuffled(pat, profile, rng):
@@ -208,6 +208,23 @@ class TestRunSimulation:
         assert result.counts.randomizations_ignored_empty == 0
         est = result.attack_success[3]
         assert abs(est.mean - exact_p) <= 3 * est.ci_half_width
+
+    def test_event_counts_skip_the_warmup(self):
+        # the trajectory does not depend on the warmup, so the counts after
+        # it are those of the whole run minus those of the warmup alone
+        profile = DemandProfile.with_uniform_load(7, (3, 4), 2.0)
+        shared = dict(profile=profile, variant=ModelVariant.randomized_defrag(2.0, 5.0),
+                      replications=2, seed=11)
+        measured = run_simulation(SimConfig(horizon=300.0, warmup=50.0, **shared)).counts
+        whole = run_simulation(SimConfig(horizon=300.0, **shared)).counts
+        warmup = run_simulation(SimConfig(horizon=50.0, **shared)).counts
+        for name in EventCounts.__dataclass_fields__:
+            got, total, early = (getattr(c, name) for c in (measured, whole, warmup))
+            if isinstance(got, tuple):
+                assert got == tuple(a - b for a, b in zip(total, early)), name
+            else:
+                assert early > 0, name
+                assert got == total - early, name
 
     def test_windows_leave_trajectory_untouched(self, profile7):
         # replication intervals, then batch means

@@ -24,21 +24,11 @@ from enum import Enum
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
-from scipy.sparse.linalg import splu
 
 from .link import DemandProfile
 from .statespace import StateSpace
 
 DEFAULT_SOLVER_TOL = 1e-10
-# Minimum-degree ordering on A^T + A keeps the LU of the bordered balance
-# system near the size of Q; the default COLAMD fills it almost completely.
-SOLVER_METHOD = "splu:MMD_AT_PLUS_A"
-# Terminal-class generators with more nonzeros than this are solved by power
-# iteration.  The LU fills in superlinearly (18x nnz at 68k nnz, 100x at
-# 377k, 40x already at 62k on a (2,3,4) link) while a sweep costs one pass
-# over nnz; every chain of a C=20, demands (4,6,8) link (nnz <= 12,206)
-# stays on the LU.
-POWER_MIN_NNZ = 20_000
 POWER_METHOD = "power:jacobi-scaled"
 # Damping of the row-scaled step: every state keeps a self-loop of
 # 1 - 1/POWER_DAMPING, so the iteration matrix is aperiodic.
@@ -100,16 +90,15 @@ class NotIrreducible(RuntimeError):
 
 
 class NoConvergence(RuntimeError):
-    """A solve ended above its residual target; ``steps`` names its iterations."""
+    """Power iteration ended above its residual target."""
 
-    def __init__(self, iterations: int, residual: float, steps: str = "refinement steps"):
+    def __init__(self, iterations: int, residual: float):
         self.iterations = iterations
         self.residual = residual
-        self.steps = steps
-        super().__init__(f"solver residual {residual:.3e} after {iterations} {steps}")
+        super().__init__(f"solver residual {residual:.3e} after {iterations} power sweeps")
 
     def __reduce__(self):
-        return type(self), (self.iterations, self.residual, self.steps)
+        return type(self), (self.iterations, self.residual)
 
 
 class NegativeStationaryMass(RuntimeError):
@@ -137,27 +126,19 @@ class RateMatrix:
 
 @dataclass(frozen=True)
 class StationaryDistribution:
-    """Solution of pi Q = 0 plus the solver's diagnostics.
-
-    An LU solve fills ``lu_nnz``, the nonzeros of the L and U factors, and
-    ``refinements``, the iterative-refinement steps taken to meet the
-    residual gate; a power solve fills ``sweeps``.  The other route's
-    fields stay ``None``.
-    """
+    """Solution of pi Q = 0 plus the solver's diagnostics; ``sweeps`` counts
+    the power-iteration sweeps behind it."""
 
     pi: np.ndarray
     residual: float
     method: str
     dimension: int
     nnz: int
-    lu_nnz: int | None = None
-    refinements: int | None = None
-    sweeps: int | None = None
+    sweeps: int
 
     def diagnostics(self) -> dict:
-        """The route's diagnostics by name, without the other route's fields."""
-        names = ("method", "dimension", "nnz", "lu_nnz", "refinements", "sweeps")
-        return {k: getattr(self, k) for k in names if getattr(self, k) is not None}
+        """The solver's diagnostics by name."""
+        return {k: getattr(self, k) for k in ("method", "dimension", "nnz", "sweeps")}
 
 
 @dataclass(frozen=True)
@@ -223,62 +204,8 @@ def _terminal_states(q: sp.csr_matrix) -> np.ndarray:
 
 
 def solve_stationary(rm: RateMatrix, tol: float = DEFAULT_SOLVER_TOL) -> StationaryDistribution:
-    """Solve pi Q = 0 with sum(pi) = 1 on the terminal class of ``rm``.
-
-    The route depends on the size of that class's generator: up to
-    ``POWER_MIN_NNZ`` nonzeros a sparse LU (``_solve_by_lu``), above it
-    power iteration (``_solve_by_power``).  Both gate the residual on the
-    full generator (NoConvergence), reject a clearly negative mass
-    (NegativeStationaryMass), and clip and renormalize; more than one
-    closed class raises NotIrreducible.
-    """
-    q = rm.matrix
-    keep = _terminal_states(q)
-    # the class is closed, so its rows hold every nonzero of its generator
-    closed_nnz = int(np.diff(q.indptr)[keep].sum())
-    solve = _solve_by_power if closed_nnz > POWER_MIN_NNZ else _solve_by_lu
-    return solve(q, keep, tol)
-
-
-def _closed_generator(q: sp.csr_matrix, keep: np.ndarray) -> sp.csr_matrix:
-    return q[np.ix_(keep, keep)] if len(keep) < q.shape[0] else q
-
-
-def _solve_by_lu(q: sp.csr_matrix, keep: np.ndarray, tol: float) -> StationaryDistribution:
-    """Sparse LU of the terminal class's balance equations.
-
-    The last balance equation is replaced by the normalization constraint
-    and the system is factored once.  Up to three steps of iterative
-    refinement reuse the factor while the residual exceeds ``tol``.
-    """
-    n = q.shape[0]
-    q_sub = _closed_generator(q, keep)
-    m = q_sub.shape[0]
-    a = sp.vstack([q_sub.T.tocsr()[: m - 1], sp.csr_matrix(np.ones((1, m)))]).tocsc()
-    b = np.zeros(m)
-    b[m - 1] = 1.0
-
-    lu = splu(a, permc_spec="MMD_AT_PLUS_A")
-    x = lu.solve(b)
-    pi = np.zeros(n)
-    pi[keep] = x
-
-    res = _residual(pi, q)
-    iterations = 0
-    while res > tol and iterations < 3:
-        x = x + lu.solve(b - a @ x)
-        pi = np.zeros(n)
-        pi[keep] = x
-        res = _residual(pi, q)
-        iterations += 1
-    if res > tol:
-        raise NoConvergence(iterations, res)
-    return _distribution(pi, q, SOLVER_METHOD, lu_nnz=int(lu.L.nnz + lu.U.nnz),
-                         refinements=iterations)
-
-
-def _solve_by_power(q: sp.csr_matrix, keep: np.ndarray, tol: float) -> StationaryDistribution:
-    """Power iteration on the row-scaled generator of the terminal class.
+    """Solve pi Q = 0 with sum(pi) = 1 by power iteration on the terminal
+    class of ``rm``.
 
     With D = diag(1 / |q_ii|), y <- y (I + D Q / POWER_DAMPING) is a
     stochastic step whose fixed point gives pi = y D / |y D|.  Every state
@@ -287,11 +214,14 @@ def _solve_by_power(q: sp.csr_matrix, keep: np.ndarray, tol: float) -> Stationar
     The residual on the full generator is checked every
     ``POWER_CHECK_EVERY`` sweeps until it is at most tol /
     ``POWER_TOL_MARGIN``; after ``POWER_MAX_SWEEPS`` sweeps NoConvergence
-    is raised.  (Stewart, *Introduction to the Numerical Solution of Markov
-    Chains*, 1994, ch. 3.)
+    is raised.  A clearly negative mass raises NegativeStationaryMass, and
+    more than one closed class raises NotIrreducible.  (Stewart,
+    *Introduction to the Numerical Solution of Markov Chains*, 1994, ch. 3.)
     """
+    q = rm.matrix
     n = q.shape[0]
-    q_sub = _closed_generator(q, keep)
+    keep = _terminal_states(q)
+    q_sub = q[np.ix_(keep, keep)] if len(keep) < n else q
     m = q_sub.shape[0]
     # a one-state class has no outflow: its whole mass is the solution
     scale = 1.0 / -q_sub.diagonal() if m > 1 else np.ones(1)
@@ -309,12 +239,12 @@ def _solve_by_power(q: sp.csr_matrix, keep: np.ndarray, tol: float) -> Stationar
         pi /= pi.sum()
         res = _residual(pi, q)
         if res <= tol / POWER_TOL_MARGIN:
-            return _distribution(pi, q, POWER_METHOD, sweeps=sweeps)
+            return _distribution(pi, q, sweeps)
         if sweeps >= POWER_MAX_SWEEPS:
-            raise NoConvergence(sweeps, res, "power sweeps")
+            raise NoConvergence(sweeps, res)
 
 
-def _distribution(pi: np.ndarray, q: sp.csr_matrix, method: str, **diagnostics) -> StationaryDistribution:
+def _distribution(pi: np.ndarray, q: sp.csr_matrix, sweeps: int) -> StationaryDistribution:
     """The gated distribution: no clearly negative mass, clipped and renormalized."""
     worst = int(np.argmin(pi))
     if pi[worst] < -1e-14:
@@ -324,10 +254,10 @@ def _distribution(pi: np.ndarray, q: sp.csr_matrix, method: str, **diagnostics) 
     return StationaryDistribution(
         pi=pi,
         residual=_residual(pi, q),
-        method=method,
+        method=POWER_METHOD,
         dimension=q.shape[0],
         nnz=int(q.nnz),
-        **diagnostics,
+        sweeps=sweeps,
     )
 
 
@@ -347,8 +277,8 @@ def rescale_reconfiguration(
     either (Meyer, "Stochastic complementation, uncoupling Markov chains",
     SIAM Review 31(2), 1989), and the mass of every reconfiguration state
     scales with the inverse rate: multiply it by ``factor`` and
-    renormalize.  The residual is measured on ``rm``; the route's
-    diagnostics are those of the solve behind ``dist``.
+    renormalize.  The residual is measured on ``rm``; the sweep count is
+    that of the solve behind ``dist``.
     """
     pi = dist.pi.copy()
     pi[num_regular:] *= factor

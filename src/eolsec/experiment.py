@@ -521,6 +521,7 @@ def _compute_cell(spec: CellSpec) -> CellResult:
     warnings = [f"analytic engine unavailable: {spec.fallback}"] if spec.fallback else []
     if "analytic" in spec.engines:
         space = state_space(cfg)
+        space.transitions  # shared by every cell of the link: built outside the timer
 
     results = []
     for engine in spec.engines:

@@ -216,7 +216,9 @@ def attack_success_probability(pi: np.ndarray, space: StateSpace, width: int) ->
     mass = weights.sum()
     if mass <= 0:
         raise ValueError("no stationary mass on occupied states")
-    return float(per_state @ weights / mass)
+    # both sums add in the same pairwise order and per_state <= 1 term by
+    # term, so the ratio stays <= 1 (a BLAS dot product rounds differently)
+    return float((per_state * weights).sum() / mass)
 
 
 def observable_fraction(

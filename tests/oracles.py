@@ -11,6 +11,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
+from scipy.sparse.linalg import splu
 
 from eolsec.ctmc import ModelVariant, RateMatrix
 from eolsec.link import (
@@ -190,12 +191,28 @@ def loop_generator(space: StateSpace, profile: DemandProfile, variant: ModelVari
     return RateMatrix(q)
 
 
-def lil_bordered_matrix(q_sub: sp.csr_matrix) -> sp.csc_matrix:
+def lil_bordered_matrix(q: sp.csr_matrix) -> sp.csc_matrix:
     """Q^T with its last row replaced by ones, built through a LIL matrix."""
-    m = q_sub.shape[0]
-    a = q_sub.transpose().tolil()
+    m = q.shape[0]
+    a = q.transpose().tolil()
     a[m - 1, :] = np.ones(m)
     return a.tocsc()
+
+
+def lu_stationary(rm: RateMatrix) -> np.ndarray:
+    """Independent sparse solve: an LU of the bordered balance system.
+
+    With one closed class the balance equations have rank n - 1 and the
+    normalization row is not orthogonal to pi, so the bordered matrix is
+    nonsingular even with transient states.  The minimum-degree ordering on
+    A^T + A keeps the factors near the size of Q.
+    """
+    n = rm.dimension
+    b = np.zeros(n)
+    b[n - 1] = 1.0
+    x = splu(lil_bordered_matrix(rm.matrix), permc_spec="MMD_AT_PLUS_A").solve(b)
+    x = np.clip(x, 0.0, None)
+    return x / x.sum()
 
 
 def is_strongly_connected(rm: RateMatrix) -> bool:

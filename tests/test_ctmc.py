@@ -1,9 +1,10 @@
 import pickle
+from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from eolsec import (
@@ -24,19 +25,9 @@ from eolsec import ctmc
 from oracles import (
     dense_stationary_oracle,
     is_strongly_connected,
-    lil_bordered_matrix,
     loop_generator,
+    lu_stationary,
 )
-
-
-def solve_by_lu(rm, tol=1e-10):
-    """The LU route, whatever the size of the chain."""
-    return ctmc._solve_by_lu(rm.matrix, ctmc._terminal_states(rm.matrix), tol)
-
-
-def solve_by_power(rm, tol=1e-10):
-    """The power route, whatever the size of the chain."""
-    return ctmc._solve_by_power(rm.matrix, ctmc._terminal_states(rm.matrix), tol)
 
 
 @pytest.fixture(scope="module")
@@ -261,56 +252,12 @@ def test_assembly_matches_loop_bit_for_bit(capacity, variant, space7, space14):
         assert np.array_equal(a, b), name
 
 
-@pytest.mark.parametrize("variant", ASSEMBLY_VARIANTS, ids=lambda v: f"{v.kind.value}-{v.randomization_rate}")
-def test_bordered_matrix_matches_lil_construction(variant, space14, monkeypatch):
-    rm = assemble_generator(space14, space14.profile, variant)
-    handed = []
-    real_splu = ctmc.splu
-
-    def capture(a, **kwargs):
-        handed.append(a)
-        return real_splu(a, **kwargs)
-
-    monkeypatch.setattr(ctmc, "splu", capture)
-    solve_by_lu(rm)
-    keep = ctmc._terminal_states(rm.matrix)
-    q_sub = rm.matrix[np.ix_(keep, keep)] if len(keep) < rm.dimension else rm.matrix
-    expected = lil_bordered_matrix(q_sub)
-    got = handed[0]
-    assert got.format == "csc"
-    for name in ("indptr", "indices", "data"):
-        a, b = getattr(got, name), getattr(expected, name)
-        assert a.dtype == b.dtype
-        assert np.array_equal(a, b), name
-
-
-def test_lu_fill_stays_near_generator_size():
-    # C=22, demands (4,6,8), randomized-defrag: dim 2,986, nnz 28,909.  The
-    # default COLAMD ordering of the bordered system fills about 106 x nnz(Q).
-    profile = DemandProfile.with_uniform_load(22, (4, 6, 8), 14.0)
-    space = build_state_space(profile)
-    rm = assemble_generator(space, profile, ModelVariant.randomized_defrag(5.0, 100.0))
-    dist = solve_by_lu(rm)
-    assert dist.nnz == rm.matrix.nnz
-    assert dist.lu_nnz <= 25 * dist.nnz
-    assert dist.residual <= 1e-10
-
-
-def test_negative_mass_raises_typed_error(space7, rates7, monkeypatch):
+def test_negative_mass_raises_typed_error(space7, rates7):
     # -pi meets the residual gate (it solves pi Q = 0) but has negative mass
-    real_splu = ctmc.splu
-
-    class Negated:
-        def __init__(self, lu):
-            self.lu, self.L, self.U = lu, lu.L, lu.U
-
-        def solve(self, rhs):
-            return -self.lu.solve(rhs)
-
-    monkeypatch.setattr(ctmc, "splu", lambda *a, **kw: Negated(real_splu(*a, **kw)))
     rm = assemble_generator(space7, rates7, ModelVariant.randomized(0.7, 11.0))
+    dist = solve_stationary(rm)
     with pytest.raises(NegativeStationaryMass, match="negative") as info:
-        solve_stationary(rm)
+        ctmc._distribution(-dist.pi, rm.matrix, dist.sweeps)
     assert info.value.mass < 0.0
 
 
@@ -319,23 +266,6 @@ def space22():
     # demands (4,6,8) at 14 Erlang: dim 2,945 to 2,986, nnz 20,585 to 28,909
     profile = DemandProfile.with_uniform_load(22, (4, 6, 8), 14.0)
     return profile, build_state_space(profile)
-
-
-def test_route_follows_terminal_class_size(space7, rates7, space22):
-    small = solve_stationary(assemble_generator(space7, rates7, ModelVariant.randomized(0.7, 11.0)))
-    assert small.method == ctmc.SOLVER_METHOD
-    assert small.diagnostics() == {
-        "method": ctmc.SOLVER_METHOD, "dimension": small.dimension, "nnz": small.nnz,
-        "lu_nnz": small.lu_nnz, "refinements": 0,
-    }
-    profile, space = space22
-    rm = assemble_generator(space, profile, ModelVariant.randomized_defrag(5.0, 100.0))
-    assert rm.matrix.nnz > ctmc.POWER_MIN_NNZ
-    large = solve_stationary(rm)
-    assert large.method == ctmc.POWER_METHOD
-    assert set(large.diagnostics()) == {"method", "dimension", "nnz", "sweeps"}
-    assert large.sweeps % ctmc.POWER_CHECK_EVERY == 0 and large.sweeps > 0
-    assert large.residual <= 1e-10 / ctmc.POWER_TOL_MARGIN
 
 
 POWER_VARIANTS = [ModelVariant.regular()] + [
@@ -351,18 +281,19 @@ POWER_VARIANTS = [ModelVariant.regular()] + [
 def test_power_route_matches_lu_at_c22(variant, space22):
     profile, space = space22
     rm = assemble_generator(space, profile, variant)
-    lu, power = solve_by_lu(rm), solve_by_power(rm)
+    lu, power = lu_stationary(rm), solve_stationary(rm)
+    assert np.abs(lu @ rm.matrix).max() <= 1e-10
     assert power.residual <= 1e-10
     widths = (10, 15, 22) if variant.has_randomization else ()
 
-    def numbers(dist):
-        report = blocking_report(dist, space, profile, variant)
+    def numbers(pi):
+        report = blocking_report(pi, space, profile, variant)
         return (
             report.overall_blocking, *report.resource_blocking, *report.fragmentation_blocking,
-            *(attack_success_probability(dist.pi, space, w) for w in widths),
+            *(attack_success_probability(pi, space, w) for w in widths),
         )
 
-    assert numbers(power) == pytest.approx(numbers(lu), rel=1e-9, abs=0.0)
+    assert numbers(power.pi) == pytest.approx(numbers(lu), rel=1e-9, abs=0.0)
 
 
 @st.composite
@@ -391,17 +322,32 @@ def small_chains(draw):
 def test_power_route_matches_dense_oracle(chain):
     profile, variant = chain
     rm = assemble_generator(build_state_space(profile), profile, variant)
-    dist = solve_by_power(rm)
+    dist = solve_stationary(rm)
     assert dist.method == ctmc.POWER_METHOD
     assert dist.residual <= 1e-10
     assert np.abs(dist.pi - dense_stationary_oracle(rm)).max() <= 1e-10
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_chains(), st.floats(1.0, 1000.0))
+def test_rescaling_matches_a_direct_solve(chain, mu_d):
+    profile, variant = chain
+    assume(variant.has_randomization)
+    space = build_state_space(profile)
+    rm = assemble_generator(space, profile, replace(variant, reconfig_rate=mu_d))
+    reference = solve_stationary(assemble_generator(space, profile, variant))
+    rescaled = ctmc.rescale_reconfiguration(
+        reference, rm, space.num_regular, variant.reconfig_rate / mu_d
+    )
+    assert rescaled.residual <= 1e-10
+    assert np.abs(rescaled.pi - solve_stationary(rm).pi).max() <= 1e-10
 
 
 def test_power_sweep_cap_raises_no_convergence(space7, rates7, monkeypatch):
     monkeypatch.setattr(ctmc, "POWER_MAX_SWEEPS", 1)
     rm = assemble_generator(space7, rates7, ModelVariant.randomized_defrag(0.7, 11.0))
     with pytest.raises(NoConvergence, match="after 1 power sweeps") as info:
-        solve_by_power(rm)
+        solve_stationary(rm)
     assert info.value.iterations == 1 and info.value.residual > 1e-13
     again = pickle.loads(pickle.dumps(info.value))
     assert str(again) == str(info.value)

@@ -277,25 +277,43 @@ class TestRunExperiments:
         message = "randomization_rate/service_rate = 2.5 is not a positive integer"
         assert cell["warnings"] == [message]
 
-    def test_summary_carries_solver_diagnostics(self, config_path):
-        summary = json.loads(run_experiments(load_config(config_path)).summary_path.read_text())
+    def test_summary_carries_solver_diagnostics(self, config_path, tmp_path):
+        # every chain of a C=7 and of a C=22, demands (4,6,8) link
+        c22 = tmp_path / "c22.yaml"
+        c22.write_text(
+            config_path.read_text()
+            .replace("capacity: 7", "capacity: 22")
+            .replace("demands: [3, 4]", "demands: [4, 6, 8]")
+            .replace("window_widths: [3, 7]", "window_widths: [10, 22]")
+        )
         dims = {"regular": 15, "randomized": 15 + 4, "randomized-defrag": 15 + 4 + 2}
-        for cell in summary["cells"]:
-            solver = cell["analytic"]["solver"]
-            assert solver["method"] == "splu:MMD_AT_PLUS_A"
-            assert solver["dimension"] == dims[cell["variant"]]
-            assert 0 < solver["nnz"] <= solver["lu_nnz"]
-            assert solver["refinements"] == 0
+        for path in (config_path, c22):
+            summary = json.loads(run_experiments(load_config(path)).summary_path.read_text())
+            assert len(summary["cells"]) == 6
+            for cell in summary["cells"]:
+                solver = cell["analytic"]["solver"]
+                assert set(solver) == {"method", "dimension", "nnz", "sweeps"}
+                assert solver["method"] == ctmc.POWER_METHOD
+                if path == config_path:
+                    assert solver["dimension"] == dims[cell["variant"]]
+                assert 0 < solver["dimension"] < solver["nnz"]
+                assert solver["sweeps"] > 0 and solver["sweeps"] % ctmc.POWER_CHECK_EVERY == 0
+                assert cell["analytic"]["residual"] <= 1e-10 / ctmc.POWER_TOL_MARGIN
 
-    def test_summary_names_the_power_route(self, config_path, monkeypatch):
-        monkeypatch.setattr(ctmc, "POWER_MIN_NNZ", 0)
-        summary = json.loads(run_experiments(load_config(config_path)).summary_path.read_text())
-        for cell in summary["cells"]:
-            solver = cell["analytic"]["solver"]
-            assert set(solver) == {"method", "dimension", "nnz", "sweeps"}
-            assert solver["method"] == "power:jacobi-scaled"
-            assert solver["sweeps"] > 0
-            assert cell["analytic"]["residual"] <= 1e-10
+    def test_wall_ms_excludes_the_shared_transitions(self, config_path, monkeypatch):
+        # a fresh space, so that no earlier test has built its transitions
+        experiment._shared_space.cache_clear()
+        experiment._reference.cache_clear()
+        timed = []
+        real = experiment._analytic
+
+        def analytic(spec, space):
+            timed.append("transitions" in vars(space))
+            return real(spec, space)
+
+        monkeypatch.setattr(experiment, "_analytic", analytic)
+        run_experiments(load_config(config_path))
+        assert timed == [True] * 6
 
     def test_empty_load_list_gives_header_only(self, tmp_path):
         path = tmp_path / "empty.yaml"
@@ -645,7 +663,6 @@ class TestCli:
         assert "negative" in capsys.readouterr().err
 
     def test_power_sweep_cap_is_numerical_failure(self, config_path, tmp_path, monkeypatch, capsys):
-        monkeypatch.setattr(ctmc, "POWER_MIN_NNZ", 0)
         monkeypatch.setattr(ctmc, "POWER_MAX_SWEEPS", 1)
         code = main(["run", "--config", str(config_path), "--out-dir", str(tmp_path / "o")])
         assert code == EXIT_NUMERICAL

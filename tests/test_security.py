@@ -336,3 +336,17 @@ def test_security_columns_by_width(space7, profile7):
     assert probs == sorted(probs)  # wider windows are easier to attack
     _, fraction = observable_fraction(probs[-1], 2.0, 1.0)
     assert fraction == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("load", [0.5, 1.0, 4.0])
+@pytest.mark.parametrize("variant", [
+    ModelVariant.randomized(1.0, 10.0),
+    ModelVariant.randomized_defrag(5.0, 100.0),
+], ids=["randomized", "randomized-defrag"])
+def test_attack_success_is_a_probability(load, variant):
+    profile = DemandProfile.with_uniform_load(9, (2, 3), load)
+    space = build_state_space(profile)
+    pi = solve_stationary(assemble_generator(space, profile, variant)).pi
+    probs = [attack_success_probability(pi, space, w) for w in range(1, 10)]
+    assert probs[-1] == 1.0  # a window over the whole link sees every connection
+    assert all(0.0 <= p <= 1.0 for p in probs)

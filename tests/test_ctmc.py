@@ -268,6 +268,23 @@ def space22():
     return profile, build_state_space(profile)
 
 
+def test_route_follows_terminal_class_size(space7, rates7, space22):
+    # one route at every size: a 15-state C=7 chain and a C=22 chain of
+    # some 3,000 states both take power iteration and report its sweeps
+    small = solve_stationary(assemble_generator(space7, rates7, ModelVariant.randomized(0.7, 11.0)))
+    profile, space = space22
+    large = solve_stationary(assemble_generator(space, profile, ModelVariant.randomized_defrag(5.0, 100.0)))
+    assert small.dimension < 100 < 1000 < large.dimension
+    for dist in (small, large):
+        assert dist.method == ctmc.POWER_METHOD
+        assert dist.diagnostics() == {
+            "method": ctmc.POWER_METHOD, "dimension": dist.dimension, "nnz": dist.nnz,
+            "sweeps": dist.sweeps,
+        }
+        assert dist.sweeps % ctmc.POWER_CHECK_EVERY == 0 and dist.sweeps > 0
+        assert dist.residual <= 1e-10 / ctmc.POWER_TOL_MARGIN
+
+
 POWER_VARIANTS = [ModelVariant.regular()] + [
     kind(lam_s, mu_d)
     for kind in (ModelVariant.randomized, ModelVariant.randomized_defrag)

@@ -300,6 +300,15 @@ class TestRunExperiments:
                 assert solver["sweeps"] > 0 and solver["sweeps"] % ctmc.POWER_CHECK_EVERY == 0
                 assert cell["analytic"]["residual"] <= 1e-10 / ctmc.POWER_TOL_MARGIN
 
+    def test_summary_names_the_power_route(self, config_path):
+        summary = json.loads(run_experiments(load_config(config_path)).summary_path.read_text())
+        for cell in summary["cells"]:
+            solver = cell["analytic"]["solver"]
+            assert set(solver) == {"method", "dimension", "nnz", "sweeps"}
+            assert solver["method"] == "power:jacobi-scaled"
+            assert solver["sweeps"] > 0
+            assert cell["analytic"]["residual"] <= 1e-10
+
     def test_wall_ms_excludes_the_shared_transitions(self, config_path, monkeypatch):
         # a fresh space, so that no earlier test has built its transitions
         experiment._shared_space.cache_clear()

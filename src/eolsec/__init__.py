@@ -21,15 +21,7 @@ from .ctmc import (
     blocking_report,
     solve_stationary,
 )
-from .link import (
-    Classification,
-    DemandProfile,
-    classify,
-    is_defragmented,
-    pattern,
-    placements,
-    removals,
-)
+from .link import DemandProfile, pattern
 from .security import (
     NonIntegerRpRatio,
     attack_success_probability,
@@ -57,7 +49,6 @@ from .statespace import (
 
 __all__ = [
     "BlockingReport",
-    "Classification",
     "DemandProfile",
     "DEFAULT_SEED",
     "EventCounts",
@@ -79,17 +70,13 @@ __all__ = [
     "attack_success_probability",
     "blocking_report",
     "build_state_space",
-    "classify",
     "count_states",
     "dump_states",
     "feasible_patterns",
-    "is_defragmented",
     "observable_fraction",
     "pattern",
     "pattern_size",
     "per_state_attack_success",
-    "placements",
-    "removals",
     "run_simulation",
     "solve_stationary",
 ]

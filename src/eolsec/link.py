@@ -13,7 +13,6 @@ from __future__ import annotations
 import random
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
-from enum import Enum
 
 FREE = 0
 
@@ -80,14 +79,6 @@ class DemandProfile:
         )
 
 
-class Classification(Enum):
-    """Outcome of offering one class-k arrival to a state."""
-
-    ACCEPT = "accept"
-    FRAG_BLOCKED = "frag-blocked"
-    RESOURCE_BLOCKED = "resource-blocked"
-
-
 def check_arrangement(tokens: Sequence[int], profile: DemandProfile) -> None:
     """Raise ValueError unless ``tokens`` is a valid state for ``profile``."""
     K = profile.num_classes
@@ -137,8 +128,8 @@ def random_fit(tokens: Sequence[int], need: int, uniform: Callable[[], float]) -
     """Token index where random fit places a ``need``-slot block, or None.
 
     Takes the ``floor(u * m)``-th of the ``m`` fitting starts in slot order
-    (the order of ``placements``) with ``u = uniform()``.  ``uniform`` is
-    called once, and only when the block fits.
+    with ``u = uniform()``.  ``uniform`` is called once, and only when the
+    block fits.
     """
     runs = fit_runs(tokens, need)
     if not runs:
@@ -153,56 +144,20 @@ def random_fit(tokens: Sequence[int], need: int, uniform: Callable[[], float]) -
         pick -= c
 
 
-def classify(tokens: Sequence[int], k: int, profile: DemandProfile) -> Classification:
-    """Accept, fragmentation-blocked or resource-blocked for a class-k arrival."""
-    need = profile.demand(k)
-    if fit_runs(tokens, need):
-        return Classification.ACCEPT
-    if tokens.count(FREE) >= need:
-        return Classification.FRAG_BLOCKED
-    return Classification.RESOURCE_BLOCKED
+def shuffle(x: list, getrandbits: Callable[[int], int]) -> None:
+    """Shuffle ``x`` in place exactly as ``random.Random.shuffle`` does.
 
-
-def placements(tokens: Sequence[int], k: int, profile: DemandProfile) -> list[tuple[int, ...]]:
-    """All states reachable by admitting one class-k connection.
-
-    One result per admissible slot position, in slot order.  Under the
-    random-fit policy each result is chosen with probability 1/len(result).
+    The same Fisher-Yates walk as CPython 3.11, with its rejection sampling
+    (``_randbelow_with_getrandbits``) inlined: for a generator ``rng``,
+    ``shuffle(x, rng.getrandbits)`` draws the same bits and leaves the same
+    permutation and the same generator state, at about half the cost.
     """
-    need = profile.demand(k)
-    runs = fit_runs(tokens, need)
-    if not runs:
-        raise ValueError(f"class {k} is not acceptable in this state")
-    tokens = tuple(tokens)
-    return [
-        tokens[:off] + (k,) + tokens[off + need:]
-        for start, c in runs
-        for off in range(start, start + c)
-    ]
-
-
-def removals(tokens: Sequence[int], k: int, profile: DemandProfile) -> list[tuple[tuple[int, ...], int]]:
-    """States reachable by one class-k departure, with multiplicities.
-
-    Each of the n_k class-k connections is removed in turn; identical
-    results are merged and their multiplicities summed, so the total
-    multiplicity is n_k.
-    """
-    tokens = tuple(tokens)
-    frees = (FREE,) * profile.demand(k)
-    merged: dict[tuple[int, ...], int] = {}
-    for i, t in enumerate(tokens):
-        if t == k:
-            target = tokens[:i] + frees + tokens[i + 1:]
-            merged[target] = merged.get(target, 0) + 1
-    if not merged:
-        raise ValueError(f"no class-{k} connection to remove")
-    return list(merged.items())
-
-
-def is_defragmented(tokens: Sequence[int]) -> bool:
-    """True iff all free slots form at most one contiguous block."""
-    return len(fit_runs(tokens, 1)) <= 1
+    for i in range(len(x) - 1, 0, -1):
+        k = (i + 1).bit_length()
+        j = getrandbits(k)
+        while j > i:
+            j = getrandbits(k)
+        x[i], x[j] = x[j], x[i]
 
 
 def defragmented(tokens: Sequence[int], rng: random.Random) -> list[int]:
@@ -212,7 +167,7 @@ def defragmented(tokens: Sequence[int], rng: random.Random) -> list[int]:
     the gaps, which hits every single-free-block arrangement exactly once.
     """
     conns = [t for t in tokens if t != FREE]
-    rng.shuffle(conns)
+    shuffle(conns, rng.getrandbits)
     gap = rng.randrange(len(conns) + 1) if conns else 0
     return conns[:gap] + [FREE] * (len(tokens) - len(conns)) + conns[gap:]
 

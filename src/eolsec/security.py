@@ -171,12 +171,14 @@ class WindowSurvival:
 class SurvivalMemo:
     """Per-state attack success of one state space, by window width.
 
-    One ``WindowSurvival`` serves every width, so its prefix sums are shared.
+    One ``WindowSurvival`` serves every width, so its prefix sums are
+    shared, and each state's connection spans are listed once.
     """
 
     def __init__(self, profile: DemandProfile):
         self.kernel = WindowSurvival(profile)
         self.by_width: dict[int, np.ndarray] = {}
+        self.spans: list[list[tuple[int, int, int]]] | None = None  # per state, for every width
 
 
 def per_state_attack_success(space: StateSpace, width: int) -> np.ndarray:
@@ -196,10 +198,15 @@ def per_state_attack_success(space: StateSpace, width: int) -> np.ndarray:
         memo = space.survival_memo = SurvivalMemo(profile)
     result = memo.by_width.get(width)
     if result is None:
-        kernel = memo.kernel
+        if memo.spans is None:
+            shared: dict = {}  # one tuple per distinct span keeps the lists small
+            memo.spans = [
+                [shared.setdefault(span, span) for span in token_spans(arr, profile.demands)]
+                for arr in space.arrangements
+            ]
+        expected = memo.kernel.expected
         result = memo.by_width[width] = np.array([
-            kernel.expected(token_spans(arr, profile.demands), pat, width)
-            for arr, pat in zip(space.arrangements, space.state_patterns)
+            expected(spans, pat, width) for spans, pat in zip(memo.spans, space.state_patterns)
         ])
     return result
 

@@ -36,6 +36,7 @@ from .link import (
     defragmented,
     pattern,
     random_fit,
+    shuffle,
     token_spans,
 )
 from .security import WindowSurvival
@@ -162,6 +163,7 @@ def _simulate_replication(
     rng = random.Random(f"{cfg.seed}:{rep}")
     expovariate = rng.expovariate
     uniform = rng.random
+    getrandbits = rng.getrandbits
 
     rec = _Replication(
         tables=[[[0] * K for _ in range(4)] for _ in range(n_batches)],
@@ -265,7 +267,7 @@ def _simulate_replication(
                     for w in widths:
                         rec.rp_success[w] += survival.expected(spans, pat, w)
                     rec.rp_events += 1
-                rng.shuffle(tokens)
+                shuffle(tokens, getrandbits)
             else:
                 tokens = defragmented(tokens, rng)
             if debug:

@@ -8,30 +8,35 @@ is fragmentation-blocked, one defragmentation state.
 Canonical order: patterns ascending lexicographically, then token sequences
 ascending lexicographically within a pattern.  Index 0 is therefore always
 the all-free state.
+
+Layout: the states of one pattern form one block of consecutive indices,
+held as an ``int8`` array of token rows (``StateSpace.blocks``).  A state's
+index is its pattern's offset plus its rank inside the block.  A block is
+the lexicographic multiset permutations of its tokens (Knuth, TAOCP 4A,
+7.2.1.2), built by prefixing each token to the block of the remaining
+multiset; a memo on the remaining multiset shares those suffix blocks
+between patterns.  Classification and transitions are array operations on
+whole blocks.  The length of the free run ending at each token gives the
+windows where an arrival fits, and a departure replaces one class-k token
+by ``d_k`` frees.  The rows of one block share one length and are sorted,
+so read as byte strings they rank a target row with one binary search.
 """
 
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from typing import Iterator, TextIO
 
 import numpy as np
 
-from .link import (
-    Classification,
-    DemandProfile,
-    classify,
-    is_defragmented,
-    placements,
-    removals,
-)
+from .link import DemandProfile
 
 # Regular states the exact engine is known to finish: one randomized-defrag
-# cell (enumerate, transitions, power solve, three window widths) takes 13 s
-# and 275 MB at C=32, demands (4,6,8), 163,312 states, and 12 s and 258 MB
+# cell (enumerate, transitions, power solve, three window widths) takes 4-6 s
+# and 270-290 MB at C=32, demands (4,6,8), 163,312 states, and 4 s and 266 MB
 # at C=19, demands (2,3,4), 147,312 states (2-core VM).  Beyond it analytic
 # falls back to Monte Carlo.
 DEFAULT_STATE_BUDGET = 163_312
@@ -95,24 +100,39 @@ def count_states(profile: DemandProfile) -> int:
     return sum(pattern_size(p, profile) for p in feasible_patterns(profile))
 
 
-def _token_sequences(counts: list[int]) -> Iterator[tuple[int, ...]]:
-    """Multiset permutations of tokens {t: counts[t]}, lexicographically ascending."""
-    total = sum(counts)
-    seq: list[int] = []
-
-    def rec() -> Iterator[tuple[int, ...]]:
-        if len(seq) == total:
-            yield tuple(seq)
-            return
+def _permutations(counts: tuple[int, ...], memo: dict) -> np.ndarray:
+    """Multiset permutations of tokens {t: counts[t]} as rows, lexicographically ascending."""
+    rows = memo.get(counts)
+    if rows is None:
+        parts = []
         for t, c in enumerate(counts):
             if c:
-                counts[t] -= 1
-                seq.append(t)
-                yield from rec()
-                seq.pop()
-                counts[t] += 1
+                tail = _permutations(counts[:t] + (c - 1,) + counts[t + 1:], memo)
+                part = np.empty((len(tail), tail.shape[1] + 1), np.int8)
+                part[:, 0] = t
+                part[:, 1:] = tail
+                parts.append(part)
+        rows = memo[counts] = np.concatenate(parts) if parts else np.zeros((1, 0), np.int8)
+    return rows
 
-    yield from rec()
+
+def _free_runs(block: np.ndarray) -> np.ndarray:
+    """Length of the free run ending at each token of every row, 0 at a connection."""
+    runs = np.zeros(block.shape, np.int16)
+    run = np.zeros(len(block), np.int16)
+    for j, free in enumerate((block == 0).T):
+        run = (run + 1) * free
+        runs[:, j] = run
+    return runs
+
+
+def _keys(rows: np.ndarray) -> np.ndarray:
+    """Token rows of one length as byte strings, which sort as the rows do.
+
+    NumPy ignores trailing zero bytes when it compares byte strings; as 0
+    is the least token, that keeps the order of rows of one length.
+    """
+    return np.ascontiguousarray(rows).view(f"S{rows.shape[1]}").ravel()
 
 
 @dataclass(frozen=True)
@@ -120,15 +140,17 @@ class TransitionStructure:
     """Rate-free transitions of every model variant over one state space.
 
     Entry ``e`` moves state ``row[e]`` to state ``col[e]`` at rate
-    ``base[kind[e]] * mult[e] / div[e]``; ``rates`` lays out ``base``.
-    Entries are in assembly order; global indices follow the full
-    [regular | randomization | defrag] layout.
+    ``base[kind[e]] / div[e]``; ``rates`` lays out ``base``.  Entries are
+    in assembly order: by source state, then per class its arrivals (in
+    slot order) and its departures (in token order), then the move into the
+    randomization state; the returns of the randomization and defrag states
+    follow.  Global indices follow the full [regular | randomization |
+    defrag] layout.
     """
 
     row: np.ndarray
     col: np.ndarray
     kind: np.ndarray
-    mult: np.ndarray
     div: np.ndarray
 
     def rates(
@@ -150,7 +172,7 @@ class TransitionStructure:
         base = np.concatenate([
             arrival, defrag_arrival, service, [randomization, randomization_return, defrag_return],
         ])
-        return base[self.kind] * self.mult / self.div
+        return base[self.kind] / self.div
 
 
 @dataclass
@@ -160,7 +182,8 @@ class StateSpace:
     Global state indices follow the layout [regular | randomization | defrag]:
     randomization state ``v`` has index ``num_regular + v`` and defrag state
     ``v`` has index ``num_regular + num_raas + v`` (when the model variant
-    instantiates them).
+    instantiates them).  ``blocks`` holds the token rows of each pattern in
+    ``pattern_groups`` order; the tuple fields are derived from them.
     """
 
     profile: DemandProfile
@@ -172,6 +195,7 @@ class StateSpace:
     raas_patterns: tuple[tuple[int, ...], ...]
     daas_patterns: tuple[tuple[int, ...], ...]
     defrag_targets: tuple[tuple[int, ...], ...]
+    blocks: tuple[np.ndarray, ...] = field(repr=False, compare=False)
     # security.SurvivalMemo of this space, created on first use
     survival_memo: object = field(default=None, repr=False, compare=False)
 
@@ -190,39 +214,65 @@ class StateSpace:
     @cached_property
     def transitions(self) -> TransitionStructure:
         """The transition structure, derived on first use."""
-        profile = self.profile
-        K = profile.num_classes
-        randomize, return_raas, return_daas = 3 * K, 3 * K + 1, 3 * K + 2
-        n_sa = self.num_regular
-        n_r = self.num_raas
-        index_of = {arr: i for i, arr in enumerate(self.arrangements)}
+        demands = self.profile.demands
+        K = len(demands)
+        n_sa, n_r = self.num_regular, self.num_raas
+        patterns = list(self.pattern_groups)
+        position = {pat: p for p, pat in enumerate(patterns)}
+        firsts = [self.pattern_groups[pat][0] for pat in patterns]
+        keys = [_keys(block) for block in self.blocks]
         raas_index = {pat: v for v, pat in enumerate(self.raas_patterns)}
         daas_index = {pat: v for v, pat in enumerate(self.daas_patterns)}
-        entries = array("q")  # flat (row, col, kind, mult, div) records
-        for i, arr in enumerate(self.arrangements):
-            pat = self.state_patterns[i]
-            for k in range(1, K + 1):
-                # build_state_space classified every state; reuse its sets
-                if i in self.frag_blocked[k - 1]:
-                    entries.extend((i, n_sa + n_r + daas_index[pat], K + k - 1, 1, 1))
-                elif i not in self.resource_blocked[k - 1]:
-                    targets = placements(arr, k, profile)
-                    for target in targets:
-                        entries.extend((i, index_of[target], k - 1, 1, len(targets)))
+        parts: list[list[np.ndarray]] = []  # (row, col, kind, div) per pattern, in entry order
+
+        for first, pat, block in zip(firsts, patterns, self.blocks):
+            length = block.shape[1]
+            frees = length - sum(pat)
+            runs = _free_runs(block)
+            # groups of entries in (class, arrival before departure) order,
+            # each sorted by row and then by token position
+            groups = []
+            for k, d in enumerate(demands, start=1):
+                if frees >= d:
+                    # fits[r, s]: the d tokens from s on are free in row r
+                    fits = runs[:, d - 1:] >= d
+                    n_fits = fits.sum(axis=1)
+                    r, s = np.nonzero(fits)
+                    cols = np.arange(length - d + 1)
+                    target = block[r[:, None], cols + (d - 1) * (cols > s[:, None])]
+                    target[np.arange(len(r)), s] = k
+                    up = position[pat[:k - 1] + (pat[k - 1] + 1,) + pat[k:]]
+                    col = firsts[up] + np.searchsorted(keys[up], _keys(target))
+                    groups.append((r, col, k - 1, n_fits[r]))
+                    blocked = np.flatnonzero(n_fits == 0)
+                    if len(blocked):
+                        groups.append((blocked, n_sa + n_r + daas_index[pat], K + k - 1, 1))
                 if pat[k - 1]:
-                    for target, mult in removals(arr, k, profile):
-                        entries.extend((i, index_of[target], 2 * K + k - 1, mult, 1))
+                    r, s = np.nonzero(block == k)
+                    cols = np.arange(length + d - 1)
+                    target = block[r[:, None], cols - np.clip(cols - s[:, None], 0, d - 1)]
+                    target[(cols >= s[:, None]) & (cols < s[:, None] + d)] = 0
+                    down = position[pat[:k - 1] + (pat[k - 1] - 1,) + pat[k:]]
+                    col = firsts[down] + np.searchsorted(keys[down], _keys(target))
+                    groups.append((r, col, 2 * K + k - 1, 1))
             if pat in raas_index:
-                entries.extend((i, n_sa + raas_index[pat], randomize, 1, 1))
-        for v, pat in enumerate(self.raas_patterns):
-            members = self.pattern_groups[pat]
-            for j in members:
-                entries.extend((n_sa + v, j, return_raas, 1, len(members)))
-        for v, targets in enumerate(self.defrag_targets):
-            for j in targets:
-                entries.extend((n_sa + n_r + v, j, return_daas, 1, len(targets)))
-        row, col, kind, mult, div = np.frombuffer(entries, dtype=np.int64).reshape(-1, 5).T.copy()
-        return TransitionStructure(row=row, col=col, kind=kind, mult=mult, div=div)
+                groups.append((np.arange(len(block)), n_sa + raas_index[pat], 3 * K, 1))
+            row, col, kind, div = (np.concatenate(a) for a in zip(*(np.broadcast_arrays(*g) for g in groups)))
+            # a stable sort by row keeps each row's entries in group order
+            order = np.argsort(row, kind="stable")
+            parts.append([first + row[order], col[order], kind[order], div[order]])
+
+        # the randomization states return to their pattern, the defrag states to its targets
+        returns = [self.pattern_groups[pat] for pat in self.raas_patterns] + list(self.defrag_targets)
+        sizes = np.array([len(g) for g in returns], np.int64)
+        parts.append([
+            np.repeat(np.arange(n_sa, n_sa + len(returns)), sizes),
+            np.fromiter(chain.from_iterable(returns), np.int64),
+            np.repeat(np.where(np.arange(len(returns)) < n_r, 3 * K + 1, 3 * K + 2), sizes),
+            np.repeat(sizes, sizes),
+        ])
+        row, col, kind, div = (np.concatenate(a, dtype=np.int64) for a in zip(*parts))
+        return TransitionStructure(row=row, col=col, kind=kind, div=div)
 
 
 def build_state_space(profile: DemandProfile, options: SpaceOptions | None = None) -> StateSpace:
@@ -236,54 +286,51 @@ def build_state_space(profile: DemandProfile, options: SpaceOptions | None = Non
     if predicted > options.state_budget:
         raise StateBudgetExceeded(predicted, options.state_budget)
 
-    K = profile.num_classes
+    demands = profile.demands
+    memo: dict = {}
+    blocks: list[np.ndarray] = []
     arrangements: list[tuple[int, ...]] = []
     state_patterns: list[tuple[int, ...]] = []
     pattern_groups: dict[tuple[int, ...], tuple[int, ...]] = {}
-    frag: list[set[int]] = [set() for _ in range(K)]
-    res: list[set[int]] = [set() for _ in range(K)]
+    frag: list[list[int]] = [[] for _ in demands]  # ascending indices per class
+    res: list[list[int]] = [[] for _ in demands]
     daas_patterns: list[tuple[int, ...]] = []  # patterns with a fragmentation-blocked state
+    defrag_targets: list[tuple[int, ...]] = []
 
     for pat in feasible_patterns(profile):
-        used = sum(n * d for n, d in zip(pat, profile.demands))
-        counts = [profile.capacity - used] + list(pat)
-        members: list[int] = []
-        fragmentable = False
-        for tokens in _token_sequences(counts):
-            idx = len(arrangements)
-            arrangements.append(tokens)
-            state_patterns.append(pat)
-            members.append(idx)
-            for k in range(1, K + 1):
-                c = classify(tokens, k, profile)
-                if c is Classification.FRAG_BLOCKED:
-                    frag[k - 1].add(idx)
-                    fragmentable = True
-                elif c is Classification.RESOURCE_BLOCKED:
-                    res[k - 1].add(idx)
-        pattern_groups[pat] = tuple(members)
-        if fragmentable:
+        frees = profile.capacity - sum(n * d for n, d in zip(pat, demands))
+        block = _permutations((frees,) + pat, memo)
+        first = len(arrangements)
+        members = np.arange(first, first + len(block))
+        runs = _free_runs(block)
+        longest = runs.max(axis=1)
+        for k, d in enumerate(demands):
+            if frees < d:
+                res[k].extend(members.tolist())
+            else:
+                frag[k].extend(members[longest < d].tolist())
+        blocks.append(block)
+        arrangements.extend(map(tuple, block.tolist()))
+        state_patterns.extend([pat] * len(block))
+        pattern_groups[pat] = tuple(members.tolist())
+        if any(s and s[-1] >= first for s in frag):  # a state of pat is fragmentation-blocked
             daas_patterns.append(pat)
-
-    raas_patterns = tuple(
-        pat for pat in pattern_groups
-        if sum(pat) >= 1 or options.randomize_empty
-    )
-    defrag_targets = tuple(
-        tuple(i for i in pattern_groups[pat] if is_defragmented(arrangements[i]))
-        for pat in daas_patterns
-    )
+            # at most one free run: the free tokens start one run, or there are none
+            defrag_targets.append(tuple(members[(runs == 1).sum(axis=1) <= 1].tolist()))
 
     return StateSpace(
         profile=profile,
         arrangements=tuple(arrangements),
         state_patterns=tuple(state_patterns),
         pattern_groups=pattern_groups,
-        frag_blocked=tuple(frozenset(s) for s in frag),
-        resource_blocked=tuple(frozenset(s) for s in res),
-        raas_patterns=raas_patterns,
+        # set() adds the indices in ascending order, as a loop of set.add
+        # would, so blocking_report sums over each set in the same order
+        frag_blocked=tuple(frozenset(set(s)) for s in frag),
+        resource_blocked=tuple(frozenset(set(s)) for s in res),
+        raas_patterns=tuple(pat for pat in pattern_groups if sum(pat) >= 1 or options.randomize_empty),
         daas_patterns=tuple(daas_patterns),
-        defrag_targets=defrag_targets,
+        defrag_targets=tuple(defrag_targets),
+        blocks=tuple(blocks),
     )
 
 

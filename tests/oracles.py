@@ -3,7 +3,10 @@ and the link helpers that only tests use."""
 
 from __future__ import annotations
 
+from array import array
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
+from enum import Enum
 from functools import lru_cache
 from itertools import product
 
@@ -14,19 +17,185 @@ from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import splu
 
 from eolsec.ctmc import ModelVariant, RateMatrix
-from eolsec.link import (
-    Classification,
-    DemandProfile,
-    classify,
-    fit_runs,
-    pattern,
-    placements,
-    removals,
-    token_spans,
+from eolsec.link import FREE, DemandProfile, fit_runs, pattern, token_spans
+from eolsec.statespace import (
+    SpaceOptions,
+    StateSpace,
+    _permutation_count,
+    feasible_patterns,
+    pattern_size,
 )
-from eolsec.statespace import StateSpace, _permutation_count, _token_sequences, pattern_size
 
 DEFAULT_ENUMERATION_BUDGET = 2_000_000
+
+
+class Classification(Enum):
+    """Outcome of offering one class-k arrival to a state."""
+
+    ACCEPT = "accept"
+    FRAG_BLOCKED = "frag-blocked"
+    RESOURCE_BLOCKED = "resource-blocked"
+
+
+def classify(tokens: Sequence[int], k: int, profile: DemandProfile) -> Classification:
+    """Accept, fragmentation-blocked or resource-blocked for a class-k arrival."""
+    need = profile.demand(k)
+    if fit_runs(tokens, need):
+        return Classification.ACCEPT
+    if tokens.count(FREE) >= need:
+        return Classification.FRAG_BLOCKED
+    return Classification.RESOURCE_BLOCKED
+
+
+def placements(tokens: Sequence[int], k: int, profile: DemandProfile) -> list[tuple[int, ...]]:
+    """All states reachable by admitting one class-k connection.
+
+    One result per admissible slot position, in slot order.  Under the
+    random-fit policy each result is chosen with probability 1/len(result).
+    """
+    need = profile.demand(k)
+    runs = fit_runs(tokens, need)
+    if not runs:
+        raise ValueError(f"class {k} is not acceptable in this state")
+    tokens = tuple(tokens)
+    return [
+        tokens[:off] + (k,) + tokens[off + need:]
+        for start, c in runs
+        for off in range(start, start + c)
+    ]
+
+
+def removals(tokens: Sequence[int], k: int, profile: DemandProfile) -> list[tuple[tuple[int, ...], int]]:
+    """States reachable by one class-k departure, with multiplicities.
+
+    Each of the n_k class-k connections is removed in turn; identical
+    results are merged and their multiplicities summed, so the total
+    multiplicity is n_k.
+    """
+    tokens = tuple(tokens)
+    frees = (FREE,) * profile.demand(k)
+    merged: dict[tuple[int, ...], int] = {}
+    for i, t in enumerate(tokens):
+        if t == k:
+            target = tokens[:i] + frees + tokens[i + 1:]
+            merged[target] = merged.get(target, 0) + 1
+    if not merged:
+        raise ValueError(f"no class-{k} connection to remove")
+    return list(merged.items())
+
+
+def is_defragmented(tokens: Sequence[int]) -> bool:
+    """True iff all free slots form at most one contiguous block."""
+    return len(fit_runs(tokens, 1)) <= 1
+
+
+def token_sequences(counts: list[int]) -> Iterator[tuple[int, ...]]:
+    """Multiset permutations of tokens {t: counts[t]}, lexicographically ascending."""
+    total = sum(counts)
+    seq: list[int] = []
+
+    def rec() -> Iterator[tuple[int, ...]]:
+        if len(seq) == total:
+            yield tuple(seq)
+            return
+        for t, c in enumerate(counts):
+            if c:
+                counts[t] -= 1
+                seq.append(t)
+                yield from rec()
+                seq.pop()
+                counts[t] += 1
+
+    yield from rec()
+
+
+def scalar_state_space(profile: DemandProfile, options: SpaceOptions | None = None) -> dict:
+    """The public ``StateSpace`` fields, enumerated and classified state by state."""
+    options = options or SpaceOptions()
+    K = profile.num_classes
+    arrangements: list[tuple[int, ...]] = []
+    state_patterns: list[tuple[int, ...]] = []
+    pattern_groups: dict[tuple[int, ...], tuple[int, ...]] = {}
+    frag: list[set[int]] = [set() for _ in range(K)]
+    res: list[set[int]] = [set() for _ in range(K)]
+    daas_patterns: list[tuple[int, ...]] = []
+
+    for pat in feasible_patterns(profile):
+        used = sum(n * d for n, d in zip(pat, profile.demands))
+        members: list[int] = []
+        fragmentable = False
+        for tokens in token_sequences([profile.capacity - used] + list(pat)):
+            idx = len(arrangements)
+            arrangements.append(tokens)
+            state_patterns.append(pat)
+            members.append(idx)
+            for k in range(1, K + 1):
+                c = classify(tokens, k, profile)
+                if c is Classification.FRAG_BLOCKED:
+                    frag[k - 1].add(idx)
+                    fragmentable = True
+                elif c is Classification.RESOURCE_BLOCKED:
+                    res[k - 1].add(idx)
+        pattern_groups[pat] = tuple(members)
+        if fragmentable:
+            daas_patterns.append(pat)
+
+    return {
+        "arrangements": tuple(arrangements),
+        "state_patterns": tuple(state_patterns),
+        "pattern_groups": pattern_groups,
+        "frag_blocked": tuple(frozenset(s) for s in frag),
+        "resource_blocked": tuple(frozenset(s) for s in res),
+        "raas_patterns": tuple(
+            pat for pat in pattern_groups if sum(pat) >= 1 or options.randomize_empty
+        ),
+        "daas_patterns": tuple(daas_patterns),
+        "defrag_targets": tuple(
+            tuple(i for i in pattern_groups[pat] if is_defragmented(arrangements[i]))
+            for pat in daas_patterns
+        ),
+    }
+
+
+def scalar_transitions(space: StateSpace) -> dict[str, np.ndarray]:
+    """``row``, ``col``, ``kind``, ``mult`` and ``div`` of every transition, state by state.
+
+    Entry ``e`` has rate ``base[kind[e]] * mult[e] / div[e]`` in the layout
+    of ``TransitionStructure.rates``; ``mult`` counts the departures that
+    ``removals`` merged into one entry.
+    """
+    profile = space.profile
+    K = profile.num_classes
+    randomize, return_raas, return_daas = 3 * K, 3 * K + 1, 3 * K + 2
+    n_sa = space.num_regular
+    n_r = space.num_raas
+    index_of = {arr: i for i, arr in enumerate(space.arrangements)}
+    raas_index = {pat: v for v, pat in enumerate(space.raas_patterns)}
+    daas_index = {pat: v for v, pat in enumerate(space.daas_patterns)}
+    entries = array("q")  # flat (row, col, kind, mult, div) records
+    for i, arr in enumerate(space.arrangements):
+        pat = space.state_patterns[i]
+        for k in range(1, K + 1):
+            if i in space.frag_blocked[k - 1]:
+                entries.extend((i, n_sa + n_r + daas_index[pat], K + k - 1, 1, 1))
+            elif i not in space.resource_blocked[k - 1]:
+                targets = placements(arr, k, profile)
+                for target in targets:
+                    entries.extend((i, index_of[target], k - 1, 1, len(targets)))
+            if pat[k - 1]:
+                for target, mult in removals(arr, k, profile):
+                    entries.extend((i, index_of[target], 2 * K + k - 1, mult, 1))
+        if pat in raas_index:
+            entries.extend((i, n_sa + raas_index[pat], randomize, 1, 1))
+    for v, pat in enumerate(space.raas_patterns):
+        members = space.pattern_groups[pat]
+        for j in members:
+            entries.extend((n_sa + v, j, return_raas, 1, len(members)))
+    for v, targets in enumerate(space.defrag_targets):
+        for j in targets:
+            entries.extend((n_sa + n_r + v, j, return_daas, 1, len(targets)))
+    columns = np.frombuffer(entries, dtype=np.int64).reshape(-1, 5).T.copy()
+    return dict(zip(("row", "col", "kind", "mult", "div"), columns))
 
 
 def free_fragments(arr: tuple[int, ...]) -> list[int]:
@@ -268,7 +437,7 @@ def _match_table(
     frees = profile.capacity - sum(n * d for n, d in zip(pat, profile.demands))
     last = start + width - 1
     table: dict[tuple[int, ...], int] = {}
-    for tokens in _token_sequences([frees] + list(pat)):
+    for tokens in token_sequences([frees] + list(pat)):
         spans = token_spans(tokens, profile.demands)
         n_in, straddle = _inside_of_spans(spans, start, last, profile.num_classes)
         if not straddle:

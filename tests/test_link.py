@@ -1,18 +1,20 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eolsec import (
+from eolsec import DemandProfile, pattern
+from eolsec.link import check_arrangement, random_fit, shuffle, token_spans
+from oracles import (
     Classification,
-    DemandProfile,
     classify,
+    free_fragments,
     is_defragmented,
-    pattern,
+    placement_count,
     placements,
     removals,
 )
-from eolsec.link import check_arrangement, random_fit, token_spans
-from oracles import free_fragments, placement_count
 
 
 def slot_occupancy(arr, profile):
@@ -290,3 +292,15 @@ def test_random_fit_walks_placements_in_slot_order(pa):
             assert slots[first_slot:first_slot + need] == [0] * need
             picked.append(tokens[:pos] + (k,) + tokens[pos + need:])
         assert picked == placements(arr, k, profile)
+
+
+def test_shuffle_replays_random_shuffle():
+    # same permutation and same generator state afterwards, so the next draw agrees
+    for seed in range(40):
+        for n in range(61):
+            reference, inlined = random.Random(seed), random.Random(seed)
+            expected, got = list(range(n)), list(range(n))
+            reference.shuffle(expected)
+            shuffle(got, inlined.getrandbits)
+            assert got == expected
+            assert inlined.random() == reference.random()

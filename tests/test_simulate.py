@@ -15,21 +15,21 @@ from eolsec import (
     attack_success_probability,
     blocking_report,
     build_state_space,
-    is_defragmented,
     run_simulation,
     solve_stationary,
 )
 from eolsec import simulate
-from eolsec.link import check_arrangement, defragmented, pattern, random_fit
+from eolsec.link import check_arrangement, defragmented, pattern, random_fit, shuffle
 from eolsec.simulate import EventCounts, _blocking_values, _t_quantile
+from oracles import is_defragmented
 
 
 def shuffled(pat, profile, rng):
-    """The simulator's randomization redraw, ``rng.shuffle`` of the pattern's tokens."""
+    """The simulator's randomization redraw, ``link.shuffle`` of the pattern's tokens."""
     tokens = [0] * (profile.capacity - sum(n * d for n, d in zip(pat, profile.demands)))
     for k, n in enumerate(pat, start=1):
         tokens.extend([k] * n)
-    rng.shuffle(tokens)
+    shuffle(tokens, rng.getrandbits)
     return tuple(tokens)
 
 

@@ -1,7 +1,11 @@
+import hashlib
 import io
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eolsec import (
     DemandProfile,
@@ -13,6 +17,7 @@ from eolsec import (
     pattern_size,
 )
 from eolsec.statespace import feasible_patterns
+from oracles import scalar_state_space, scalar_transitions
 
 
 class TestWorkedExample:
@@ -152,3 +157,69 @@ def test_dump_format():
         "2\t(1)\tC1 F",
         "3\t(1)\t-",
     ]
+
+
+@st.composite
+def small_space_options(draw):
+    capacity = draw(st.integers(1, 9))
+    k = draw(st.integers(1, 3))
+    demands = tuple(draw(st.integers(1, capacity)) for _ in range(k))
+    profile = DemandProfile(capacity, demands, (1.0,) * k, (1.0,) * k)
+    return profile, SpaceOptions(randomize_empty=draw(st.booleans()))
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_space_options())
+def test_array_state_space_matches_scalar_oracle(po):
+    profile, options = po
+    space = build_state_space(profile, options)
+    expected = scalar_state_space(profile, options)
+    for name, value in expected.items():
+        assert getattr(space, name) == value, name
+    for name in ("frag_blocked", "resource_blocked"):
+        # blocking_report sums pi over these sets in iteration order
+        assert [list(s) for s in getattr(space, name)] == [list(s) for s in expected[name]]
+    assert list(space.pattern_groups) == list(expected["pattern_groups"])
+    for pat, block in zip(space.pattern_groups, space.blocks):
+        assert [tuple(row) for row in block.tolist()] == [
+            space.arrangements[i] for i in space.pattern_groups[pat]
+        ]
+    loop = scalar_transitions(space)
+    assert (loop["mult"] == 1).all()  # no two departures ever reach the same state
+    for name in ("row", "col", "kind", "div"):
+        got = getattr(space.transitions, name)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, loop[name]), name
+
+
+# SHA-256 of the transition arrays, recorded from the state-by-state loop
+# that built them before the array layout (scalar_transitions in oracles)
+TRANSITION_PINS = {
+    (14, (2, 3, 4)): {
+        "row": "2654c7893762af09ceca777c770901f3462f34dd5c1d981d3f14e92e294e4654",
+        "col": "49926143d7e9ab070f500fdda7a21100599879aa926082b0c2d9ed31fe81d39d",
+        "kind": "a5c4e1e0d83afe03cd9ae03df2cf415ee2a2cbe9837f97009420d687a88cebbf",
+        "div": "2c5cabe6f2d8766d955f59837b299610c08cd484fab93b6be3205992db6f2b88",
+    },
+    (24, (4, 6, 8)): {
+        "row": "8de104f4becc31a59b5e88ec0321c0cd50e4f479425ef0aad210bcb1ddf8aad6",
+        "col": "8ec9f3925218ab6bd1d8b8d8ce93a4ee4bc196e57681fae71a5f0803bb59caaa",
+        "kind": "55170a1bba60cd1a97b7db478f961f9922a0c1f614c7c7c87227b850456d427a",
+        "div": "d0307dfae49b72e7dcbf3604fb1ea36d2693b18212585adaf28eb92a854a19fe",
+    },
+    (28, (4, 6, 8)): {
+        "row": "c38cc1cef74d08b54eab5c9fa274907717bad354790eb8ee5c1a737445ebad1e",
+        "col": "725e63ccc75bf6793c6ebd93417bb04cd0ebcf42d57595b218cb641f9a4fc734",
+        "kind": "c83a6c0f0a844fb1b37175b9b4a7c6e9949d8a110e5c98f7a4098b3a1f7168be",
+        "div": "d5b5023449dbb900d0215e4e9090b0603ff06879cba0a7fff985d894388fa05d",
+    },
+}
+
+
+@pytest.mark.parametrize("capacity,demands", list(TRANSITION_PINS))
+def test_transition_arrays_match_pins(capacity, demands):
+    k = len(demands)
+    space = build_state_space(DemandProfile(capacity, demands, (1.0,) * k, (1.0,) * k))
+    pins = TRANSITION_PINS[capacity, demands]
+    arrays = {name: getattr(space.transitions, name) for name in pins}
+    assert {name: hashlib.sha256(a.tobytes()).hexdigest() for name, a in arrays.items()} == pins

@@ -301,8 +301,8 @@ def blocking_report(
     """
     pi = dist.pi if isinstance(dist, StationaryDistribution) else dist
     n_sa = space.num_regular
-    rb = tuple(float(sum(pi[i] for i in s)) for s in space.resource_blocked)
-    fb = tuple(float(sum(pi[i] for i in s)) for s in space.frag_blocked)
+    rb = tuple(float(pi[s].sum()) for s in space.resource_blocked)
+    fb = tuple(float(pi[s].sum()) for s in space.frag_blocked)
     rcb = float(pi[n_sa:].sum()) if variant.has_randomization else 0.0
     return BlockingReport(
         resource_blocking=rb,

@@ -29,7 +29,7 @@ from itertools import product
 
 import numpy as np
 
-from .link import DemandProfile, token_spans
+from .link import FREE, DemandProfile
 from .statespace import StateSpace, _permutation_count
 
 
@@ -172,13 +172,25 @@ class SurvivalMemo:
     """Per-state attack success of one state space, by window width.
 
     One ``WindowSurvival`` serves every width, so its prefix sums are
-    shared, and each state's connection spans are listed once.
+    shared, and each state's ``token_spans`` are listed once, per block.
+    A span is looked up by its class and last slot, the running sum of the
+    token widths, so equal spans of different states are one tuple.
     """
 
-    def __init__(self, profile: DemandProfile):
+    def __init__(self, space: StateSpace):
+        profile = space.profile
         self.kernel = WindowSurvival(profile)
         self.by_width: dict[int, np.ndarray] = {}
-        self.spans: list[list[tuple[int, int, int]]] | None = None  # per state, for every width
+        table = np.empty((profile.capacity + 1, profile.num_classes + 1), object)
+        for k, d in enumerate(profile.demands, start=1):
+            for last in range(d, profile.capacity + 1):
+                table[last, k] = (k, last - d + 1, last)
+        widths = np.array((1,) + profile.demands)
+        self.spans: list[list[list[tuple[int, int, int]]]] = []
+        for block in space.blocks:
+            lasts = np.cumsum(widths[block], axis=1)
+            conn = block != FREE
+            self.spans.append(table[lasts[conn], block[conn]].reshape(len(block), -1).tolist())
 
 
 def per_state_attack_success(space: StateSpace, width: int) -> np.ndarray:
@@ -189,24 +201,19 @@ def per_state_attack_success(space: StateSpace, width: int) -> np.ndarray:
     (``WindowSurvival``, exact integer counts divided once per state).
     The values are kept in the space's ``survival_memo``.
     """
-    profile = space.profile
-    capacity = profile.capacity
+    capacity = space.profile.capacity
     if not 1 <= width <= capacity:
         raise ValueError(f"window width must be in 1..{capacity}")
     memo = space.survival_memo
     if memo is None:
-        memo = space.survival_memo = SurvivalMemo(profile)
+        memo = space.survival_memo = SurvivalMemo(space)
     result = memo.by_width.get(width)
     if result is None:
-        if memo.spans is None:
-            shared: dict = {}  # one tuple per distinct span keeps the lists small
-            memo.spans = [
-                [shared.setdefault(span, span) for span in token_spans(arr, profile.demands)]
-                for arr in space.arrangements
-            ]
         expected = memo.kernel.expected
         result = memo.by_width[width] = np.array([
-            expected(spans, pat, width) for spans, pat in zip(memo.spans, space.state_patterns)
+            expected(spans, pat, width)
+            for pat, block in zip(space.pattern_groups, memo.spans)
+            for spans in block
         ])
     return result
 

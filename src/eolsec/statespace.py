@@ -10,11 +10,12 @@ ascending lexicographically within a pattern.  Index 0 is therefore always
 the all-free state.
 
 Layout: the states of one pattern form one block of consecutive indices,
-held as an ``int8`` array of token rows (``StateSpace.blocks``).  A state's
-index is its pattern's offset plus its rank inside the block.  A block is
-the lexicographic multiset permutations of its tokens (Knuth, TAOCP 4A,
-7.2.1.2), built by prefixing each token to the block of the remaining
-multiset; a memo on the remaining multiset shares those suffix blocks
+held as an ``int8`` array of token rows (``StateSpace.blocks``), the only
+per-state data; every index set is an ascending ``int64`` array.  A block
+is the lexicographic multiset permutations of its tokens (Knuth, TAOCP
+4A, 7.2.1.2): each token prefixed to the block of the multiset without
+it.  Sub-multisets are built in lexicographic order, so each block is
+made from blocks already built, without recursion, and a memo shares them
 between patterns.  Classification and transitions are array operations on
 whole blocks.  The length of the free run ending at each token gives the
 windows where an arrival fits, and a departure replaces one class-k token
@@ -27,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
+from itertools import product
 from typing import Iterator, TextIO
 
 import numpy as np
@@ -35,10 +36,10 @@ import numpy as np
 from .link import DemandProfile
 
 # Regular states the exact engine is known to finish: one randomized-defrag
-# cell (enumerate, transitions, power solve, three window widths) takes 4-6 s
-# and 270-290 MB at C=32, demands (4,6,8), 163,312 states, and 4 s and 266 MB
-# at C=19, demands (2,3,4), 147,312 states (2-core VM).  Beyond it analytic
-# falls back to Monte Carlo.
+# cell (enumerate, transitions, power solve, three window widths) takes
+# 4.6-5.5 s and 225-245 MB at C=32, demands (4,6,8), 163,312 states, and
+# 4.5-4.7 s and 216-224 MB at C=19, demands (2,3,4), 147,312 states (2-core
+# VM).  Beyond it analytic falls back to Monte Carlo.
 DEFAULT_STATE_BUDGET = 163_312
 
 
@@ -102,18 +103,20 @@ def count_states(profile: DemandProfile) -> int:
 
 def _permutations(counts: tuple[int, ...], memo: dict) -> np.ndarray:
     """Multiset permutations of tokens {t: counts[t]} as rows, lexicographically ascending."""
-    rows = memo.get(counts)
-    if rows is None:
+    # each sub-multiset without one token comes before it in this order
+    for sub in product(*(range(c + 1) for c in counts)):
+        if sub in memo:
+            continue
         parts = []
-        for t, c in enumerate(counts):
+        for t, c in enumerate(sub):
             if c:
-                tail = _permutations(counts[:t] + (c - 1,) + counts[t + 1:], memo)
+                tail = memo[sub[:t] + (c - 1,) + sub[t + 1:]]
                 part = np.empty((len(tail), tail.shape[1] + 1), np.int8)
                 part[:, 0] = t
                 part[:, 1:] = tail
                 parts.append(part)
-        rows = memo[counts] = np.concatenate(parts) if parts else np.zeros((1, 0), np.int8)
-    return rows
+        memo[sub] = np.concatenate(parts) if parts else np.zeros((1, 0), np.int8)
+    return memo[counts]
 
 
 def _free_runs(block: np.ndarray) -> np.ndarray:
@@ -175,7 +178,7 @@ class TransitionStructure:
         return base[self.kind] / self.div
 
 
-@dataclass
+@dataclass(eq=False)
 class StateSpace:
     """Indexed regular states plus the derived randomization/defrag structure.
 
@@ -183,25 +186,25 @@ class StateSpace:
     randomization state ``v`` has index ``num_regular + v`` and defrag state
     ``v`` has index ``num_regular + num_raas + v`` (when the model variant
     instantiates them).  ``blocks`` holds the token rows of each pattern in
-    ``pattern_groups`` order; the tuple fields are derived from them.
+    ``pattern_groups`` order, and ``pattern_groups`` maps a pattern to the
+    range of its indices.  The blocked sets (per class) and the defrag
+    targets (per ``daas_patterns`` entry) are ascending ``int64`` arrays.
     """
 
     profile: DemandProfile
-    arrangements: tuple[tuple[int, ...], ...]
-    state_patterns: tuple[tuple[int, ...], ...]
-    pattern_groups: dict[tuple[int, ...], tuple[int, ...]]
-    frag_blocked: tuple[frozenset[int], ...]
-    resource_blocked: tuple[frozenset[int], ...]
+    pattern_groups: dict[tuple[int, ...], range]
+    frag_blocked: tuple[np.ndarray, ...]
+    resource_blocked: tuple[np.ndarray, ...]
     raas_patterns: tuple[tuple[int, ...], ...]
     daas_patterns: tuple[tuple[int, ...], ...]
-    defrag_targets: tuple[tuple[int, ...], ...]
-    blocks: tuple[np.ndarray, ...] = field(repr=False, compare=False)
+    defrag_targets: tuple[np.ndarray, ...]
+    blocks: tuple[np.ndarray, ...] = field(repr=False)
     # security.SurvivalMemo of this space, created on first use
-    survival_memo: object = field(default=None, repr=False, compare=False)
+    survival_memo: object = field(default=None, repr=False)
 
     @property
     def num_regular(self) -> int:
-        return len(self.arrangements)
+        return sum(map(len, self.blocks))
 
     @property
     def num_raas(self) -> int:
@@ -217,15 +220,12 @@ class StateSpace:
         demands = self.profile.demands
         K = len(demands)
         n_sa, n_r = self.num_regular, self.num_raas
-        patterns = list(self.pattern_groups)
-        position = {pat: p for p, pat in enumerate(patterns)}
-        firsts = [self.pattern_groups[pat][0] for pat in patterns]
-        keys = [_keys(block) for block in self.blocks]
+        keys = {pat: _keys(block) for pat, block in zip(self.pattern_groups, self.blocks)}
         raas_index = {pat: v for v, pat in enumerate(self.raas_patterns)}
         daas_index = {pat: v for v, pat in enumerate(self.daas_patterns)}
         parts: list[list[np.ndarray]] = []  # (row, col, kind, div) per pattern, in entry order
 
-        for first, pat, block in zip(firsts, patterns, self.blocks):
+        for (pat, group), block in zip(self.pattern_groups.items(), self.blocks):
             length = block.shape[1]
             frees = length - sum(pat)
             runs = _free_runs(block)
@@ -241,8 +241,8 @@ class StateSpace:
                     cols = np.arange(length - d + 1)
                     target = block[r[:, None], cols + (d - 1) * (cols > s[:, None])]
                     target[np.arange(len(r)), s] = k
-                    up = position[pat[:k - 1] + (pat[k - 1] + 1,) + pat[k:]]
-                    col = firsts[up] + np.searchsorted(keys[up], _keys(target))
+                    up = pat[:k - 1] + (pat[k - 1] + 1,) + pat[k:]
+                    col = self.pattern_groups[up].start + np.searchsorted(keys[up], _keys(target))
                     groups.append((r, col, k - 1, n_fits[r]))
                     blocked = np.flatnonzero(n_fits == 0)
                     if len(blocked):
@@ -252,22 +252,23 @@ class StateSpace:
                     cols = np.arange(length + d - 1)
                     target = block[r[:, None], cols - np.clip(cols - s[:, None], 0, d - 1)]
                     target[(cols >= s[:, None]) & (cols < s[:, None] + d)] = 0
-                    down = position[pat[:k - 1] + (pat[k - 1] - 1,) + pat[k:]]
-                    col = firsts[down] + np.searchsorted(keys[down], _keys(target))
+                    down = pat[:k - 1] + (pat[k - 1] - 1,) + pat[k:]
+                    col = self.pattern_groups[down].start + np.searchsorted(keys[down], _keys(target))
                     groups.append((r, col, 2 * K + k - 1, 1))
             if pat in raas_index:
                 groups.append((np.arange(len(block)), n_sa + raas_index[pat], 3 * K, 1))
             row, col, kind, div = (np.concatenate(a) for a in zip(*(np.broadcast_arrays(*g) for g in groups)))
             # a stable sort by row keeps each row's entries in group order
             order = np.argsort(row, kind="stable")
-            parts.append([first + row[order], col[order], kind[order], div[order]])
+            parts.append([group.start + row[order], col[order], kind[order], div[order]])
 
         # the randomization states return to their pattern, the defrag states to its targets
-        returns = [self.pattern_groups[pat] for pat in self.raas_patterns] + list(self.defrag_targets)
+        groups = [self.pattern_groups[pat] for pat in self.raas_patterns]
+        returns = [np.arange(g.start, g.stop) for g in groups] + list(self.defrag_targets)
         sizes = np.array([len(g) for g in returns], np.int64)
         parts.append([
             np.repeat(np.arange(n_sa, n_sa + len(returns)), sizes),
-            np.fromiter(chain.from_iterable(returns), np.int64),
+            np.concatenate(returns),
             np.repeat(np.where(np.arange(len(returns)) < n_r, 3 * K + 1, 3 * K + 2), sizes),
             np.repeat(sizes, sizes),
         ])
@@ -289,44 +290,34 @@ def build_state_space(profile: DemandProfile, options: SpaceOptions | None = Non
     demands = profile.demands
     memo: dict = {}
     blocks: list[np.ndarray] = []
-    arrangements: list[tuple[int, ...]] = []
-    state_patterns: list[tuple[int, ...]] = []
-    pattern_groups: dict[tuple[int, ...], tuple[int, ...]] = {}
-    frag: list[list[int]] = [[] for _ in demands]  # ascending indices per class
-    res: list[list[int]] = [[] for _ in demands]
-    daas_patterns: list[tuple[int, ...]] = []  # patterns with a fragmentation-blocked state
-    defrag_targets: list[tuple[int, ...]] = []
+    pattern_groups: dict[tuple[int, ...], range] = {}
+    frees: list[np.ndarray] = []  # per pattern, the free slots of each state
+    longest: list[np.ndarray] = []  # per pattern, the longest free run of each state
+    daas_patterns: list[tuple[int, ...]] = []
+    defrag_targets: list[np.ndarray] = []
+    first = 0
 
     for pat in feasible_patterns(profile):
-        frees = profile.capacity - sum(n * d for n, d in zip(pat, demands))
-        block = _permutations((frees,) + pat, memo)
-        first = len(arrangements)
-        members = np.arange(first, first + len(block))
+        free = profile.capacity - sum(n * d for n, d in zip(pat, demands))
+        block = _permutations((free,) + pat, memo)
         runs = _free_runs(block)
-        longest = runs.max(axis=1)
-        for k, d in enumerate(demands):
-            if frees < d:
-                res[k].extend(members.tolist())
-            else:
-                frag[k].extend(members[longest < d].tolist())
         blocks.append(block)
-        arrangements.extend(map(tuple, block.tolist()))
-        state_patterns.extend([pat] * len(block))
-        pattern_groups[pat] = tuple(members.tolist())
-        if any(s and s[-1] >= first for s in frag):  # a state of pat is fragmentation-blocked
+        pattern_groups[pat] = range(first, first + len(block))
+        frees.append(np.full(len(block), free))
+        longest.append(runs.max(axis=1))
+        if any(d <= free and (longest[-1] < d).any() for d in demands):  # a state is frag-blocked
             daas_patterns.append(pat)
             # at most one free run: the free tokens start one run, or there are none
-            defrag_targets.append(tuple(members[(runs == 1).sum(axis=1) <= 1].tolist()))
+            defrag_targets.append(first + np.flatnonzero((runs == 1).sum(axis=1) <= 1))
+        first += len(block)
 
+    free_slots, longest_run = np.concatenate(frees), np.concatenate(longest)
     return StateSpace(
         profile=profile,
-        arrangements=tuple(arrangements),
-        state_patterns=tuple(state_patterns),
         pattern_groups=pattern_groups,
-        # set() adds the indices in ascending order, as a loop of set.add
-        # would, so blocking_report sums over each set in the same order
-        frag_blocked=tuple(frozenset(set(s)) for s in frag),
-        resource_blocked=tuple(frozenset(set(s)) for s in res),
+        # no free run fits the arrival: fragmentation with enough free slots, resources without
+        frag_blocked=tuple(np.flatnonzero((longest_run < d) & (free_slots >= d)) for d in demands),
+        resource_blocked=tuple(np.flatnonzero(free_slots < d) for d in demands),
         raas_patterns=tuple(pat for pat in pattern_groups if sum(pat) >= 1 or options.randomize_empty),
         daas_patterns=tuple(daas_patterns),
         defrag_targets=tuple(defrag_targets),
@@ -334,7 +325,7 @@ def build_state_space(profile: DemandProfile, options: SpaceOptions | None = Non
     )
 
 
-def _render_tokens(tokens: tuple[int, ...]) -> str:
+def _render_tokens(tokens: list[int]) -> str:
     return " ".join("F" if t == 0 else f"C{t}" for t in tokens)
 
 
@@ -348,7 +339,8 @@ def dump_states(space: StateSpace, out: TextIO) -> None:
     Randomization and defrag states carry no token sequence and are listed
     after the regular states with ``-`` in the token column.
     """
-    for i, arr in enumerate(space.arrangements):
-        out.write(f"{i}\t{_render_pattern(space.state_patterns[i])}\t{_render_tokens(arr)}\n")
+    for (pat, group), block in zip(space.pattern_groups.items(), space.blocks):
+        for i, tokens in zip(group, block.tolist()):
+            out.write(f"{i}\t{_render_pattern(pat)}\t{_render_tokens(tokens)}\n")
     for v, pat in enumerate(space.raas_patterns + space.daas_patterns, start=space.num_regular):
         out.write(f"{v}\t{_render_pattern(pat)}\t-\n")

@@ -109,51 +109,57 @@ def token_sequences(counts: list[int]) -> Iterator[tuple[int, ...]]:
     yield from rec()
 
 
+def arrangements(space: StateSpace) -> list[tuple[int, ...]]:
+    """Every regular state's token tuple, in index order, listed from ``space.blocks``."""
+    return [tuple(row) for block in space.blocks for row in block.tolist()]
+
+
 def scalar_state_space(profile: DemandProfile, options: SpaceOptions | None = None) -> dict:
     """The public ``StateSpace`` fields, enumerated and classified state by state."""
     options = options or SpaceOptions()
     K = profile.num_classes
-    arrangements: list[tuple[int, ...]] = []
-    state_patterns: list[tuple[int, ...]] = []
-    pattern_groups: dict[tuple[int, ...], tuple[int, ...]] = {}
-    frag: list[set[int]] = [set() for _ in range(K)]
-    res: list[set[int]] = [set() for _ in range(K)]
+    rows: list[tuple[int, ...]] = []
+    blocks: list[np.ndarray] = []
+    pattern_groups: dict[tuple[int, ...], range] = {}
+    frag: list[list[int]] = [[] for _ in range(K)]
+    res: list[list[int]] = [[] for _ in range(K)]
     daas_patterns: list[tuple[int, ...]] = []
 
     for pat in feasible_patterns(profile):
         used = sum(n * d for n, d in zip(pat, profile.demands))
-        members: list[int] = []
+        first = len(rows)
         fragmentable = False
         for tokens in token_sequences([profile.capacity - used] + list(pat)):
-            idx = len(arrangements)
-            arrangements.append(tokens)
-            state_patterns.append(pat)
-            members.append(idx)
+            idx = len(rows)
+            rows.append(tokens)
             for k in range(1, K + 1):
                 c = classify(tokens, k, profile)
                 if c is Classification.FRAG_BLOCKED:
-                    frag[k - 1].add(idx)
+                    frag[k - 1].append(idx)
                     fragmentable = True
                 elif c is Classification.RESOURCE_BLOCKED:
-                    res[k - 1].add(idx)
-        pattern_groups[pat] = tuple(members)
+                    res[k - 1].append(idx)
+        pattern_groups[pat] = range(first, len(rows))
+        blocks.append(np.array(rows[first:], dtype=np.int8))
         if fragmentable:
             daas_patterns.append(pat)
 
+    def indices(members) -> np.ndarray:
+        return np.array(members, dtype=np.int64)
+
     return {
-        "arrangements": tuple(arrangements),
-        "state_patterns": tuple(state_patterns),
         "pattern_groups": pattern_groups,
-        "frag_blocked": tuple(frozenset(s) for s in frag),
-        "resource_blocked": tuple(frozenset(s) for s in res),
+        "frag_blocked": tuple(map(indices, frag)),
+        "resource_blocked": tuple(map(indices, res)),
         "raas_patterns": tuple(
             pat for pat in pattern_groups if sum(pat) >= 1 or options.randomize_empty
         ),
         "daas_patterns": tuple(daas_patterns),
         "defrag_targets": tuple(
-            tuple(i for i in pattern_groups[pat] if is_defragmented(arrangements[i]))
+            indices([i for i in pattern_groups[pat] if is_defragmented(rows[i])])
             for pat in daas_patterns
         ),
+        "blocks": tuple(blocks),
     }
 
 
@@ -169,16 +175,19 @@ def scalar_transitions(space: StateSpace) -> dict[str, np.ndarray]:
     randomize, return_raas, return_daas = 3 * K, 3 * K + 1, 3 * K + 2
     n_sa = space.num_regular
     n_r = space.num_raas
-    index_of = {arr: i for i, arr in enumerate(space.arrangements)}
+    states = arrangements(space)
+    index_of = {arr: i for i, arr in enumerate(states)}
     raas_index = {pat: v for v, pat in enumerate(space.raas_patterns)}
     daas_index = {pat: v for v, pat in enumerate(space.daas_patterns)}
+    frag_blocked = [set(s.tolist()) for s in space.frag_blocked]
+    resource_blocked = [set(s.tolist()) for s in space.resource_blocked]
     entries = array("q")  # flat (row, col, kind, mult, div) records
-    for i, arr in enumerate(space.arrangements):
-        pat = space.state_patterns[i]
+    for i, arr in enumerate(states):
+        pat = pattern(arr, profile)
         for k in range(1, K + 1):
-            if i in space.frag_blocked[k - 1]:
+            if i in frag_blocked[k - 1]:
                 entries.extend((i, n_sa + n_r + daas_index[pat], K + k - 1, 1, 1))
-            elif i not in space.resource_blocked[k - 1]:
+            elif i not in resource_blocked[k - 1]:
                 targets = placements(arr, k, profile)
                 for target in targets:
                     entries.extend((i, index_of[target], k - 1, 1, len(targets)))
@@ -192,7 +201,7 @@ def scalar_transitions(space: StateSpace) -> dict[str, np.ndarray]:
         for j in members:
             entries.extend((n_sa + v, j, return_raas, 1, len(members)))
     for v, targets in enumerate(space.defrag_targets):
-        for j in targets:
+        for j in targets.tolist():
             entries.extend((n_sa + n_r + v, j, return_daas, 1, len(targets)))
     columns = np.frombuffer(entries, dtype=np.int64).reshape(-1, 5).T.copy()
     return dict(zip(("row", "col", "kind", "mult", "div"), columns))
@@ -310,7 +319,8 @@ def loop_generator(space: StateSpace, profile: DemandProfile, variant: ModelVari
     mu = profile.service_rates
     lam_s = variant.randomization_rate
     mu_d = variant.reconfig_rate
-    index_of = {arr: i for i, arr in enumerate(space.arrangements)}
+    states = arrangements(space)
+    index_of = {arr: i for i, arr in enumerate(states)}
     raas_index = {pat: v for v, pat in enumerate(space.raas_patterns)}
     daas_index = {pat: v for v, pat in enumerate(space.daas_patterns)}
 
@@ -324,8 +334,8 @@ def loop_generator(space: StateSpace, profile: DemandProfile, variant: ModelVari
             cols.append(j)
             vals.append(rate)
 
-    for i, arr in enumerate(space.arrangements):
-        pat = space.state_patterns[i]
+    for i, arr in enumerate(states):
+        pat = pattern(arr, profile)
         for k in range(1, profile.num_classes + 1):
             outcome = classify(arr, k, profile)
             if outcome is Classification.ACCEPT:
@@ -352,7 +362,7 @@ def loop_generator(space: StateSpace, profile: DemandProfile, variant: ModelVari
         for v in range(space.num_daas):
             targets = space.defrag_targets[v]
             rate = mu_d / len(targets)
-            for j in targets:
+            for j in targets.tolist():
                 add(n_sa + n_r + v, j, rate)
 
     q = sp.coo_matrix((vals, (rows, cols)), shape=(dim, dim)).tocsr()
@@ -410,8 +420,9 @@ def group_table_attack_success(space: StateSpace, width: int) -> np.ndarray:
     positions = profile.capacity - width + 1
     numerators = [0] * space.num_regular
     denominators = [0] * space.num_regular
+    states = arrangements(space)
     for pat, members in space.pattern_groups.items():
-        spans_of = {i: token_spans(space.arrangements[i], profile.demands) for i in members}
+        spans_of = {i: token_spans(states[i], profile.demands) for i in members}
         r_n = pattern_size(pat, profile)
         for start in range(1, positions + 1):
             last = start + width - 1

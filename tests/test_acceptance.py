@@ -32,6 +32,7 @@ from oracles import (
     ObservationWindow,
     _match_table,
     _outside_split_count,
+    arrangements,
     count_matching_rearrangements,
     dense_stationary_oracle,
     enumerated_matching_count,
@@ -121,7 +122,7 @@ def test_criterion_1_worked_example_fixtures():
     assert len(space.pattern_groups[(1, 0)]) == 5
     assert len(space.frag_blocked[1]) == 3
     assert len(space.frag_blocked[0]) == 3
-    assert len(space.frag_blocked[0] & space.frag_blocked[1]) == 1
+    assert len(np.intersect1d(space.frag_blocked[0], space.frag_blocked[1])) == 1
     assert space.num_daas == 2
     assert [len(t) for t in space.defrag_targets] == [2, 2]
     # uniform return over the two defragmented targets
@@ -146,7 +147,7 @@ def test_criterion_2_balance_equation_rows():
     n_sa, n_r = space.num_regular, space.num_raas
 
     # row of the state that is fragmentation-blocked for both classes
-    shared = next(iter(space.frag_blocked[0] & space.frag_blocked[1]))
+    (shared,) = np.intersect1d(space.frag_blocked[0], space.frag_blocked[1])
     raas_10 = n_sa + space.raas_patterns.index((1, 0))
     daas_10 = n_sa + n_r + space.daas_patterns.index((1, 0))
     assert q[shared, shared] == -(lam1 + lam2 + mu1 + lam_s)
@@ -166,7 +167,7 @@ def test_criterion_2_balance_equation_rows():
     assert q[raas_11, raas_11] == -mu_d
 
     # defrag state of the one-class-1 pattern
-    frag2_only = space.frag_blocked[1] - space.frag_blocked[0]
+    frag2_only = np.setdiff1d(space.frag_blocked[1], space.frag_blocked[0])
     inflows = {i: q[i, daas_10] for i in range(rm.dimension) if q[i, daas_10] != 0 and i != daas_10}
     assert inflows == {shared: lam1 + lam2, **{i: lam2 for i in frag2_only}}
     assert q[daas_10, daas_10] == -mu_d
@@ -191,7 +192,7 @@ def test_criterion_3_window_counting_fixtures(profile14):
 
     # the per-position weight 1/11 drives the state-conditional probability
     space = build_state_space(profile14)
-    idx = space.arrangements.index(arr)
+    idx = arrangements(space).index(arr)
     pi = np.zeros(space.num_regular)
     pi[idx] = 1.0
     by_hand = sum(
@@ -206,6 +207,7 @@ def test_criterion_4_closed_form_vs_enumeration(profile7, space7, profile14):
     start = time.perf_counter()
     space14 = build_state_space(profile14)
     for profile, space in ((profile7, space7), (profile14, space14)):
+        states = arrangements(space)
         for pat, members in space.pattern_groups.items():
             assert pattern_size(pat, profile) == len(members)
         capacity = profile.capacity
@@ -215,7 +217,7 @@ def test_criterion_4_closed_form_vs_enumeration(profile7, space7, profile14):
                 for pat, members in space.pattern_groups.items():
                     table = _match_table(profile, pat, begin, width)
                     for i in members:
-                        arr = space.arrangements[i]
+                        arr = states[i]
                         n_in, _ = inside_pattern(arr, window, profile)
                         assert (
                             count_matching_rearrangements(arr, window, profile)

@@ -121,7 +121,7 @@ def test_balance_equation_coefficients(space7):
     q = rm.matrix.toarray()
     n_sa, n_r = space7.num_regular, space7.num_raas
 
-    shared = next(iter(space7.frag_blocked[0] & space7.frag_blocked[1]))
+    (shared,) = np.intersect1d(space7.frag_blocked[0], space7.frag_blocked[1])
     raas_10 = n_sa + space7.raas_patterns.index((1, 0))
     daas_10 = n_sa + n_r + space7.daas_patterns.index((1, 0))
     assert q[shared, shared] == -(lam1 + lam2 + mu1 + lam_s)
@@ -142,7 +142,7 @@ def test_balance_equation_coefficients(space7):
 
     # defrag state of the single-class-1 pattern: class-2 arrivals from the two
     # one-sided fragmented states plus both classes from the shared state
-    frag2_only = sorted(space7.frag_blocked[1] - space7.frag_blocked[0])
+    frag2_only = np.setdiff1d(space7.frag_blocked[1], space7.frag_blocked[0])
     for i in frag2_only:
         assert q[i, daas_10] == lam2
     assert q[shared, daas_10] == lam1 + lam2
@@ -343,6 +343,32 @@ def test_power_route_matches_dense_oracle(chain):
     assert dist.method == ctmc.POWER_METHOD
     assert dist.residual <= 1e-10
     assert np.abs(dist.pi - dense_stationary_oracle(rm)).max() <= 1e-10
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_chains())
+def test_generator_rows_sum_to_zero(chain):
+    profile, variant = chain
+    q = assemble_generator(build_state_space(profile), profile, variant).matrix
+    diagonal = q.diagonal()
+    off = q - sp.diags(diagonal)
+    assert off.nnz == 0 or off.data.min() >= 0.0
+    assert (np.abs(np.asarray(q.sum(axis=1)).ravel()) <= 1e-13 * np.abs(diagonal)).all()
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_chains(), st.floats(1.0, 1000.0))
+def test_randomized_without_randomization_reports_regular_blocking(chain, mu_d):
+    profile, _ = chain
+    space = build_state_space(profile)
+    reports = [
+        blocking_report(solve_stationary(assemble_generator(space, profile, v)), space, profile, v)
+        for v in (ModelVariant.regular(), ModelVariant.randomized(0.0, mu_d))
+    ]
+    regular, randomized = reports
+    assert randomized.reconfiguration_blocking == 0.0
+    for name in ("resource_blocking", "fragmentation_blocking"):
+        assert getattr(randomized, name) == pytest.approx(getattr(regular, name), rel=0.0, abs=1e-10)
 
 
 @settings(max_examples=200, deadline=None)

@@ -25,6 +25,7 @@ from eolsec.security import WindowSurvival, _outside_split_prefix
 from oracles import (
     ObservationWindow,
     _outside_split_count,
+    arrangements,
     count_matching_rearrangements,
     enumerated_matching_count,
     group_table_attack_success,
@@ -115,8 +116,8 @@ class TestCountMatching:
 
     def test_full_window_counts_whole_group(self, profile7, space7):
         window = ObservationWindow(1, 7)
-        for idx, arr in enumerate(space7.arrangements):
-            expected = len(space7.pattern_groups[space7.state_patterns[idx]])
+        for arr in arrangements(space7):
+            expected = len(space7.pattern_groups[pattern(arr, profile7)])
             assert count_matching_rearrangements(arr, window, profile7) == expected
 
     def test_pinned_original_only(self, profile7):
@@ -137,7 +138,7 @@ class TestCountMatching:
         for width in range(1, 8):
             for start in range(1, 7 - width + 2):
                 window = ObservationWindow(start, width)
-                for arr in space7.arrangements:
+                for arr in arrangements(space7):
                     a = count_matching_rearrangements(arr, window, profile7)
                     b = enumerated_matching_count(arr, window, profile7)
                     assert a == b
@@ -146,9 +147,9 @@ class TestCountMatching:
         for width in (2, 4, 6):
             for start in range(1, 7 - width + 2):
                 window = ObservationWindow(start, width)
-                for idx, arr in enumerate(space7.arrangements):
+                for arr in arrangements(space7):
                     count = count_matching_rearrangements(arr, window, profile7)
-                    r_n = pattern_size(space7.state_patterns[idx], profile7)
+                    r_n = pattern_size(pattern(arr, profile7), profile7)
                     assert 0 <= count <= r_n
 
 
@@ -222,6 +223,8 @@ def test_window_survival_matches_group_tables(data):
     width = data.draw(st.integers(1, capacity))
     expected = group_table_attack_success(space, width)
     assert np.abs(per_state_attack_success(space, width) - expected).max() <= 1e-12
+    listed = [spans for block in space.survival_memo.spans for spans in block]
+    assert listed == [token_spans(arr, demands) for arr in arrangements(space)]
 
 
 @settings(max_examples=40, deadline=None)
@@ -273,7 +276,7 @@ class TestAttackProbability:
         pi = np.zeros(space7.num_regular + space7.num_raas)
         pi[target] = 1.0
         width = 3
-        arr = space7.arrangements[target]
+        arr = arrangements(space7)[target]
         total = 0
         positions = 7 - width + 1
         for start in range(1, positions + 1):

@@ -21,7 +21,7 @@ from eolsec import (
 from eolsec import simulate
 from eolsec.link import check_arrangement, defragmented, pattern, random_fit, shuffle
 from eolsec.simulate import EventCounts, _blocking_values, _t_quantile
-from oracles import is_defragmented
+from oracles import arrangements, is_defragmented
 
 
 def shuffled(pat, profile, rng):
@@ -44,7 +44,7 @@ class TestSampling:
         rng = random.Random(2024)
         draws = 100_000
         counts = Counter(shuffled((1, 0), profile7, rng) for _ in range(draws))
-        members = [space7.arrangements[i] for i in space7.pattern_groups[(1, 0)]]
+        members = [arrangements(space7)[i] for i in space7.pattern_groups[(1, 0)]]
         assert set(counts) == set(members)
         _, p_value = chisquare(list(counts.values()))
         assert p_value > 0.01
@@ -58,12 +58,13 @@ class TestSampling:
 
     def test_defragmented_two_targets_uniform(self, profile7, space7):
         rng = random.Random(99)
-        start = list(space7.arrangements[space7.pattern_groups[(0, 1)][0]])
+        states = arrangements(space7)
+        start = list(states[space7.pattern_groups[(0, 1)][0]])
         counts = Counter(
             tuple(defragmented(start, rng)) for _ in range(20_000)
         )
         expected = {
-            space7.arrangements[i]
+            states[i]
             for i in space7.defrag_targets[space7.daas_patterns.index((0, 1))]
         }
         assert set(counts) == expected
@@ -73,10 +74,11 @@ class TestSampling:
 
     def test_defragmented_always_valid(self, profile7, space7):
         rng = random.Random(5)
+        states = arrangements(space7)
         for pat in [(1, 0), (2, 0), (0, 1), (1, 1)]:
             for i in space7.pattern_groups[pat]:
                 for _ in range(10):
-                    arr = tuple(defragmented(space7.arrangements[i], rng))
+                    arr = tuple(defragmented(states[i], rng))
                     check_arrangement(arr, profile7)
                     assert pattern(arr, profile7) == pat
                     assert is_defragmented(arr)

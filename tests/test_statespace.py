@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from eolsec import (
@@ -17,7 +17,7 @@ from eolsec import (
     pattern_size,
 )
 from eolsec.statespace import feasible_patterns
-from oracles import scalar_state_space, scalar_transitions
+from oracles import arrangements, scalar_state_space, scalar_transitions
 
 
 class TestWorkedExample:
@@ -35,33 +35,38 @@ class TestWorkedExample:
     def test_frag_blocked_sets(self, space7):
         assert len(space7.frag_blocked[0]) == 3
         assert len(space7.frag_blocked[1]) == 3
-        shared = space7.frag_blocked[0] & space7.frag_blocked[1]
+        shared = np.intersect1d(space7.frag_blocked[0], space7.frag_blocked[1])
         assert len(shared) == 1
         # the shared state is the centered 3-slot connection
-        assert space7.arrangements[next(iter(shared))] == (0, 0, 1, 0, 0)
+        assert arrangements(space7)[shared[0]] == (0, 0, 1, 0, 0)
 
     def test_defrag_targets(self, space7):
         assert [len(t) for t in space7.defrag_targets] == [2, 2]
         for targets, pat in zip(space7.defrag_targets, space7.daas_patterns):
-            assert set(targets) <= set(space7.pattern_groups[pat])
+            assert set(targets.tolist()) <= set(space7.pattern_groups[pat])
 
     def test_gamma_of(self, space7):
         assert len(space7.pattern_groups[(1, 1)]) == 2
-        assert space7.pattern_groups[(0, 0)] == (0,)
+        assert list(space7.pattern_groups[(0, 0)]) == [0]
         assert len(space7.pattern_groups[(2, 0)]) == 3
-        assert space7.pattern_groups.get((9, 9), ()) == ()
+        assert (9, 9) not in space7.pattern_groups
 
     def test_empty_state_is_index_zero(self, space7):
-        assert space7.arrangements[0] == (0,) * space7.profile.capacity
+        assert arrangements(space7)[0] == (0,) * space7.profile.capacity
 
 
 class TestCanonicalOrder:
     def test_patterns_then_tokens_ascending(self, space7):
-        keys = [(space7.state_patterns[i], space7.arrangements[i]) for i in range(space7.num_regular)]
+        keys = [
+            (pat, arr)
+            for pat, block in zip(space7.pattern_groups, space7.blocks)
+            for arr in map(tuple, block.tolist())
+        ]
+        assert len(keys) == space7.num_regular
         assert keys == sorted(keys)
 
     def test_states_pairwise_distinct(self, space7):
-        assert len(set(space7.arrangements)) == space7.num_regular
+        assert len(set(arrangements(space7))) == space7.num_regular
 
 
 def multiset_permutation_count(pat, profile):
@@ -117,7 +122,7 @@ def test_blocking_sets_disjoint(capacity, demands):
     profile = DemandProfile(capacity, demands, (1.0,) * k, (1.0,) * k)
     space = build_state_space(profile)
     for c in range(k):
-        assert not (space.frag_blocked[c] & space.resource_blocked[c])
+        assert len(np.intersect1d(space.frag_blocked[c], space.resource_blocked[c])) == 0
 
 
 def test_randomize_empty_flag(profile7):
@@ -138,6 +143,17 @@ def test_budget_checked_before_enumeration():
     big = DemandProfile(100, (5, 10, 15), (1.0,) * 3, (1.0,) * 3)
     with pytest.raises(StateBudgetExceeded):
         build_state_space(big)  # finishes fast because nothing is enumerated
+
+
+def test_long_link_builds_without_deep_recursion():
+    # 1,100 free tokens in one row: block building must not recurse per token
+    profile = DemandProfile(1100, (1100,), (1.0,), (1.0,))
+    space = build_state_space(profile)
+    assert space.num_regular == 2
+    assert [block.shape for block in space.blocks] == [(1, 1100), (1, 1)]
+    # arrival, departure, randomization and its return
+    t = space.transitions
+    assert list(zip(t.row.tolist(), t.col.tolist())) == [(0, 1), (1, 0), (1, 2), (2, 1)]
 
 
 def test_feasible_patterns_lexicographic(profile7):
@@ -165,7 +181,10 @@ def small_space_options(draw):
     k = draw(st.integers(1, 3))
     demands = tuple(draw(st.integers(1, capacity)) for _ in range(k))
     profile = DemandProfile(capacity, demands, (1.0,) * k, (1.0,) * k)
-    return profile, SpaceOptions(randomize_empty=draw(st.booleans()))
+    options = SpaceOptions(randomize_empty=draw(st.booleans()))
+    # C=9 with demands (1, 1, 1) is the one profile here over the budget
+    assume(count_states(profile) <= options.state_budget)
+    return profile, options
 
 
 @settings(max_examples=200, deadline=None)
@@ -174,16 +193,15 @@ def test_array_state_space_matches_scalar_oracle(po):
     profile, options = po
     space = build_state_space(profile, options)
     expected = scalar_state_space(profile, options)
-    for name, value in expected.items():
-        assert getattr(space, name) == value, name
-    for name in ("frag_blocked", "resource_blocked"):
-        # blocking_report sums pi over these sets in iteration order
-        assert [list(s) for s in getattr(space, name)] == [list(s) for s in expected[name]]
+    for name in ("pattern_groups", "raas_patterns", "daas_patterns"):
+        assert getattr(space, name) == expected[name], name
     assert list(space.pattern_groups) == list(expected["pattern_groups"])
-    for pat, block in zip(space.pattern_groups, space.blocks):
-        assert [tuple(row) for row in block.tolist()] == [
-            space.arrangements[i] for i in space.pattern_groups[pat]
-        ]
+    for name in ("frag_blocked", "resource_blocked", "defrag_targets", "blocks"):
+        got, want = getattr(space, name), expected[name]
+        assert len(got) == len(want), name
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+    assert space.num_regular == sum(map(len, expected["pattern_groups"].values()))
     loop = scalar_transitions(space)
     assert (loop["mult"] == 1).all()  # no two departures ever reach the same state
     for name in ("row", "col", "kind", "div"):

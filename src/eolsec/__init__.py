@@ -23,6 +23,7 @@ from .ctmc import (
 )
 from .link import DemandProfile, pattern
 from .security import (
+    NoOccupiedMass,
     NonIntegerRpRatio,
     attack_success_probability,
     observable_fraction,
@@ -56,6 +57,7 @@ __all__ = [
     "ModelVariant",
     "NegativeStationaryMass",
     "NoConvergence",
+    "NoOccupiedMass",
     "NonIntegerRpRatio",
     "NotIrreducible",
     "RateMatrix",

@@ -37,8 +37,13 @@ from .ctmc import (
     solve_stationary,
 )
 from .link import DemandProfile
-from .security import NonIntegerRpRatio, attack_success_probability, observable_fraction
-from .simulate import DEFAULT_SEED, SimConfig, run_simulation
+from .security import (
+    NonIntegerRpRatio,
+    NoOccupiedMass,
+    attack_success_probability,
+    observable_fraction,
+)
+from .simulate import DEFAULT_REPLICATIONS, DEFAULT_SEED, SimConfig, run_simulation
 from .statespace import (
     DEFAULT_STATE_BUDGET,
     SpaceOptions,
@@ -82,6 +87,10 @@ class ExperimentConfig:
     jobs: int
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _get(node: dict, path: str, key: str, kind, required: bool = False, default=None):
     where = f"{path}.{key}" if path else key
     if key not in node:
@@ -89,9 +98,10 @@ def _get(node: dict, path: str, key: str, kind, required: bool = False, default=
             raise ConfigError(f"missing required field {where}")
         return default
     value = node[key]
-    if kind is float and isinstance(value, int):
+    if kind is float and _is_number(value):
         value = float(value)
-    if not isinstance(value, kind):
+    # bool subclasses int, but a YAML true/false is no number
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
         raise ConfigError(f"field {where} must be {getattr(kind, '__name__', kind)}, got {value!r}")
     return value
 
@@ -106,8 +116,7 @@ def _known_fields(node: dict, path: str, known: tuple[str, ...]) -> None:
 def _num_list(node: dict, path: str, key: str, required: bool = False, default=(),
               integers: bool = False):
     value = _get(node, path, key, list, required=required, default=list(default))
-    if not all(isinstance(v, (int, float)) and (not integers or float(v).is_integer())
-               for v in value):
+    if not all(_is_number(v) and (not integers or float(v).is_integer()) for v in value):
         where = f"{path}.{key}" if path else key
         kind = "integers" if integers else "numbers"
         raise ConfigError(f"field {where} must be a list of {kind}")
@@ -140,7 +149,7 @@ def load_config(path: str | Path, **overrides) -> ExperimentConfig:
     capacity = _get(profile, "profile", "capacity", int, required=True)
     demands = _num_list(profile, "profile", "demands", required=True, integers=True)
     service = profile.get("service_rates", 1.0)
-    if isinstance(service, (int, float)):
+    if _is_number(service):
         service_rates = (float(service),) * len(demands)
     else:
         service_rates = _num_list(profile, "profile", "service_rates")
@@ -197,7 +206,7 @@ def load_config(path: str | Path, **overrides) -> ExperimentConfig:
         sim_arrivals=sim_arrivals,
         sim_horizon=sim_horizon,
         sim_warmup=_get(sim, "sim", "warmup", float, default=0.0),
-        sim_replications=_get(sim, "sim", "replications", int, default=10),
+        sim_replications=_get(sim, "sim", "replications", int, default=DEFAULT_REPLICATIONS),
         seed=_get(sim, "sim", "seed", int, default=DEFAULT_SEED),
         out_dir=Path(_get(output, "output", "dir", str, default=".")),
         basename=_get(output, "output", "basename", str, default="results"),
@@ -444,12 +453,14 @@ def _sim_config(cfg: ExperimentConfig, profile: DemandProfile, variant: ModelVar
     )
 
 
-def _analytic(spec: CellSpec, space) -> EngineResult:
+def _analytic(spec: CellSpec, space, warnings: list[str]) -> EngineResult:
     """Exact numbers of one cell from its chain's solve.
 
     A randomized cell at mu_d != mu_ref rescales the reference; its
     residual is measured on its own generator, and a direct solve takes
-    over where that residual misses the gate.
+    over where that residual misses the gate.  A chain that never leaves
+    the empty link scores no randomization: its ``p_sa`` is NaN, as in the
+    Monte Carlo engine, with one cell warning.
     """
     cfg, profile, variant = spec.config, spec.profile, spec.model
     _, ref_model = _chain(spec)
@@ -468,17 +479,19 @@ def _analytic(spec: CellSpec, space) -> EngineResult:
     solver = dist.diagnostics()
     if mu_ref is not None:
         solver["mu_ref"] = mu_ref
+    p_sa = (math.nan,) * len(cfg.window_widths)
+    if variant.has_randomization:
+        try:
+            p_sa = tuple(attack_success_probability(dist.pi, space, w) for w in cfg.window_widths)
+        except NoOccupiedMass as exc:
+            warnings.append(f"p_sa: {exc}")
     return EngineResult(
         engine="analytic",
         rb=tuple(report.resource_blocking),
         fb=tuple(report.fragmentation_blocking),
         rcb=report.reconfiguration_blocking,
         bp=report.overall_blocking,
-        p_sa=tuple(
-            attack_success_probability(dist.pi, space, w) if variant.has_randomization
-            else math.nan
-            for w in cfg.window_widths
-        ),
+        p_sa=p_sa,
         residual_or_ci=dist.residual,
         solver=solver,
     )
@@ -528,7 +541,7 @@ def _compute_cell(spec: CellSpec) -> CellResult:
         # times the engine and its security columns, not the shared state space
         start = time.perf_counter()
         if engine == "analytic":
-            result = _analytic(spec, space)
+            result = _analytic(spec, space, warnings)
         else:
             result = _monte_carlo(spec)
         fractions = tuple(_lambda_frac(p, spec, warnings) for p in result.p_sa)

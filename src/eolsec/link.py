@@ -5,7 +5,9 @@ The link has ``capacity`` spectrum slots.  A class-k connection occupies
 token sequence: token 0 is one free slot, token ``k >= 1`` is one class-k
 connection (width ``demands[k-1]``).  Two adjacent equal tokens are two
 distinct connections, so the token sequence fully determines the state.
-The functions below take any sequence; the states they build are tuples.
+The functions below take any sequence of tokens; the simulator edits one
+list in place, and ``defragmented`` returns a new list.  The exact engine
+holds its states as token rows of ``statespace.StateSpace.blocks``.
 """
 
 from __future__ import annotations

@@ -37,6 +37,11 @@ class NonIntegerRpRatio(ValueError):
     """randomization_rate / service_rate must be a positive integer."""
 
 
+class NoOccupiedMass(ValueError):
+    """The stationary distribution puts no mass on an occupied state, so no
+    randomization is ever scored."""
+
+
 def _outside_split_prefix(
     n_out: tuple[int, ...], frees_out: int, demands: tuple[int, ...]
 ) -> list[int]:
@@ -229,7 +234,7 @@ def attack_success_probability(pi: np.ndarray, space: StateSpace, width: int) ->
     weights[0] = 0.0  # the canonical state order puts the all-free state first
     mass = weights.sum()
     if mass <= 0:
-        raise ValueError("no stationary mass on occupied states")
+        raise NoOccupiedMass("no stationary mass on occupied states")
     # both sums add in the same pairwise order and per_state <= 1 term by
     # term, so the ratio stays <= 1 (a BLAS dot product rounds differently)
     return float((per_state * weights).sum() / mass)

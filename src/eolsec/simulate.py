@@ -18,15 +18,16 @@ a conditional Monte Carlo estimate with the same mean and less variance
 than checking the one redraw.  Defrag completions are not scored.  Scoring draws no random numbers, so it never
 changes the trajectory.
 
-Replications differ only in their seed-derived random streams; results are
-bit-for-bit reproducible for a fixed config and seed.
+Confidence intervals come from independent replications, which differ only
+in their seed-derived random streams; results are bit-for-bit reproducible
+for a fixed config and seed.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .ctmc import ModelVariant, overall_blocking
 from .link import (
@@ -42,8 +43,8 @@ from .link import (
 from .security import WindowSurvival
 
 DEFAULT_SEED = 1729
+DEFAULT_REPLICATIONS = 10
 _NO_RECONFIG, _RANDOMIZING, _DEFRAGMENTING = 0, 1, 2
-_BATCH_COUNT = 10  # batch-means groups for single-replication CIs
 
 
 @dataclass(frozen=True)
@@ -53,7 +54,7 @@ class SimConfig:
     arrivals: int | None = None        # measured arrivals per replication
     horizon: float | None = None       # simulated time per replication
     warmup: float = 0.0
-    replications: int = 1
+    replications: int = DEFAULT_REPLICATIONS
     seed: int = DEFAULT_SEED
     window_widths: tuple[int, ...] = ()
     randomize_empty: bool = False
@@ -71,8 +72,8 @@ class SimConfig:
             raise ValueError("warmup must be smaller than the horizon")
         if self.warmup < 0:
             raise ValueError("warmup must be >= 0")
-        if self.replications < 1:
-            raise ValueError("replications must be >= 1")
+        if self.replications < 2:
+            raise ValueError("replications must be >= 2")
         for w in self.window_widths:
             if not 1 <= w <= self.profile.capacity:
                 raise ValueError(f"window width {w} not in 1..{self.profile.capacity}")
@@ -114,22 +115,18 @@ class SimResult:
 
 @dataclass
 class _Replication:
-    # One 4×K table per batch; rows count the measured arrivals and the
-    # resource-, fragmentation- and reconfiguration-blocked ones per class.
-    # The other counts, like the tables, skip the warmup.
-    tables: list[list[list[int]]]
-    rp_started: int = 0
-    rp_ignored_empty: int = 0
-    rp_discarded: int = 0
+    # The 4×K table's rows count the measured arrivals and the resource-,
+    # fragmentation- and reconfiguration-blocked ones per class, the first
+    # four EventCounts fields.  The counters are named after the other
+    # fields.  Like the table, they skip the warmup.
+    table: list[list[int]]
+    randomizations_started: int = 0
+    randomizations_ignored_empty: int = 0
+    randomizations_discarded: int = 0
     defrags_started: int = 0
-    completions: int = 0
-    rp_events: int = 0
+    reconfigs_completed: int = 0
+    randomizations_scored: int = 0
     rp_success: dict[int, float] = field(default_factory=dict)
-
-
-def _sum_tables(tables: list[list[list[int]]]) -> list[list[int]]:
-    """Entry-wise sum of 4×K count tables."""
-    return [[sum(col) for col in zip(*rows)] for rows in zip(*tables)]
 
 
 def _departure_rate(counts: list[int], mu: tuple[float, ...]) -> float:
@@ -140,9 +137,7 @@ def _departure_rate(counts: list[int], mu: tuple[float, ...]) -> float:
     return rate
 
 
-def _simulate_replication(
-    cfg: SimConfig, rep: int, n_batches: int, survival: WindowSurvival
-) -> _Replication:
+def _simulate_replication(cfg: SimConfig, rep: int, survival: WindowSurvival) -> _Replication:
     profile = cfg.profile
     variant = cfg.variant
     capacity = profile.capacity
@@ -165,16 +160,8 @@ def _simulate_replication(
     uniform = rng.random
     getrandbits = rng.getrandbits
 
-    rec = _Replication(
-        tables=[[[0] * K for _ in range(4)] for _ in range(n_batches)],
-        rp_success={w: 0.0 for w in widths},
-    )
-    table = rec.tables[0]
-    if n_batches > 1:
-        if budget is not None:
-            batch_size = max(1, -(-budget // n_batches))
-        else:
-            batch_span = (horizon - warmup) / n_batches
+    rec = _Replication(table=[[0] * K for _ in range(4)], rp_success={w: 0.0 for w in widths})
+    table = rec.table
 
     tokens = [0] * capacity
     counts = [0] * K
@@ -211,12 +198,6 @@ def _simulate_replication(
                 acc += lam[k]
             if measuring:
                 measured_arrivals += 1
-                if n_batches > 1:
-                    if budget is not None:
-                        b = min((measured_arrivals - 1) // batch_size, n_batches - 1)
-                    else:
-                        b = min(int((t - warmup) / batch_span), n_batches - 1)
-                    table = rec.tables[b]
                 table[0][k] += 1
             if reconfig:
                 if measuring:
@@ -247,14 +228,14 @@ def _simulate_replication(
             # randomization request
             if reconfig:
                 if measuring:
-                    rec.rp_discarded += 1
+                    rec.randomizations_discarded += 1
             elif free_total < capacity or cfg.randomize_empty:
                 reconfig = _RANDOMIZING
                 request_measured = measuring
                 if measuring:
-                    rec.rp_started += 1
+                    rec.randomizations_started += 1
             elif measuring:
-                rec.rp_ignored_empty += 1
+                rec.randomizations_ignored_empty += 1
         elif reconfig:
             # reconfiguration completes: redraw the arrangement
             if reconfig == _RANDOMIZING:
@@ -266,14 +247,14 @@ def _simulate_replication(
                     pat = tuple(counts)
                     for w in widths:
                         rec.rp_success[w] += survival.expected(spans, pat, w)
-                    rec.rp_events += 1
+                    rec.randomizations_scored += 1
                 shuffle(tokens, getrandbits)
             else:
                 tokens = defragmented(tokens, rng)
             if debug:
                 check_state()
             if measuring:
-                rec.completions += 1
+                rec.reconfigs_completed += 1
             reconfig = _NO_RECONFIG
         else:
             # departure
@@ -341,47 +322,30 @@ def _blocking_values(table: list[list[int]], lam: tuple[float, ...]) -> list[flo
 def run_simulation(cfg: SimConfig) -> SimResult:
     """Run all replications and aggregate the estimates.
 
-    Confidence half-widths use the Student-t 95% interval over replication
-    values; a single replication falls back to batch means around its
-    whole-run value for the blocking metrics (security metrics then carry no
-    interval).
+    Each replication gives one value of every metric; the estimate is
+    their mean, with the Student-t 95% interval over them.
     """
-    n_batches = _BATCH_COUNT if cfg.replications == 1 else 1
     survival = WindowSurvival(cfg.profile)
-    reps = [
-        _simulate_replication(cfg, r, n_batches, survival)
-        for r in range(cfg.replications)
-    ]
+    reps = [_simulate_replication(cfg, r, survival) for r in range(cfg.replications)]
     lam = cfg.profile.arrival_rates
     K = cfg.profile.num_classes
-    totals = _sum_tables([t for r in reps for t in r.tables])
 
-    if cfg.replications >= 2:
-        samples = [_sum_tables(r.tables) for r in reps]
-    else:
-        samples = [t for t in reps[0].tables if sum(t[0]) > 0]
-    values = [_blocking_values(t, lam) for t in samples]
-    tq = _t_quantile(len(samples))
+    values = [_blocking_values(r.table, lam) for r in reps]
+    tq = _t_quantile(len(reps))
     est = [_estimate([v[j] for v in values], tq) for j in range(2 * K + 2)]
-    if cfg.replications == 1:
-        est = [
-            MetricEstimate(point, e.std_error, e.ci_half_width)
-            for point, e in zip(_blocking_values(totals, lam), est)
-        ]
 
     attack = {}
     for w in cfg.window_widths:
-        rp_vals = [r.rp_success[w] / r.rp_events if r.rp_events else math.nan for r in reps]
-        # unreplicated, this is one value: no interval, whatever tq is
+        rp_vals = [
+            r.rp_success[w] / r.randomizations_scored if r.randomizations_scored else math.nan
+            for r in reps
+        ]
         attack[w] = _estimate(rp_vals, tq)
 
+    rows = zip(*(r.table for r in reps))
     counts = EventCounts(
-        *(tuple(row) for row in totals),
-        randomizations_started=sum(r.rp_started for r in reps),
-        randomizations_ignored_empty=sum(r.rp_ignored_empty for r in reps),
-        randomizations_discarded=sum(r.rp_discarded for r in reps),
-        defrags_started=sum(r.defrags_started for r in reps),
-        reconfigs_completed=sum(r.completions for r in reps),
+        *(tuple(map(sum, zip(*row))) for row in rows),
+        **{f.name: sum(getattr(r, f.name) for r in reps) for f in fields(EventCounts)[4:]},
     )
     return SimResult(
         resource_blocking=tuple(est[:K]),
@@ -390,5 +354,5 @@ def run_simulation(cfg: SimConfig) -> SimResult:
         overall_blocking=est[2 * K + 1],
         attack_success=attack,
         counts=counts,
-        randomizations_scored=sum(r.rp_events for r in reps),
+        randomizations_scored=sum(r.randomizations_scored for r in reps),
     )

@@ -14,15 +14,18 @@ from eolsec import (
     NoConvergence,
     NotIrreducible,
     RateMatrix,
+    SpaceOptions,
     VariantKind,
     assemble_generator,
     blocking_report,
     attack_success_probability,
     build_state_space,
+    per_state_attack_success,
     solve_stationary,
 )
 from eolsec import ctmc
 from oracles import (
+    arrangements,
     dense_stationary_oracle,
     is_strongly_connected,
     loop_generator,
@@ -384,6 +387,31 @@ def test_rescaling_matches_a_direct_solve(chain, mu_d):
     )
     assert rescaled.residual <= 1e-10
     assert np.abs(rescaled.pi - solve_stationary(rm).pi).max() <= 1e-10
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_chains(), st.booleans())
+def test_chain_is_mirror_symmetric(chain, randomize_empty):
+    # reversing the slot order maps the chain onto itself: the basis of
+    # lumping each state with its mirror image
+    profile, variant = chain
+    space = build_state_space(profile, SpaceOptions(randomize_empty=randomize_empty))
+    states = arrangements(space)
+    index = {tokens: i for i, tokens in enumerate(states)}
+    rm = assemble_generator(space, profile, variant)
+    q = rm.matrix.tocsr()
+    # the reconfiguration states, after the regular ones, are their own mirror
+    mirror = np.arange(q.shape[0])
+    mirror[:len(states)] = [index[tokens[::-1]] for tokens in states]
+
+    off = q - sp.diags(q.diagonal())
+    assert (off[mirror][:, mirror] != off).nnz == 0
+    pi = solve_stationary(rm).pi
+    assert np.abs(pi[mirror] - pi).max() <= 1e-14
+    regular = mirror[:len(states)]
+    for width in range(1, profile.capacity + 1):
+        scores = per_state_attack_success(space, width)
+        assert (scores[regular] == scores).all()
 
 
 def test_power_sweep_cap_raises_no_convergence(space7, rates7, monkeypatch):

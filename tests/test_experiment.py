@@ -316,9 +316,9 @@ class TestRunExperiments:
         timed = []
         real = experiment._analytic
 
-        def analytic(spec, space):
+        def analytic(spec, space, warnings):
             timed.append("transitions" in vars(space))
-            return real(spec, space)
+            return real(spec, space, warnings)
 
         monkeypatch.setattr(experiment, "_analytic", analytic)
         run_experiments(load_config(config_path))
@@ -575,7 +575,8 @@ class TestCli:
 
     @pytest.mark.parametrize("sim_block, message", [
         ("sim: {horizon: 10, warmup: 20}", "sim: warmup must be smaller than the horizon"),
-        ("sim: {arrivals: 200, replications: 0}", "sim: replications must be >= 1"),
+        ("sim: {arrivals: 200, replications: 0}", "sim: replications must be >= 2"),
+        ("sim: {arrivals: 200, replications: 1}", "sim: replications must be >= 2"),
     ])
     def test_sim_block_the_simulator_rejects(self, tmp_path, capsys, sim_block, message):
         out_dir = tmp_path / "out"
@@ -643,6 +644,74 @@ class TestCli:
             assert main([command, "--config", str(path)]) == EXIT_CONFIG
             assert f"config error: {message}" in capsys.readouterr().err
         assert not out_dir.exists()
+
+    @pytest.mark.parametrize("where, value", [
+        ("schema_version", True),
+        ("profile.capacity", True),
+        ("profile.demands", [True, 4]),
+        ("profile.service_rates", True),
+        ("profile.service_rates", [1.0, False]),
+        ("traffic.loads", [True]),
+        ("sim.arrivals", True),
+        ("sim.horizon", True),
+        ("sim.warmup", False),
+        ("sim.replications", True),
+        ("state_budget", True),
+        ("jobs", True),
+    ])
+    def test_boolean_is_no_number(self, tmp_path, capsys, where, value):
+        # bool subclasses int, so a YAML true/false must be refused by name
+        out_dir = tmp_path / "out"
+        doc = {
+            "schema_version": 1,
+            "profile": {"capacity": 7, "demands": [3, 4], "service_rates": 1.0},
+            "traffic": {"loads": [2.0]},
+            "engine": "both",
+            "sim": {"arrivals": 200, "warmup": 1.0, "replications": 2},
+            "output": {"dir": str(out_dir)},
+            "jobs": 1,
+        }
+        *parents, key = where.split(".")
+        node = doc
+        for name in parents:
+            node = node[name]
+        node[key] = value
+        path = tmp_path / "boolean.yaml"
+        path.write_text(yaml.safe_dump(doc))
+        with pytest.raises(ConfigError, match=f"field {where} must be"):
+            load_config(path)
+        for command in ("validate", "run"):
+            assert main([command, "--config", str(path)]) == EXIT_CONFIG
+            captured = capsys.readouterr()
+            assert "config ok" not in captured.out
+            assert f"config error: field {where} must be" in captured.err
+        assert not out_dir.exists()
+
+    def test_zero_load_cell_reports_nan_security(self, tmp_path, capsys):
+        # at load 0 the link stays empty, so no randomization is ever scored
+        def run(loads):
+            out_dir = tmp_path / f"out{len(loads)}"
+            path = tmp_path / f"loads{len(loads)}.yaml"
+            path.write_text(
+                "schema_version: 1\n"
+                "profile: {capacity: 7, demands: [3, 4]}\n"
+                f"traffic: {{loads: {loads}}}\n"
+                "sweep: {variants: [randomized], randomization_rates: [1.0]}\n"
+                "window_widths: [3]\n"
+                f"output: {{dir: '{out_dir}', timestamp: false}}\n"
+            )
+            assert main(["run", "--config", str(path)]) == EXIT_OK
+            rows = (out_dir / "results.csv").read_text().splitlines()
+            summary = json.loads((out_dir / "results_summary.json").read_text())
+            return rows, [cell["warnings"] for cell in summary["cells"]]
+
+        (header, zero, loaded), warnings = run([0.0, 2.0])
+        row = dict(zip(header.split(","), zero.split(",")))
+        assert row["load_erlang"] == "0.0"
+        assert row["p_sa_3"] == row["lambda_frac_3"] == "nan"
+        assert warnings == [["p_sa: no stationary mass on occupied states"], []]
+        (_, alone), _ = run([2.0])
+        assert loaded == alone
 
     def test_invalid_sweep_rate_is_config_error(self, tmp_path, capsys):
         out_dir = tmp_path / "out"

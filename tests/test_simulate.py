@@ -20,7 +20,7 @@ from eolsec import (
 )
 from eolsec import simulate
 from eolsec.link import check_arrangement, defragmented, pattern, random_fit, shuffle
-from eolsec.simulate import EventCounts, _blocking_values, _t_quantile
+from eolsec.simulate import EventCounts, _t_quantile
 from oracles import arrangements, is_defragmented
 
 
@@ -229,25 +229,23 @@ class TestRunSimulation:
                 assert got == total - early, name
 
     def test_windows_leave_trajectory_untouched(self, profile7):
-        # replication intervals, then batch means
-        for replications in (2, 1):
-            shared = dict(
-                profile=profile7,
-                variant=ModelVariant.randomized_defrag(2.0, 10.0),
-                arrivals=5000,
-                warmup=10.0,
-                replications=replications,
-                seed=31,
-            )
-            bare = run_simulation(SimConfig(window_widths=(), **shared))
-            scored = run_simulation(SimConfig(window_widths=(3, 5), **shared))
-            assert scored.counts.defrags_started > 0
-            assert scored.counts == bare.counts
-            assert scored.resource_blocking == bare.resource_blocking
-            assert scored.fragmentation_blocking == bare.fragmentation_blocking
-            assert scored.reconfiguration_blocking == bare.reconfiguration_blocking
-            assert scored.overall_blocking == bare.overall_blocking
-            assert not math.isnan(scored.attack_success[3].mean)
+        shared = dict(
+            profile=profile7,
+            variant=ModelVariant.randomized_defrag(2.0, 10.0),
+            arrivals=5000,
+            warmup=10.0,
+            replications=2,
+            seed=31,
+        )
+        bare = run_simulation(SimConfig(window_widths=(), **shared))
+        scored = run_simulation(SimConfig(window_widths=(3, 5), **shared))
+        assert scored.counts.defrags_started > 0
+        assert scored.counts == bare.counts
+        assert scored.resource_blocking == bare.resource_blocking
+        assert scored.fragmentation_blocking == bare.fragmentation_blocking
+        assert scored.reconfiguration_blocking == bare.reconfiguration_blocking
+        assert scored.overall_blocking == bare.overall_blocking
+        assert not math.isnan(scored.attack_success[3].mean)
 
     def test_windows_leave_trajectory_untouched_at_c100(self):
         # the benchmark's C=100 link, whose window time is measured as the
@@ -269,42 +267,6 @@ class TestRunSimulation:
         assert scored.reconfiguration_blocking == bare.reconfiguration_blocking
         assert scored.overall_blocking == bare.overall_blocking
 
-    def test_single_replication_batch_means(self, profile7):
-        cfg = SimConfig(
-            profile=profile7,
-            variant=ModelVariant.randomized(1.0, 10.0),
-            arrivals=20_000,
-            warmup=10.0,
-            replications=1,
-            seed=8,
-        )
-        result = run_simulation(cfg)
-        assert result.overall_blocking.ci_half_width > 0.0
-        assert not math.isnan(result.reconfiguration_blocking.std_error)
-
-    def test_single_replication_point_is_the_whole_run(self, profile7):
-        # batch means only widen the interval: the point estimates are the
-        # blocking values of the run's total counts
-        cfg = SimConfig(
-            profile=profile7,
-            variant=ModelVariant.randomized_defrag(1.0, 10.0),
-            arrivals=20_000,
-            warmup=10.0,
-            replications=1,
-            seed=8,
-        )
-        result = run_simulation(cfg)
-        c = result.counts
-        table = [c.arrivals, c.resource_blocked, c.frag_blocked, c.reconfig_blocked]
-        estimates = [
-            *result.resource_blocking,
-            *result.fragmentation_blocking,
-            result.reconfiguration_blocking,
-            result.overall_blocking,
-        ]
-        assert [e.mean for e in estimates] == _blocking_values(table, profile7.arrival_rates)
-        assert all(e.ci_half_width > 0.0 for e in estimates)
-
     def test_horizon_mode(self, profile7):
         cfg = SimConfig(
             profile=profile7,
@@ -322,7 +284,7 @@ class TestRunSimulation:
             profile=profile7,
             variant=ModelVariant.randomized_defrag(2.0, 5.0),
             arrivals=2000,
-            replications=1,
+            replications=2,
             seed=6,
             debug_checks=True,
         )

@@ -34,8 +34,9 @@ POWER_METHOD = "power:jacobi-scaled"
 # 1 - 1/POWER_DAMPING, so the iteration matrix is aperiodic.
 POWER_DAMPING = 1.05
 POWER_CHECK_EVERY = 50
-# The residual target is tol / POWER_TOL_MARGIN, so that closed-form rescaling
-# (which amplifies the residual up to about 10x) still meets the gate.
+# The residual target is DEFAULT_SOLVER_TOL / POWER_TOL_MARGIN, so that
+# closed-form rescaling (which amplifies the residual up to about 10x) still
+# meets the gate.
 POWER_TOL_MARGIN = 1000.0
 POWER_MAX_SWEEPS = 20_000
 
@@ -203,7 +204,7 @@ def _terminal_states(q: sp.csr_matrix) -> np.ndarray:
     return np.flatnonzero(labels == terminal[0])
 
 
-def solve_stationary(rm: RateMatrix, tol: float = DEFAULT_SOLVER_TOL) -> StationaryDistribution:
+def solve_stationary(rm: RateMatrix) -> StationaryDistribution:
     """Solve pi Q = 0 with sum(pi) = 1 by power iteration on the terminal
     class of ``rm``.
 
@@ -212,7 +213,7 @@ def solve_stationary(rm: RateMatrix, tol: float = DEFAULT_SOLVER_TOL) -> Station
     leaves at the same scaled rate, so fast reconfiguration states do not
     stiffen it as they would a uniformized chain, and nothing fills in.
     The residual on the full generator is checked every
-    ``POWER_CHECK_EVERY`` sweeps until it is at most tol /
+    ``POWER_CHECK_EVERY`` sweeps until it is at most ``DEFAULT_SOLVER_TOL`` /
     ``POWER_TOL_MARGIN``; after ``POWER_MAX_SWEEPS`` sweeps NoConvergence
     is raised.  A clearly negative mass raises NegativeStationaryMass, and
     more than one closed class raises NotIrreducible.  (Stewart,
@@ -238,7 +239,7 @@ def solve_stationary(rm: RateMatrix, tol: float = DEFAULT_SOLVER_TOL) -> Station
         pi[keep] = y * scale
         pi /= pi.sum()
         res = _residual(pi, q)
-        if res <= tol / POWER_TOL_MARGIN:
+        if res <= DEFAULT_SOLVER_TOL / POWER_TOL_MARGIN:
             return _distribution(pi, q, sweeps)
         if sweeps >= POWER_MAX_SWEEPS:
             raise NoConvergence(sweeps, res)

@@ -179,10 +179,6 @@ def load_config(path: str | Path, **overrides) -> ExperimentConfig:
 
     window_widths = _num_list(doc, "", "window_widths", integers=True)
 
-    engine = _get(doc, "", "engine", str, default="analytic")
-    if engine not in ("analytic", "mc", "both"):
-        raise ConfigError(f"field engine must be analytic, mc or both, got {engine!r}")
-
     sim = _get(doc, "", "sim", dict, default={})
     _known_fields(sim, "sim", ("arrivals", "horizon", "warmup", "replications", "seed"))
     sim_arrivals = _get(sim, "sim", "arrivals", int, default=None)
@@ -200,7 +196,7 @@ def load_config(path: str | Path, **overrides) -> ExperimentConfig:
         randomization_rates=randomization_rates,
         reconfig_rates=reconfig_rates,
         window_widths=window_widths,
-        engine=engine,
+        engine=_get(doc, "", "engine", str, default="analytic"),
         state_budget=_get(doc, "", "state_budget", int, default=DEFAULT_STATE_BUDGET),
         randomize_empty=_get(doc, "", "randomize_empty", bool, default=False),
         sim_arrivals=sim_arrivals,
@@ -215,6 +211,8 @@ def load_config(path: str | Path, **overrides) -> ExperimentConfig:
     )
     cfg = replace(cfg, **overrides)
 
+    if cfg.engine not in ("analytic", "mc", "both"):
+        raise ConfigError(f"field engine must be analytic, mc or both, got {cfg.engine!r}")
     for v in cfg.variants:
         if v not in VARIANT_NAMES:
             raise ConfigError(f"field sweep.variants: unknown variant {v!r} (choose from {VARIANT_NAMES})")
@@ -227,21 +225,12 @@ def load_config(path: str | Path, **overrides) -> ExperimentConfig:
         structure_profile(cfg)
     except ValueError as exc:
         raise ConfigError(f"profile: {exc}") from exc
-    if cfg.engine != "analytic" and cfg.sim_arrivals is None and cfg.sim_horizon is None:
-        raise ConfigError("sim.arrivals or sim.horizon is required when the mc engine can run")
     if cfg.jobs < 1:
         raise ConfigError("field jobs must be >= 1")
     try:
-        points = _traffic(cfg)
+        _traffic(cfg)
     except ValueError as exc:
         raise ConfigError(f"traffic: {exc}") from exc
-    for _, profile in points:
-        if cfg.sim_arrivals is not None or cfg.sim_horizon is not None:
-            # the simulator's own checks, on what each mc cell would run
-            try:
-                _sim_config(cfg, profile, ModelVariant.regular(), cfg.seed)
-            except ValueError as exc:
-                raise ConfigError(f"sim: {exc}") from exc
     return cfg
 
 
@@ -267,17 +256,22 @@ def _traffic(cfg: ExperimentConfig) -> list[tuple[float, DemandProfile]]:
     ]
 
 
-def _variant_for(name: str, lambda_s: float, mu_d: float) -> ModelVariant:
-    kind = VariantKind(name)
-    if kind is VariantKind.REGULAR:
-        return ModelVariant.regular()
-    return ModelVariant(kind, lambda_s, mu_d)
-
-
 @dataclass(frozen=True)
 class CellSpec:
+    """One grid cell and what its engines run.
+
+    ``chain`` is the model whose one exact solve, with ``profile``, serves
+    this cell: ``model`` at the reference rate mu_ref = ``reconfig_rates[0]``.
+    A reconfiguration state leaves at rate mu_d and does nothing else, so
+    the distribution at any mu_d follows from the one at mu_ref in closed
+    form (``ctmc.rescale_reconfiguration``), and the regular model depends
+    on neither lambda_S nor mu_d.  mu_d is the innermost grid axis: the
+    cells of one chain are adjacent, and a randomized chain spans
+    ``len(reconfig_rates)`` cells.  ``sim`` is the simulator config of a
+    cell that runs the mc engine, and ``None`` otherwise.
+    """
+
     ordinal: int
-    variant: str
     load: float
     lambda_s: float
     mu_d: float
@@ -285,6 +279,8 @@ class CellSpec:
     config: ExperimentConfig
     profile: DemandProfile
     model: ModelVariant
+    chain: ModelVariant
+    sim: SimConfig | None
     fallback: str  # why the analytic engine cannot run, or ""
 
 
@@ -294,9 +290,10 @@ def cell_specs(cfg: ExperimentConfig) -> tuple[list[CellSpec], int | None]:
 
     The states are counted once per grid, and only when an analytic cell
     runs (``None`` otherwise).  Over ``state_budget`` every analytic cell
-    falls back to mc, or StateBudgetExceeded is raised when the config has
-    no Monte Carlo budget (``sim.arrivals`` or ``sim.horizon``) to fall back
-    on.
+    falls back to mc.  Where the mc engine runs, the config needs a Monte
+    Carlo budget (``sim.arrivals`` or ``sim.horizon``), or else
+    StateBudgetExceeded (after a fallback) or ConfigError is raised, and
+    its ``sim`` block must pass the simulator's own checks in every cell.
     """
     engines = ("analytic", "mc") if cfg.engine == "both" else (cfg.engine,)
     points = list(product(
@@ -307,40 +304,48 @@ def cell_specs(cfg: ExperimentConfig) -> tuple[list[CellSpec], int | None]:
     if "analytic" in engines and points:
         states = count_states(structure_profile(cfg))
         if states > cfg.state_budget:
-            exc = StateBudgetExceeded(states, cfg.state_budget)
-            if cfg.sim_arrivals is None and cfg.sim_horizon is None:
-                raise exc
-            engines, fallback = ("mc",), str(exc)
-    try:
-        return [
-            CellSpec(i, name, load, lambda_s, mu_d, engines, cfg, profile,
-                     _variant_for(name, lambda_s, mu_d), fallback)
-            for i, (name, (load, profile), lambda_s, mu_d) in enumerate(points)
-        ], states
-    except ValueError as exc:
-        raise ConfigError(f"sweep: {exc}") from exc
+            over_budget = StateBudgetExceeded(states, cfg.state_budget)
+            engines, fallback = ("mc",), str(over_budget)
+    if "mc" in engines and cfg.sim_arrivals is None and cfg.sim_horizon is None:
+        # no Monte Carlo budget to run on, or to fall back on
+        raise over_budget if fallback else ConfigError(
+            "sim.arrivals or sim.horizon is required when the mc engine can run")
 
-
-def _chain(spec: CellSpec) -> tuple[DemandProfile, ModelVariant]:
-    """The chain whose one exact solve serves ``spec``: its profile, and
-    its model at the reference rate mu_ref = ``reconfig_rates[0]``.
-
-    A reconfiguration state leaves at rate mu_d and does nothing else, so
-    the distribution at any mu_d follows from the one at mu_ref in closed
-    form (``ctmc.rescale_reconfiguration``), and the regular model depends
-    on neither lambda_S nor mu_d.  mu_d is the innermost grid axis: the
-    cells of one chain are adjacent, and a randomized chain spans
-    ``len(reconfig_rates)`` cells.
-    """
-    model = spec.model
-    if model.has_randomization:
-        model = replace(model, reconfig_rate=spec.config.reconfig_rates[0])
-    return spec.profile, model
+    specs = []
+    for i, (name, (load, profile), lambda_s, mu_d) in enumerate(points):
+        kind = VariantKind(name)
+        try:
+            model = (ModelVariant(kind, lambda_s, mu_d) if kind is not VariantKind.REGULAR
+                     else ModelVariant.regular())
+        except ValueError as exc:
+            raise ConfigError(f"sweep: {exc}") from exc
+        chain_model = model
+        if model.has_randomization:
+            chain_model = replace(model, reconfig_rate=cfg.reconfig_rates[0])
+        sim = None
+        if "mc" in engines:
+            try:
+                sim = SimConfig(
+                    profile=profile,
+                    variant=model,
+                    arrivals=cfg.sim_arrivals,
+                    horizon=cfg.sim_horizon,
+                    warmup=cfg.sim_warmup,
+                    replications=cfg.sim_replications,
+                    seed=cfg.seed + i,
+                    window_widths=cfg.window_widths if model.has_randomization else (),
+                    randomize_empty=cfg.randomize_empty,
+                )
+            except ValueError as exc:
+                raise ConfigError(f"sim: {exc}") from exc
+        specs.append(CellSpec(i, load, lambda_s, mu_d, engines, cfg, profile, model,
+                              chain_model, sim, fallback))
+    return specs, states
 
 
 def exact_solves(specs: list[CellSpec]) -> int:
     """The number of exact solves a grid takes: one per chain of its analytic cells."""
-    return len({_chain(spec) for spec in specs if "analytic" in spec.engines})
+    return len({(spec.profile, spec.chain) for spec in specs if "analytic" in spec.engines})
 
 
 @lru_cache(maxsize=1)
@@ -408,8 +413,8 @@ class CellResult:
 
     def summary(self) -> dict:
         spec = self.spec
-        doc = {"variant": spec.variant, "load_erlang": spec.load, "lambda_S": spec.lambda_s,
-               "mu_d": spec.mu_d, "warnings": list(self.warnings)}
+        doc = {"variant": spec.model.kind.value, "load_erlang": spec.load,
+               "lambda_S": spec.lambda_s, "mu_d": spec.mu_d, "warnings": list(self.warnings)}
         for result in self.engines:
             doc[result.engine] = result.summary()
         if len(self.engines) == 2:
@@ -435,22 +440,10 @@ class CellResult:
                 *chain.from_iterable(zip(r.p_sa, r.lambda_frac)),
                 r.residual_or_ci, r.wall_ms if cfg.timestamp else 0.0,
             ]
-            rows.append(",".join([spec.variant, r.engine, str(cfg.capacity), *map(_fmt, values)]))
+            rows.append(",".join(
+                [spec.model.kind.value, r.engine, str(cfg.capacity), *map(_fmt, values)]
+            ))
         return rows
-
-
-def _sim_config(cfg: ExperimentConfig, profile: DemandProfile, variant: ModelVariant, seed: int):
-    return SimConfig(
-        profile=profile,
-        variant=variant,
-        arrivals=cfg.sim_arrivals,
-        horizon=cfg.sim_horizon,
-        warmup=cfg.sim_warmup,
-        replications=cfg.sim_replications,
-        seed=seed,
-        window_widths=cfg.window_widths if variant.has_randomization else (),
-        randomize_empty=cfg.randomize_empty,
-    )
 
 
 def _analytic(spec: CellSpec, space, warnings: list[str]) -> EngineResult:
@@ -462,8 +455,7 @@ def _analytic(spec: CellSpec, space, warnings: list[str]) -> EngineResult:
     the empty link scores no randomization: its ``p_sa`` is NaN, as in the
     Monte Carlo engine, with one cell warning.
     """
-    cfg, profile, variant = spec.config, spec.profile, spec.model
-    _, ref_model = _chain(spec)
+    cfg, profile, variant, ref_model = spec.config, spec.profile, spec.model, spec.chain
     dist = _reference(cfg, profile, ref_model)
     mu_ref = None
     if ref_model != variant:
@@ -498,16 +490,16 @@ def _analytic(spec: CellSpec, space, warnings: list[str]) -> EngineResult:
 
 
 def _monte_carlo(spec: CellSpec) -> EngineResult:
-    cfg = spec.config
-    result = run_simulation(_sim_config(cfg, spec.profile, spec.model, cfg.seed + spec.ordinal))
+    result = run_simulation(spec.sim)
     attack = result.attack_success
+    widths = spec.config.window_widths
     return EngineResult(
         engine="mc",
         rb=tuple(e.mean for e in result.resource_blocking),
         fb=tuple(e.mean for e in result.fragmentation_blocking),
         rcb=result.reconfiguration_blocking.mean,
         bp=result.overall_blocking.mean,
-        p_sa=tuple(attack[w].mean if w in attack else math.nan for w in cfg.window_widths),
+        p_sa=tuple(attack[w].mean if w in attack else math.nan for w in widths),
         residual_or_ci=result.overall_blocking.ci_half_width,
         half_widths={
             "rcb": result.reconfiguration_blocking.ci_half_width,

@@ -53,10 +53,6 @@ class DemandProfile:
     def num_classes(self) -> int:
         return len(self.demands)
 
-    def demand(self, k: int) -> int:
-        """Slot demand of class k (1-based)."""
-        return self.demands[k - 1]
-
     @classmethod
     def with_uniform_load(
         cls,

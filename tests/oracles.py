@@ -39,7 +39,7 @@ class Classification(Enum):
 
 def classify(tokens: Sequence[int], k: int, profile: DemandProfile) -> Classification:
     """Accept, fragmentation-blocked or resource-blocked for a class-k arrival."""
-    need = profile.demand(k)
+    need = profile.demands[k - 1]
     if fit_runs(tokens, need):
         return Classification.ACCEPT
     if tokens.count(FREE) >= need:
@@ -53,7 +53,7 @@ def placements(tokens: Sequence[int], k: int, profile: DemandProfile) -> list[tu
     One result per admissible slot position, in slot order.  Under the
     random-fit policy each result is chosen with probability 1/len(result).
     """
-    need = profile.demand(k)
+    need = profile.demands[k - 1]
     runs = fit_runs(tokens, need)
     if not runs:
         raise ValueError(f"class {k} is not acceptable in this state")
@@ -73,7 +73,7 @@ def removals(tokens: Sequence[int], k: int, profile: DemandProfile) -> list[tupl
     multiplicity is n_k.
     """
     tokens = tuple(tokens)
-    frees = (FREE,) * profile.demand(k)
+    frees = (FREE,) * profile.demands[k - 1]
     merged: dict[tuple[int, ...], int] = {}
     for i, t in enumerate(tokens):
         if t == k:
@@ -214,7 +214,7 @@ def free_fragments(arr: tuple[int, ...]) -> list[int]:
 
 def placement_count(arr: tuple[int, ...], k: int, profile: DemandProfile) -> int:
     """Number of distinct slot positions where a class-k block fits."""
-    return sum(c for _, c in fit_runs(arr, profile.demand(k)))
+    return sum(c for _, c in fit_runs(arr, profile.demands[k - 1]))
 
 
 @dataclass(frozen=True)

@@ -85,7 +85,7 @@ def solutions20(space20):
         else:
             variant = ModelVariant.randomized_defrag(lam_s, mu_d)
         rm = assemble_generator(space20, profile, variant)
-        dist = solve_stationary(rm, tol=1e-10)
+        dist = solve_stationary(rm)
         report = blocking_report(dist, space20, profile, variant)
         out[(kind, load, lam_s, mu_d)] = (rm, dist, report)
     return out

@@ -110,7 +110,7 @@ def test_solution_contract(space7, rates7):
         ModelVariant.randomized_defrag(0.7, 11.0),
     ):
         rm = assemble_generator(space7, rates7, variant)
-        dist = solve_stationary(rm, tol=1e-10)
+        dist = solve_stationary(rm)
         assert dist.residual <= 1e-10
         assert abs(dist.pi.sum() - 1.0) <= 1e-12
         assert dist.pi.min() >= 0.0

@@ -124,6 +124,10 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="unknown variant 'turbo'"):
             load_config(config_path, variants=("turbo",))
 
+    def test_overridden_engine_is_checked(self, config_path):
+        with pytest.raises(ConfigError, match="field engine must be analytic, mc or both"):
+            load_config(config_path, engine="turbo")
+
 
 class TestRunExperiments:
     def test_analytic_grid(self, config_path, tmp_path):
@@ -257,6 +261,19 @@ class TestRunExperiments:
         assert len({(spec.profile, spec.model) for spec in specs}) == 10
         for spec in specs:
             assert spec.profile == DemandProfile.with_uniform_load(7, (3, 4), spec.load)
+
+    def test_sim_configs_only_where_mc_runs(self, config_path):
+        cfg = load_config(config_path)
+        specs, _ = cell_specs(cfg)
+        assert all(spec.sim is None for spec in specs)
+        for overrides in ({"engine": "both"}, {"engine": "mc"}, {"state_budget": 5}):
+            cfg = load_config(config_path, **overrides)
+            specs, _ = cell_specs(cfg)
+            assert len(specs) == 6
+            for spec in specs:
+                assert "mc" in spec.engines
+                assert spec.sim.seed == cfg.seed + spec.ordinal
+                assert (spec.sim.profile, spec.sim.variant) == (spec.profile, spec.model)
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_budget_without_mc_budget_is_an_error(self, tmp_path, jobs):
@@ -590,7 +607,7 @@ class TestCli:
             f"output: {{dir: '{out_dir}'}}\n"
         )
         with pytest.raises(ConfigError, match=message):
-            load_config(path)
+            cell_specs(load_config(path))
         assert main(["validate", "--config", str(path)]) == EXIT_CONFIG
         captured = capsys.readouterr()
         assert "config ok" not in captured.out
@@ -712,6 +729,60 @@ class TestCli:
         assert warnings == [["p_sa: no stationary mass on occupied states"], []]
         (_, alone), _ = run([2.0])
         assert loaded == alone
+
+    @staticmethod
+    def _zero_load_sim_config(tmp_path, extra: str = ""):
+        out_dir = tmp_path / "out"
+        path = tmp_path / "zero_load_sim.yaml"
+        path.write_text(
+            "schema_version: 1\n"
+            "profile: {capacity: 7, demands: [3, 4]}\n"
+            "traffic: {loads: [0.0, 2.0]}\n"
+            "sweep: {variants: [randomized], randomization_rates: [1.0]}\n"
+            "window_widths: [3]\n"
+            "engine: analytic\n"
+            "sim: {arrivals: 200}\n"
+            + extra
+            + f"output: {{dir: '{out_dir}', timestamp: false}}\n"
+        )
+        return path, out_dir
+
+    def test_sim_block_unchecked_where_no_mc_cell_runs(self, tmp_path):
+        # the simulator refuses load 0 under an arrivals budget, but no mc cell runs
+        path, out_dir = self._zero_load_sim_config(tmp_path)
+        assert main(["validate", "--config", str(path)]) == EXIT_OK
+        assert main(["run", "--config", str(path)]) == EXIT_OK
+        header, zero, _ = (out_dir / "results.csv").read_text().splitlines()
+        row = dict(zip(header.split(","), zero.split(",")))
+        assert (row["engine"], row["load_erlang"], row["p_sa_3"]) == ("analytic", "0.0", "nan")
+
+    def test_sim_block_checked_on_budget_fallback(self, tmp_path, capsys):
+        path, out_dir = self._zero_load_sim_config(tmp_path, "state_budget: 5\n")
+        message = "config error: sim: arrivals budget needs a positive total arrival rate"
+        for command in ("validate", "run"):
+            assert main([command, "--config", str(path)]) == EXIT_CONFIG
+            captured = capsys.readouterr()
+            assert "config ok" not in captured.out
+            assert message in captured.err
+        assert not out_dir.exists()
+
+    def test_mc_engine_without_sim_block(self, tmp_path, capsys):
+        out_dir = tmp_path / "out"
+        path = tmp_path / "mc_no_sim.yaml"
+        path.write_text(
+            "schema_version: 1\n"
+            "profile: {capacity: 7, demands: [3, 4]}\n"
+            "traffic: {loads: [2.0]}\n"
+            "engine: mc\n"
+            f"output: {{dir: '{out_dir}'}}\n"
+        )
+        message = "config error: sim.arrivals or sim.horizon is required when the mc engine can run"
+        for command in ("validate", "run"):
+            assert main([command, "--config", str(path)]) == EXIT_CONFIG
+            captured = capsys.readouterr()
+            assert "config ok" not in captured.out
+            assert message in captured.err
+        assert not out_dir.exists()
 
     def test_invalid_sweep_rate_is_config_error(self, tmp_path, capsys):
         out_dir = tmp_path / "out"

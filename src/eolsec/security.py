@@ -7,20 +7,16 @@ unchanged and no connection straddles a window edge afterwards; straddling
 spectrum is observationally distinct, so straddled placements never count
 as the same observation.
 
-``WindowSurvival`` is the one implementation of this rule.  For one
-pre-state it averages, over every window position, the fraction of the
-pattern's arrangements that keep the observation.  The surviving
-arrangements of one position are counted in closed form: the inside
-orderings times the ways to split the outside tokens onto the two sides of
-the window (``_outside_split_prefix``).  One call sweeps the window starts
-once: the spans' entry and exit breakpoints are merged without a sort, the
-inside counts are one mixed-radix integer updated at each breakpoint, and
-the denominator is cached per (pattern, width).  Numerator and denominator
-stay exact integers and are divided once, so every value is the correctly
-rounded probability.  The exact engine scores every regular state with it
-(``per_state_attack_success``) and the simulator every measured
-randomization.  A per-position reference that counts one window at a time,
-which the tests check this kernel against, lives in ``tests/oracles.py``.
+``WindowSurvival`` is the one implementation of this rule: per window
+position, the surviving arrangements are the inside orderings times the
+ways to split the outside tokens onto the two sides of the window
+(``_outside_split_prefix``), and the exact integer counts are divided once,
+so each value is the correctly rounded probability.  The simulator scores
+one state per measured randomization (``WindowSurvival.expected``); the
+exact engine scores a whole state space at once with the same counting
+(``per_state_attack_success``).  The references the tests check both
+against, a per-position count and ``expected`` run state by state, live in
+``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -29,7 +25,7 @@ from itertools import product
 
 import numpy as np
 
-from .link import FREE, DemandProfile
+from .link import DemandProfile
 from .statespace import StateSpace, _permutation_count
 
 
@@ -72,20 +68,14 @@ def _outside_split_prefix(
 class WindowSurvival:
     """Chance that a window observation survives one uniform redraw.
 
-    For a pre-state given by its connection spans, averages over every
-    window position the fraction of the pattern's arrangements that keep
-    the observation.  Spans are sorted and disjoint, so the fully-inside
-    pattern changes only at two breakpoints per span, and the entry and
-    exit breakpoints are each nondecreasing: two pointers merge them
-    without a sort.  The inside counts are kept as one mixed-radix integer
-    (class k's digit has radix ``capacity // d_k + 1``), updated with one
-    addition per breakpoint and decoded only on a cache miss.  Each run of
-    window starts with one inside pattern costs one prefix-sum difference
-    of the outside-split counts, times its inside orderings.  The
-    denominator, the pattern's arrangements times the window positions,
-    is cached per (pattern, width).  The counts stay exact integers and
-    are divided once, so the value is the correctly rounded exact
-    probability.
+    ``expected`` scores one pre-state given by its connection spans.  Spans
+    are sorted and disjoint, so the fully-inside pattern changes only at two
+    breakpoints per span, and the entry and exit breakpoints are each
+    nondecreasing: two pointers merge them without a sort.  The inside
+    counts are one mixed-radix integer, updated with one addition per
+    breakpoint and decoded only on a cache miss.  Each run of window starts
+    with one inside pattern costs one prefix-sum difference of the
+    outside-split counts, times its inside orderings (``_run``).
 
     An instance caches per link structure, so it serves one profile.
     """
@@ -173,53 +163,110 @@ class WindowSurvival:
         return _permutation_count(frees_in, n_in), prefix
 
 
-class SurvivalMemo:
+# Consecutive blocks are scored together while the chunk's (slots, states)
+# and (patterns, inside keys) arrays each stay under this many elements.
+_CHUNK_CELLS = 1 << 16
+_FLOAT_EXACT = 2**53  # float64 holds every integer below this
+
+
+class InexactScore(ArithmeticError):
+    """A pattern's arrangements times the window positions reach 2**53, so a
+    float64 quotient of the exact counts would not be correctly rounded."""
+
+
+def _denominator(arrangements: int, positions: int) -> float:
+    if arrangements * positions >= _FLOAT_EXACT:
+        raise InexactScore(f"{arrangements} arrangements x {positions} window positions >= 2**53")
+    return float(arrangements * positions)
+
+
+class SpaceSurvival:
     """Per-state attack success of one state space, by window width.
 
-    One ``WindowSurvival`` serves every width, so its prefix sums are
-    shared, and each state's ``token_spans`` are listed once, per block.
-    A span is looked up by its class and last slot, the running sum of the
-    token widths, so equal spans of different states are one tuple.
+    Chunks of consecutive blocks list each connection token once: its class
+    and its last and first slot.  Per width, running sums over the slots of
+    the counted spans' mixed-radix places give each (window start, state)
+    its inside key: the spans ending by the window's last slot less those
+    starting before its first.  Each (pattern, key) pair that occurs gets a
+    row of surviving arrangements per start from ``WindowSurvival._run``.
+    Every entry is at most its pattern's arrangements, and those times the
+    positions are checked to stay below 2**53, so the sums and the float64
+    quotient are exact.
     """
 
     def __init__(self, space: StateSpace):
-        profile = space.profile
-        self.kernel = WindowSurvival(profile)
+        self.kernel = kernel = WindowSurvival(space.profile)
         self.by_width: dict[int, np.ndarray] = {}
-        table = np.empty((profile.capacity + 1, profile.num_classes + 1), object)
-        for k, d in enumerate(profile.demands, start=1):
-            for last in range(d, profile.capacity + 1):
-                table[last, k] = (k, last - d + 1, last)
-        widths = np.array((1,) + profile.demands)
-        self.spans: list[list[list[tuple[int, int, int]]]] = []
-        for block in space.blocks:
-            lasts = np.cumsum(widths[block], axis=1)
-            conn = block != FREE
-            self.spans.append(table[lasts[conn], block[conn]].reshape(len(block), -1).tolist())
+        self.key_space = kernel._place[-1] * kernel._radix[-1]
+        slots, widths = kernel.capacity + 1, np.array((1,) + kernel.demands)
+        groups = list(zip(space.pattern_groups, space.blocks))
+        self.chunks = []
+        while groups:
+            take, n = 1, len(groups[0][1])
+            while (take < len(groups)
+                   and max((n + len(groups[take][1])) * slots, (take + 1) * self.key_space) <= _CHUNK_CELLS):
+                n += len(groups[take][1])
+                take += 1
+            chunk, groups = groups[:take], groups[take:]
+            sizes = np.array([len(block) for _, block in chunk])
+            tokens = []
+            for offset, (_, block) in zip(np.cumsum(sizes) - sizes, chunk):
+                col, row = np.nonzero(block.T)  # in slot order, which speeds the scatters
+                k = block[row, col]
+                end = np.cumsum(widths[block], axis=1)[row, col] * n + row + offset
+                tokens.append((k, end.astype(np.int32), (end - (widths[k] - 1) * n).astype(np.int32)))
+            self.chunks.append(([pat for pat, _ in chunk], sizes, *map(np.concatenate, zip(*tokens))))
+
+    def score(self, width: int) -> np.ndarray:
+        kernel, keys, slots = self.kernel, self.key_space, self.kernel.capacity + 1
+        positions = slots - width
+        # a class wider than the window is never inside it
+        place = np.array(kernel._place, np.int32) * (np.array((0,) + kernel.demands) <= width)
+        infeasible = (0, [0] * (positions + 1))
+        scores = []
+        for pats, sizes, cls, ends, firsts in self.chunks:
+            denominators = [_denominator(size, positions) for size in sizes.tolist()]
+            cum = np.zeros((2, slots * sizes.sum()), np.int32)
+            cum[0, ends] = cum[1, firsts] = place[cls]
+            cum = cum.reshape(2, slots, -1)
+            for slot in range(1, slots):  # faster than cumsum along a row
+                cum[:, slot] += cum[:, slot - 1]
+            # key[s, r] of window start s + 1; a counted span starting before
+            # the window also ends before its last slot
+            key = cum[0, width:] - cum[1, :positions]
+            del cum  # a chunk's temporaries are freed as they are used up
+            key += np.repeat(np.arange(len(pats), dtype=np.int32) * keys, sizes)
+            seen = np.zeros(len(pats) * keys, bool)  # numbers the pairs without a sort
+            seen[key] = True
+            runs = [kernel._run(pats[pair // keys], kernel._decode(pair % keys), width) or infeasible
+                    for pair in np.flatnonzero(seen).tolist()]
+            # window start s leaves cap_left = s - 1 slots on the left
+            table = np.array([[inside] for inside, _ in runs], np.int64) * np.diff(
+                np.array([prefix for _, prefix in runs], np.int64), axis=1)
+            key = (np.cumsum(seen, dtype=np.int32) - 1)[key]
+            key *= positions
+            key += np.arange(positions, dtype=np.int32)[:, None]
+            scores.append(table.ravel()[key].sum(axis=0) / np.repeat(denominators, sizes))
+        return np.concatenate(scores)
 
 
 def per_state_attack_success(space: StateSpace, width: int) -> np.ndarray:
     """Per regular state: probability that an attack survives one randomization.
 
     Averages, over the uniformly placed window, the fraction of the
-    pattern's rearrangements that leave the window's observation intact
-    (``WindowSurvival``, exact integer counts divided once per state).
-    The values are kept in the space's ``survival_memo``.
+    pattern's rearrangements that leave the window's observation intact.
+    The values are kept in the space's ``survival``, read-only because every
+    cell of the link shares them.
     """
     capacity = space.profile.capacity
     if not 1 <= width <= capacity:
         raise ValueError(f"window width must be in 1..{capacity}")
-    memo = space.survival_memo
-    if memo is None:
-        memo = space.survival_memo = SurvivalMemo(space)
-    result = memo.by_width.get(width)
+    if space.survival is None:
+        space.survival = SpaceSurvival(space)
+    result = space.survival.by_width.get(width)
     if result is None:
-        expected = memo.kernel.expected
-        result = memo.by_width[width] = np.array([
-            expected(spans, pat, width)
-            for pat, block in zip(space.pattern_groups, memo.spans)
-            for spans in block
-        ])
+        result = space.survival.by_width[width] = space.survival.score(width)
+        result.flags.writeable = False
     return result
 
 

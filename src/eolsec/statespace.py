@@ -37,9 +37,9 @@ from .link import DemandProfile
 
 # Regular states the exact engine is known to finish: one randomized-defrag
 # cell (enumerate, transitions, power solve, three window widths) takes
-# 4.6-5.5 s and 225-245 MB at C=32, demands (4,6,8), 163,312 states, and
-# 4.5-4.7 s and 216-224 MB at C=19, demands (2,3,4), 147,312 states (2-core
-# VM).  Beyond it analytic falls back to Monte Carlo.
+# 2.4-3.3 s and 225-239 MB at C=32, demands (4,6,8), 163,312 states, and
+# 2.3-3.2 s and 222-235 MB at C=19, demands (2,3,4), 147,312 states, through
+# `eolsec run` on a 2-core VM.  Beyond it analytic falls back to Monte Carlo.
 DEFAULT_STATE_BUDGET = 163_312
 
 
@@ -199,8 +199,8 @@ class StateSpace:
     daas_patterns: tuple[tuple[int, ...], ...]
     defrag_targets: tuple[np.ndarray, ...]
     blocks: tuple[np.ndarray, ...] = field(repr=False)
-    # security.SurvivalMemo of this space, created on first use
-    survival_memo: object = field(default=None, repr=False)
+    # security.SpaceSurvival of this space, created on first use
+    survival: object = field(default=None, repr=False)
 
     @property
     def num_regular(self) -> int:

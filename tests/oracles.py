@@ -18,6 +18,7 @@ from scipy.sparse.linalg import splu
 
 from eolsec.ctmc import ModelVariant, RateMatrix
 from eolsec.link import FREE, DemandProfile, fit_runs, pattern, token_spans
+from eolsec.security import WindowSurvival
 from eolsec.statespace import (
     SpaceOptions,
     StateSpace,
@@ -438,6 +439,16 @@ def group_table_attack_success(space: StateSpace, width: int) -> np.ndarray:
         for i in members:
             denominators[i] = r_n * positions
     return np.array([n / d for n, d in zip(numerators, denominators)])
+
+
+def scalar_attack_success(space: StateSpace, width: int) -> np.ndarray:
+    """Per-state attack survival from ``WindowSurvival.expected``, one state at a time."""
+    kernel = WindowSurvival(space.profile)
+    return np.array([
+        kernel.expected(token_spans(tokens, space.profile.demands), pat, width)
+        for pat, block in zip(space.pattern_groups, space.blocks)
+        for tokens in block.tolist()
+    ])
 
 
 @lru_cache(maxsize=4096)

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 from itertools import permutations
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -20,8 +21,9 @@ from eolsec import (
     per_state_attack_success,
     solve_stationary,
 )
+from eolsec import security
 from eolsec.link import pattern, token_spans
-from eolsec.security import WindowSurvival, _outside_split_prefix
+from eolsec.security import InexactScore, WindowSurvival, _denominator, _outside_split_prefix
 from oracles import (
     ObservationWindow,
     _outside_split_count,
@@ -30,6 +32,7 @@ from oracles import (
     enumerated_matching_count,
     group_table_attack_success,
     inside_pattern,
+    scalar_attack_success,
 )
 
 
@@ -204,11 +207,42 @@ class TestWindowSurvival:
     def test_one_kernel_serves_every_width(self, profile7):
         space = build_state_space(profile7)
         per_state_attack_success(space, 2)
-        kernel = space.survival_memo.kernel
-        prefixes = len(kernel._prefix)
+        kernel = space.survival.kernel
+        prefixes = dict(kernel._prefix)
         per_state_attack_success(space, 3)
-        assert space.survival_memo.kernel is kernel
-        assert len(kernel._prefix) >= prefixes > 0
+        assert space.survival.kernel is kernel
+        assert len(kernel._prefix) > len(prefixes) > 0
+        # the first width's prefix sums are kept, not rebuilt
+        assert all(kernel._prefix[key] is prefix for key, prefix in prefixes.items())
+
+    @pytest.mark.parametrize("capacity, demands, widths", [
+        (24, (4, 6, 8), (10, 15, 20)),
+        (14, (2, 3, 4), (1, 3, 7, 14)),
+    ])
+    def test_whole_space_equals_the_scalar_kernel(self, capacity, demands, widths):
+        space = build_state_space(DemandProfile.with_uniform_load(capacity, demands, 1.0))
+        for width in widths:
+            assert np.array_equal(per_state_attack_success(space, width), scalar_attack_success(space, width))
+
+    def test_cached_scores_are_read_only(self, profile7):
+        space = build_state_space(profile7)
+        scores = per_state_attack_success(space, 3)
+        with pytest.raises(ValueError):
+            scores[0] = 0.5
+        assert per_state_attack_success(space, 3) is scores
+
+    def test_denominator_must_be_exact_in_float64(self):
+        assert _denominator(2**53 - 1, 1) == float(2**53 - 1)
+        with pytest.raises(InexactScore):
+            _denominator(2**53, 1)
+        with pytest.raises(InexactScore):
+            _denominator(2**52, 2)
+
+    def test_inexact_pattern_raises(self, profile14, monkeypatch):
+        # the largest (2,3,4) pattern at C=14 has 504 arrangements
+        monkeypatch.setattr(security, "_FLOAT_EXACT", 504 * 14)
+        with pytest.raises(InexactScore):
+            per_state_attack_success(build_state_space(profile14), 1)
 
 
 @settings(max_examples=40, deadline=None)
@@ -223,8 +257,24 @@ def test_window_survival_matches_group_tables(data):
     width = data.draw(st.integers(1, capacity))
     expected = group_table_attack_success(space, width)
     assert np.abs(per_state_attack_success(space, width) - expected).max() <= 1e-12
-    listed = [spans for block in space.survival_memo.spans for spans in block]
-    assert listed == [token_spans(arr, demands) for arr in arrangements(space)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_whole_space_scores_equal_the_scalar_kernel(data):
+    # unsorted demands with repeats: the mixed-radix place of a class
+    # depends on its index
+    capacity = data.draw(st.integers(1, 14))
+    k = data.draw(st.integers(1, 3))
+    demands = tuple(data.draw(st.integers(1, capacity)) for _ in range(k))
+    profile = DemandProfile(capacity, demands, (1.0,) * k, (1.0,) * k)
+    assume(count_states(profile) <= 2000)
+    # small chunks split the space the way a large one is split
+    with patch.object(security, "_CHUNK_CELLS", data.draw(st.integers(1, 20_000))):
+        space = build_state_space(profile)
+        per_state_attack_success(space, 1)
+    for width in range(1, capacity + 1):
+        assert np.array_equal(per_state_attack_success(space, width), scalar_attack_success(space, width))
 
 
 @settings(max_examples=40, deadline=None)

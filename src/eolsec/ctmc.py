@@ -17,6 +17,7 @@ rate only: departures are frozen and further arrivals cause no transition.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -64,6 +65,9 @@ class ModelVariant:
                 raise ValueError("randomization rate must be >= 0")
             if self.reconfig_rate <= 0:
                 raise ValueError("reconfiguration rate must be > 0")
+            if not (math.isfinite(self.randomization_rate) and math.isfinite(self.reconfig_rate)):
+                raise ValueError(f"randomization and reconfiguration rates must be finite, "
+                                 f"got {self.randomization_rate} and {self.reconfig_rate}")
 
     @classmethod
     def regular(cls) -> "ModelVariant":

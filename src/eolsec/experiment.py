@@ -18,7 +18,7 @@ import logging
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from datetime import datetime, timezone
 from functools import lru_cache
 from itertools import chain, product
@@ -56,71 +56,98 @@ log = logging.getLogger(__name__)
 
 SCHEMA_VERSION = 1
 VARIANT_NAMES = tuple(v.value for v in VariantKind)
+_REQUIRED_SECTIONS = ("profile", "traffic")
 
 
 class ConfigError(ValueError):
     """Invalid experiment config; the message names the offending field."""
 
 
+def _key(path: str, kind, default=MISSING):
+    """A field read from config key ``path`` as ``kind``; one without a default is required."""
+    return field(metadata={"key": path, "kind": kind, "default": default})
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
-    capacity: int
-    demands: tuple[int, ...]
-    service_rates: tuple[float, ...]
-    loads: tuple[float, ...] | None
-    arrival_rates: tuple[float, ...] | None
-    variants: tuple[str, ...]
-    randomization_rates: tuple[float, ...]
-    reconfig_rates: tuple[float, ...]
-    window_widths: tuple[int, ...]
-    engine: str
-    state_budget: int
-    randomize_empty: bool
-    sim_arrivals: int | None
-    sim_horizon: float | None
-    sim_warmup: float
-    sim_replications: int
-    seed: int
-    out_dir: Path
-    basename: str
-    timestamp: bool
-    jobs: int
+    """A sweep config: each field declares its YAML key path, kind and default once.
+
+    A kind is a type, a list kind (``"integers"``, ``"numbers"`` or
+    ``"strings"``) or ``"number or numbers"``, a scalar or a list.
+    ``load_config`` walks the fields in order, which is the README's schema
+    order; the constructor has no defaults.
+    """
+
+    capacity: int = _key("profile.capacity", int)
+    demands: tuple[int, ...] = _key("profile.demands", "integers")
+    service_rates: tuple[float, ...] = _key("profile.service_rates", "number or numbers", 1.0)
+    loads: tuple[float, ...] | None = _key("traffic.loads", "numbers", None)
+    arrival_rates: tuple[float, ...] | None = _key("traffic.arrival_rates", "numbers", None)
+    variants: tuple[str, ...] = _key("sweep.variants", "strings", ("regular",))
+    randomization_rates: tuple[float, ...] = _key("sweep.randomization_rates", "numbers", (0.0,))
+    reconfig_rates: tuple[float, ...] = _key("sweep.reconfig_rates", "numbers", (1.0,))
+    window_widths: tuple[int, ...] = _key("window_widths", "integers", ())
+    engine: str = _key("engine", str, "analytic")
+    state_budget: int = _key("state_budget", int, DEFAULT_STATE_BUDGET)
+    randomize_empty: bool = _key("randomize_empty", bool, False)
+    sim_arrivals: int | None = _key("sim.arrivals", int, None)
+    sim_horizon: float | None = _key("sim.horizon", float, None)
+    sim_warmup: float = _key("sim.warmup", float, 0.0)
+    sim_replications: int = _key("sim.replications", int, DEFAULT_REPLICATIONS)
+    seed: int = _key("sim.seed", int, DEFAULT_SEED)
+    out_dir: Path = _key("output.dir", Path, Path("."))
+    basename: str = _key("output.basename", str, "results")
+    timestamp: bool = _key("output.timestamp", bool, True)
+    jobs: int = _key("jobs", int, 1)
 
 
 def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _get(node: dict, path: str, key: str, kind, required: bool = False, default=None):
-    where = f"{path}.{key}" if path else key
-    if key not in node:
-        if required:
-            raise ConfigError(f"missing required field {where}")
-        return default
-    value = node[key]
+def _parse(value, where: str, kind):
+    """``value`` of key ``where`` as its field holds it; ConfigError if not of ``kind``."""
+    if kind == "number or numbers":
+        return float(value) if _is_number(value) else _parse(value, where, "numbers")
+    if kind == "strings":
+        if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+            raise ConfigError(f"field {where} must be a list of strings")
+        return tuple(value)
+    if kind in ("integers", "numbers"):
+        integers = kind == "integers"
+        value = _parse(value, where, list)
+        if not all(_is_number(v) and (not integers or float(v).is_integer()) for v in value):
+            raise ConfigError(f"field {where} must be a list of {kind}")
+        return tuple(int(v) if integers else float(v) for v in value)
+    if kind is Path:
+        return Path(_parse(value, where, str))
     if kind is float and _is_number(value):
-        value = float(value)
+        return float(value)
     # bool subclasses int, but a YAML true/false is no number
     if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
-        raise ConfigError(f"field {where} must be {getattr(kind, '__name__', kind)}, got {value!r}")
+        raise ConfigError(f"field {where} must be {kind.__name__}, got {value!r}")
     return value
 
 
-def _known_fields(node: dict, path: str, known: tuple[str, ...]) -> None:
-    for key in node:
-        if key not in known:
-            where = f"{path}.{key}" if path else str(key)
-            raise ConfigError(f"unknown field {where} (known: {', '.join(known)})")
+def _read(node: dict, where: str, kind, default=MISSING):
+    """The value of key path ``where``, whose last part keys ``node``, or its default."""
+    key = where.rpartition(".")[2]
+    if key in node:
+        return _parse(node[key], where, kind)
+    if default is MISSING:
+        raise ConfigError(f"missing required field {where}")
+    return default
 
 
-def _num_list(node: dict, path: str, key: str, required: bool = False, default=(),
-              integers: bool = False):
-    value = _get(node, path, key, list, required=required, default=list(default))
-    if not all(_is_number(v) and (not integers or float(v).is_integer()) for v in value):
-        where = f"{path}.{key}" if path else key
-        kind = "integers" if integers else "numbers"
-        raise ConfigError(f"field {where} must be a list of {kind}")
-    return tuple(int(v) if integers else float(v) for v in value)
+def _known_keys() -> dict[str, list[str]]:
+    """Each section's keys ("" is the root), in field order: schema order."""
+    known: dict[str, list[str]] = {"": ["schema_version"]}
+    for f in fields(ExperimentConfig):
+        section, _, key = f.metadata["key"].rpartition(".")
+        if section and section not in known:
+            known[""].append(section)
+        known.setdefault(section, []).append(key)
+    return known
 
 
 def load_config(path: str | Path, **overrides) -> ExperimentConfig:
@@ -136,81 +163,35 @@ def load_config(path: str | Path, **overrides) -> ExperimentConfig:
     if not isinstance(doc, dict):
         raise ConfigError("config root must be a mapping")
 
-    version = _get(doc, "", "schema_version", int, required=True)
+    version = _read(doc, "schema_version", int)
     if version != SCHEMA_VERSION:
         raise ConfigError(f"schema_version {version} is not supported (expected {SCHEMA_VERSION})")
-    _known_fields(doc, "", (
-        "schema_version", "profile", "traffic", "sweep", "window_widths", "engine",
-        "state_budget", "randomize_empty", "sim", "output", "jobs",
-    ))
+    nodes = {"": doc}
+    for section, known in _known_keys().items():
+        if section:
+            default = MISSING if section in _REQUIRED_SECTIONS else {}
+            nodes[section] = _read(doc, section, dict, default)
+        for key in nodes[section]:
+            if key not in known:
+                where = f"{section}.{key}" if section else str(key)
+                raise ConfigError(f"unknown field {where} (known: {', '.join(known)})")
+    values = {}
+    for f in fields(ExperimentConfig):
+        where = f.metadata["key"]
+        node = nodes[where.rpartition(".")[0]]
+        values[f.name] = _read(node, where, f.metadata["kind"], f.metadata["default"])
+    cfg = replace(ExperimentConfig(**values), **overrides)
 
-    profile = _get(doc, "", "profile", dict, required=True)
-    _known_fields(profile, "profile", ("capacity", "demands", "service_rates"))
-    capacity = _get(profile, "profile", "capacity", int, required=True)
-    demands = _num_list(profile, "profile", "demands", required=True, integers=True)
-    service = profile.get("service_rates", 1.0)
-    if _is_number(service):
-        service_rates = (float(service),) * len(demands)
-    else:
-        service_rates = _num_list(profile, "profile", "service_rates")
-        if len(service_rates) != len(demands):
-            raise ConfigError("field profile.service_rates must match profile.demands in length")
-
-    traffic = _get(doc, "", "traffic", dict, required=True)
-    _known_fields(traffic, "traffic", ("loads", "arrival_rates"))
-    loads = _num_list(traffic, "traffic", "loads") if "loads" in traffic else None
-    arrival_rates = (
-        _num_list(traffic, "traffic", "arrival_rates") if "arrival_rates" in traffic else None
-    )
-    if loads is not None and arrival_rates is not None:
+    if _is_number(cfg.service_rates):
+        cfg = replace(cfg, service_rates=(float(cfg.service_rates),) * len(cfg.demands))
+    elif len(cfg.service_rates) != len(cfg.demands):
+        raise ConfigError("field profile.service_rates must match profile.demands in length")
+    if cfg.loads is not None and cfg.arrival_rates is not None:
         raise ConfigError("traffic.loads and traffic.arrival_rates are mutually exclusive")
-    if loads is None and arrival_rates is None:
+    if cfg.loads is None and cfg.arrival_rates is None:
         raise ConfigError("traffic needs either loads or arrival_rates")
-    if arrival_rates is not None and len(arrival_rates) != len(demands):
+    if cfg.arrival_rates is not None and len(cfg.arrival_rates) != len(cfg.demands):
         raise ConfigError("field traffic.arrival_rates must match profile.demands in length")
-
-    sweep = _get(doc, "", "sweep", dict, default={})
-    _known_fields(sweep, "sweep", ("variants", "randomization_rates", "reconfig_rates"))
-    variants = sweep.get("variants", ["regular"])
-    if not isinstance(variants, list) or not all(isinstance(v, str) for v in variants):
-        raise ConfigError("field sweep.variants must be a list of strings")
-    randomization_rates = _num_list(sweep, "sweep", "randomization_rates", default=(0.0,))
-    reconfig_rates = _num_list(sweep, "sweep", "reconfig_rates", default=(1.0,))
-
-    window_widths = _num_list(doc, "", "window_widths", integers=True)
-
-    sim = _get(doc, "", "sim", dict, default={})
-    _known_fields(sim, "sim", ("arrivals", "horizon", "warmup", "replications", "seed"))
-    sim_arrivals = _get(sim, "sim", "arrivals", int, default=None)
-    sim_horizon = _get(sim, "sim", "horizon", float, default=None)
-    output = _get(doc, "", "output", dict, default={})
-    _known_fields(output, "output", ("dir", "basename", "timestamp"))
-
-    cfg = ExperimentConfig(
-        capacity=capacity,
-        demands=demands,
-        service_rates=service_rates,
-        loads=loads,
-        arrival_rates=arrival_rates,
-        variants=tuple(variants),
-        randomization_rates=randomization_rates,
-        reconfig_rates=reconfig_rates,
-        window_widths=window_widths,
-        engine=_get(doc, "", "engine", str, default="analytic"),
-        state_budget=_get(doc, "", "state_budget", int, default=DEFAULT_STATE_BUDGET),
-        randomize_empty=_get(doc, "", "randomize_empty", bool, default=False),
-        sim_arrivals=sim_arrivals,
-        sim_horizon=sim_horizon,
-        sim_warmup=_get(sim, "sim", "warmup", float, default=0.0),
-        sim_replications=_get(sim, "sim", "replications", int, default=DEFAULT_REPLICATIONS),
-        seed=_get(sim, "sim", "seed", int, default=DEFAULT_SEED),
-        out_dir=Path(_get(output, "output", "dir", str, default=".")),
-        basename=_get(output, "output", "basename", str, default="results"),
-        timestamp=_get(output, "output", "timestamp", bool, default=True),
-        jobs=_get(doc, "", "jobs", int, default=1),
-    )
-    cfg = replace(cfg, **overrides)
-
     if cfg.engine not in ("analytic", "mc", "both"):
         raise ConfigError(f"field engine must be analytic, mc or both, got {cfg.engine!r}")
     for v in cfg.variants:
@@ -441,7 +422,7 @@ class CellResult:
                 r.residual_or_ci, r.wall_ms if cfg.timestamp else 0.0,
             ]
             rows.append(",".join(
-                [spec.model.kind.value, r.engine, str(cfg.capacity), *map(_fmt, values)]
+                [spec.model.kind.value, r.engine, str(cfg.capacity), *map(str, values)]
             ))
         return rows
 
@@ -540,12 +521,6 @@ def _compute_cell(spec: CellSpec) -> CellResult:
         wall_ms = (time.perf_counter() - start) * 1000.0
         results.append(replace(result, lambda_frac=fractions, wall_ms=wall_ms))
     return CellResult(spec, tuple(results), tuple(warnings))
-
-
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
 
 
 @dataclass(frozen=True)

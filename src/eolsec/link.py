@@ -12,6 +12,7 @@ holds its states as token rows of ``statespace.StateSpace.blocks``.
 
 from __future__ import annotations
 
+import math
 import random
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
@@ -45,9 +46,13 @@ class DemandProfile:
         for k, rate in enumerate(self.arrival_rates, start=1):
             if rate < 0:
                 raise ValueError(f"arrival rate of class {k} must be >= 0, got {rate}")
+            if not math.isfinite(rate):
+                raise ValueError(f"arrival rate of class {k} must be finite, got {rate}")
         for k, rate in enumerate(self.service_rates, start=1):
             if rate <= 0:
                 raise ValueError(f"service rate of class {k} must be > 0, got {rate}")
+            if not math.isfinite(rate):
+                raise ValueError(f"service rate of class {k} must be finite, got {rate}")
 
     @property
     def num_classes(self) -> int:

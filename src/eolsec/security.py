@@ -287,18 +287,14 @@ def attack_success_probability(pi: np.ndarray, space: StateSpace, width: int) ->
     return float((per_state * weights).sum() / mass)
 
 
-def observable_fraction(
-    p_attack: float,
-    randomization_rate: float,
-    service_rate: float,
-    data_rate: float = 1.0,
-) -> tuple[float, float]:
+def observable_fraction(p_attack: float, randomization_rate: float,
+                        service_rate: float) -> tuple[float, float]:
     """Observable data until the last randomization in a mean holding time.
 
     Returns ``(amount, fraction)``: the expected amount of data the attacker
-    observes across the randomizations occurring during one mean holding
-    time, and that amount as a fraction of all data sent.  The number of
-    randomizations per holding time must be a positive integer.
+    observes, at unit data rate, across the randomizations occurring during
+    one mean holding time, and that amount as a fraction of all data sent.
+    The number of randomizations per holding time must be a positive integer.
     """
     if not 0.0 <= p_attack <= 1.0 + 1e-12:
         raise ValueError(f"attack probability must be in [0, 1], got {p_attack}")
@@ -312,7 +308,7 @@ def observable_fraction(
         )
     p = min(p_attack, 1.0)
     if p >= 1.0 - 1e-12:
-        amount = data_rate * rounds / randomization_rate
+        amount = rounds / randomization_rate
     else:
-        amount = data_rate / randomization_rate * (1.0 - p**rounds) / (1.0 - p)
-    return amount, service_rate * amount / data_rate
+        amount = 1.0 / randomization_rate * (1.0 - p**rounds) / (1.0 - p)
+    return amount, service_rate * amount

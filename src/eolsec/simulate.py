@@ -72,6 +72,10 @@ class SimConfig:
             raise ValueError("warmup must be smaller than the horizon")
         if self.warmup < 0:
             raise ValueError("warmup must be >= 0")
+        if not math.isfinite(self.warmup):
+            raise ValueError(f"warmup must be finite, got {self.warmup}")
+        if self.horizon is not None and not math.isfinite(self.horizon):
+            raise ValueError(f"horizon must be finite, got {self.horizon}")
         if self.replications < 2:
             raise ValueError("replications must be >= 2")
         for w in self.window_widths:
@@ -146,7 +150,7 @@ def _simulate_replication(cfg: SimConfig, rep: int, survival: WindowSurvival) ->
     lam = profile.arrival_rates
     mu = profile.service_rates
     lam_total = sum(lam)
-    lam_s = variant.randomization_rate if variant.has_randomization else 0.0
+    lam_s = variant.randomization_rate
     mu_d = variant.reconfig_rate
     has_defrag = variant.has_defrag
     widths = cfg.window_widths

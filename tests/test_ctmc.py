@@ -52,6 +52,19 @@ def test_variant_validation():
     assert v.has_randomization and v.has_defrag
 
 
+@pytest.mark.parametrize("lambda_s, mu_d, got", [
+    (float("nan"), 10.0, "nan and 10.0"),
+    (1.0, float("inf"), "1.0 and inf"),
+])
+def test_variant_rates_must_be_finite(lambda_s, mu_d, got):
+    for make in (ModelVariant.randomized, ModelVariant.randomized_defrag):
+        with pytest.raises(ValueError) as error:
+            make(lambda_s, mu_d)
+        assert str(error.value) == f"randomization and reconfiguration rates must be finite, got {got}"
+    with pytest.raises(ValueError, match=r"^randomization rate must be >= 0$"):
+        ModelVariant.randomized(float("-inf"), 10.0)
+
+
 def test_rejects_mismatched_profile(space7):
     other = DemandProfile(8, (3, 4), (1.0, 1.0), (1.0, 1.0))
     with pytest.raises(ValueError):

@@ -1,7 +1,7 @@
 import json
 import logging
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -15,7 +15,14 @@ from eolsec.ctmc import (
     blocking_report,
     solve_stationary,
 )
-from eolsec.experiment import ConfigError, cell_specs, exact_solves, load_config, run_experiments
+from eolsec.experiment import (
+    ConfigError,
+    ExperimentConfig,
+    cell_specs,
+    exact_solves,
+    load_config,
+    run_experiments,
+)
 from eolsec.link import DemandProfile
 from eolsec.security import attack_success_probability
 from eolsec.statespace import StateBudgetExceeded
@@ -52,6 +59,39 @@ def config_path(tmp_path):
     path = tmp_path / "config.yaml"
     path.write_text(BASE_CONFIG.format(out_dir=out))
     return path
+
+
+# one wrong type per key path; "" is the root, a bare section name its mapping
+TYPE_ERRORS = [
+    ("", [1], "config root must be a mapping"),
+    ("schema_version", "1", "field schema_version must be int, got '1'"),
+    ("profile", 5, "field profile must be dict, got 5"),
+    ("profile.capacity", 7.5, "field profile.capacity must be int, got 7.5"),
+    ("profile.demands", 3, "field profile.demands must be list, got 3"),
+    ("profile.service_rates", "fast", "field profile.service_rates must be list, got 'fast'"),
+    ("traffic", [2.0], "field traffic must be dict, got [2.0]"),
+    ("traffic.loads", [2.0, "x"], "field traffic.loads must be a list of numbers"),
+    ("traffic.arrival_rates", 1.0, "field traffic.arrival_rates must be list, got 1.0"),
+    ("sweep", "all", "field sweep must be dict, got 'all'"),
+    ("sweep.variants", "regular", "field sweep.variants must be a list of strings"),
+    ("sweep.randomization_rates", 1.0, "field sweep.randomization_rates must be list, got 1.0"),
+    ("sweep.reconfig_rates", ["fast"], "field sweep.reconfig_rates must be a list of numbers"),
+    ("window_widths", [3.5], "field window_widths must be a list of integers"),
+    ("engine", 1, "field engine must be str, got 1"),
+    ("state_budget", 1e6, "field state_budget must be int, got 1000000.0"),
+    ("randomize_empty", 0, "field randomize_empty must be bool, got 0"),
+    ("sim", 200, "field sim must be dict, got 200"),
+    ("sim.arrivals", 200.0, "field sim.arrivals must be int, got 200.0"),
+    ("sim.horizon", "long", "field sim.horizon must be float, got 'long'"),
+    ("sim.warmup", None, "field sim.warmup must be float, got None"),
+    ("sim.replications", "10", "field sim.replications must be int, got '10'"),
+    ("sim.seed", 1.5, "field sim.seed must be int, got 1.5"),
+    ("output", "out", "field output must be dict, got 'out'"),
+    ("output.dir", 5, "field output.dir must be str, got 5"),
+    ("output.basename", ["a"], "field output.basename must be str, got ['a']"),
+    ("output.timestamp", "yes", "field output.timestamp must be bool, got 'yes'"),
+    ("jobs", 2.0, "field jobs must be int, got 2.0"),
+]
 
 
 class TestLoadConfig:
@@ -109,6 +149,52 @@ class TestLoadConfig:
         )
         with pytest.raises(ConfigError, match="schema_version"):
             load_config(path)
+
+    def test_minimal_config_loads_every_default(self, tmp_path):
+        path = tmp_path / "minimal.yaml"
+        path.write_text(
+            "schema_version: 1\n"
+            "profile: {capacity: 7, demands: [3, 4]}\n"
+            "traffic: {loads: [2]}\n"
+        )
+        assert load_config(path) == ExperimentConfig(
+            capacity=7, demands=(3, 4), service_rates=(1.0, 1.0), loads=(2.0,),
+            arrival_rates=None, variants=("regular",), randomization_rates=(0.0,),
+            reconfig_rates=(1.0,), window_widths=(), engine="analytic", state_budget=163_312,
+            randomize_empty=False, sim_arrivals=None, sim_horizon=None, sim_warmup=0.0,
+            sim_replications=10, seed=1729, out_dir=Path("."), basename="results",
+            timestamp=True, jobs=1,
+        )
+
+    @pytest.mark.parametrize("where, value, message", TYPE_ERRORS)
+    def test_type_error_names_key_and_value(self, tmp_path, where, value, message):
+        doc = {
+            "schema_version": 1,
+            "profile": {"capacity": 7, "demands": [3, 4], "service_rates": 1.0},
+            "traffic": {"loads": [2.0]},
+            "sweep": {"variants": ["regular"]},
+            "sim": {"arrivals": 200},
+            "output": {"dir": str(tmp_path / "out")},
+        }
+        *parents, key = where.split(".")
+        node = doc
+        for name in parents:
+            node = node[name]
+        if key:
+            node[key] = value
+        else:
+            doc = value
+        path = tmp_path / "typed.yaml"
+        path.write_text(yaml.safe_dump(doc))
+        with pytest.raises(ConfigError) as error:
+            load_config(path)
+        assert str(error.value) == message
+
+    def test_type_errors_cover_every_key(self):
+        paths = {f.metadata["key"] for f in fields(ExperimentConfig)}
+        sections = {p.split(".")[0] for p in paths if "." in p}
+        expected = paths | sections | {"", "schema_version"}
+        assert sorted(where for where, _, _ in TYPE_ERRORS) == sorted(expected)
 
     def test_overrides_win(self, config_path):
         cfg = load_config(config_path, engine="mc", seed=1)
@@ -703,6 +789,28 @@ class TestCli:
             assert "config ok" not in captured.out
             assert f"config error: field {where} must be" in captured.err
         assert not out_dir.exists()
+
+    @pytest.mark.parametrize("extra, message", [
+        ({"engine": "mc", "sim": {"arrivals": 200, "warmup": math.inf}},
+         "sim: warmup must be finite, got inf"),
+        ({"engine": "mc", "sim": {"arrivals": 200, "warmup": math.nan}},
+         "sim: warmup must be finite, got nan"),
+        ({"engine": "mc", "sim": {"horizon": math.inf}}, "sim: horizon must be finite, got inf"),
+        ({"traffic": {"loads": [math.nan]}},
+         "traffic: arrival rate of class 1 must be finite, got nan"),
+        ({"sweep": {"variants": ["randomized"], "randomization_rates": [math.nan]}},
+         "sweep: randomization and reconfiguration rates must be finite, got nan and 1.0"),
+    ])
+    def test_non_finite_number_is_config_error(self, tmp_path, capsys, extra, message):
+        # validate only: without these checks a run on the sim inputs never ends
+        path = tmp_path / "non_finite.yaml"
+        doc = {"schema_version": 1, "profile": {"capacity": 7, "demands": [3, 4]},
+               "traffic": {"loads": [2.0]}, **extra}
+        path.write_text(yaml.safe_dump(doc))
+        assert main(["validate", "--config", str(path)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert "config ok" not in captured.out
+        assert captured.err == f"config error: {message}\n"
 
     def test_zero_load_cell_reports_nan_security(self, tmp_path, capsys):
         # at load 0 the link stays empty, so no randomization is ever scored

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -65,6 +66,18 @@ class TestDemandProfile:
     def test_rejects_zero_service_rate(self):
         with pytest.raises(ValueError):
             DemandProfile(3, (2,), (1.0,), (0.0,))
+
+    @pytest.mark.parametrize("arrival, service, message", [
+        (math.nan, 1.0, "arrival rate of class 1 must be finite, got nan"),
+        (math.inf, 1.0, "arrival rate of class 1 must be finite, got inf"),
+        (-math.inf, 1.0, "arrival rate of class 1 must be >= 0, got -inf"),
+        (1.0, math.nan, "service rate of class 1 must be finite, got nan"),
+        (1.0, math.inf, "service rate of class 1 must be finite, got inf"),
+    ])
+    def test_rejects_non_finite_rates(self, arrival, service, message):
+        with pytest.raises(ValueError) as error:
+            DemandProfile(3, (2,), (arrival,), (service,))
+        assert str(error.value) == message
 
     def test_rejects_mismatched_lengths(self):
         with pytest.raises(ValueError):

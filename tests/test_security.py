@@ -361,12 +361,6 @@ class TestObservableFraction:
             _, frac = observable_fraction(p, randomization_rate=2.0, service_rate=2.0)
             assert frac == pytest.approx(1.0)
 
-    def test_amount_scales_with_data_rate(self):
-        amount1, frac1 = observable_fraction(0.5, 4.0, 1.0, data_rate=1.0)
-        amount2, frac2 = observable_fraction(0.5, 4.0, 1.0, data_rate=7.0)
-        assert amount2 == pytest.approx(7.0 * amount1)
-        assert frac2 == pytest.approx(frac1)
-
     def test_geometric_sum_value(self):
         # four rounds at p=1/2: (1/4) * (1 - 1/16) / (1/2) = 15/32
         _, frac = observable_fraction(0.5, randomization_rate=4.0, service_rate=1.0)

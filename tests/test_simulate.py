@@ -98,6 +98,19 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             SimConfig(profile=profile7, variant=ModelVariant.regular(), horizon=5.0, warmup=5.0)
 
+    @pytest.mark.parametrize("budget, message", [
+        ({"arrivals": 200, "warmup": math.inf}, "warmup must be finite, got inf"),
+        ({"arrivals": 200, "warmup": math.nan}, "warmup must be finite, got nan"),
+        ({"arrivals": 200, "warmup": -1.0}, "warmup must be >= 0"),
+        ({"horizon": math.inf}, "horizon must be finite, got inf"),
+        ({"horizon": math.nan}, "horizon must be finite, got nan"),
+    ])
+    def test_times_must_be_finite(self, profile7, budget, message):
+        # only constructed: a run on such a config would never end
+        with pytest.raises(ValueError) as error:
+            SimConfig(profile=profile7, variant=ModelVariant.regular(), **budget)
+        assert str(error.value) == message
+
     def test_arrivals_budget_needs_traffic(self):
         silent = DemandProfile(7, (3, 4), (0.0, 0.0), (1.0, 1.0))
         with pytest.raises(ValueError):

@@ -30,16 +30,26 @@ from .link import DemandProfile
 from .statespace import StateSpace
 
 DEFAULT_SOLVER_TOL = 1e-10
-POWER_METHOD = "power:jacobi-scaled"
+SOLVER_METHOD = "bicgstab+power:jacobi-scaled"
 # Damping of the row-scaled step: every state keeps a self-loop of
 # 1 - 1/POWER_DAMPING, so the iteration matrix is aperiodic.
 POWER_DAMPING = 1.05
-POWER_CHECK_EVERY = 50
+POWER_CHECK_EVERY = 10
 # The residual target is DEFAULT_SOLVER_TOL / POWER_TOL_MARGIN, so that
 # closed-form rescaling (which amplifies the residual up to about 10x) still
 # meets the gate.
 POWER_TOL_MARGIN = 1000.0
 POWER_MAX_SWEEPS = 20_000
+# BiCGSTAB hands over to the sweeps ten times above their target: near the
+# rounding floor its residual stagnates, where a few sweeps still converge.
+KRYLOV_TOL = 1e-12
+# It restarts from its iterate whenever the residual has fallen this far
+# since the last start: a fresh shadow residual keeps it from stalling
+# around 1e-11 on chains with lambda_S = 50, mu_d = 1000.
+KRYLOV_RESTART = 1e-3
+# About twice the most any measured chain took (109 at C=24, lambda_S=50);
+# past it the sweeps take over.
+KRYLOV_MAX_ITERATIONS = 200
 
 
 class VariantKind(str, Enum):
@@ -95,15 +105,17 @@ class NotIrreducible(RuntimeError):
 
 
 class NoConvergence(RuntimeError):
-    """Power iteration ended above its residual target."""
+    """The solve ended above its residual target."""
 
-    def __init__(self, iterations: int, residual: float):
+    def __init__(self, iterations: int, sweeps: int, residual: float):
         self.iterations = iterations
+        self.sweeps = sweeps
         self.residual = residual
-        super().__init__(f"solver residual {residual:.3e} after {iterations} power sweeps")
+        super().__init__(f"solver residual {residual:.3e} after {iterations} BiCGSTAB "
+                         f"iterations and {sweeps} power sweeps")
 
     def __reduce__(self):
-        return type(self), (self.iterations, self.residual)
+        return type(self), (self.iterations, self.sweeps, self.residual)
 
 
 class NegativeStationaryMass(RuntimeError):
@@ -131,19 +143,20 @@ class RateMatrix:
 
 @dataclass(frozen=True)
 class StationaryDistribution:
-    """Solution of pi Q = 0 plus the solver's diagnostics; ``sweeps`` counts
-    the power-iteration sweeps behind it."""
+    """Solution of pi Q = 0 plus the solver's diagnostics: ``iterations``
+    counts the BiCGSTAB iterations and ``sweeps`` the power sweeps behind it."""
 
     pi: np.ndarray
     residual: float
     method: str
     dimension: int
     nnz: int
+    iterations: int
     sweeps: int
 
     def diagnostics(self) -> dict:
         """The solver's diagnostics by name."""
-        return {k: getattr(self, k) for k in ("method", "dimension", "nnz", "sweeps")}
+        return {k: getattr(self, k) for k in ("method", "dimension", "nnz", "iterations", "sweeps")}
 
 
 @dataclass(frozen=True)
@@ -209,19 +222,21 @@ def _terminal_states(q: sp.csr_matrix) -> np.ndarray:
 
 
 def solve_stationary(rm: RateMatrix) -> StationaryDistribution:
-    """Solve pi Q = 0 with sum(pi) = 1 by power iteration on the terminal
-    class of ``rm``.
+    """Solve pi Q = 0 with sum(pi) = 1 on the terminal class of ``rm``.
 
     With D = diag(1 / |q_ii|), y <- y (I + D Q / POWER_DAMPING) is a
     stochastic step whose fixed point gives pi = y D / |y D|.  Every state
     leaves at the same scaled rate, so fast reconfiguration states do not
     stiffen it as they would a uniformized chain, and nothing fills in.
-    The residual on the full generator is checked every
-    ``POWER_CHECK_EVERY`` sweeps until it is at most ``DEFAULT_SOLVER_TOL`` /
-    ``POWER_TOL_MARGIN``; after ``POWER_MAX_SWEEPS`` sweeps NoConvergence
-    is raised.  A clearly negative mass raises NegativeStationaryMass, and
-    more than one closed class raises NotIrreducible.  (Stewart,
-    *Introduction to the Numerical Solution of Markov Chains*, 1994, ch. 3.)
+    BiCGSTAB first solves the singular, consistent system y D Q = 0 from
+    y = 1 down to a residual of ``KRYLOV_TOL`` (``_bicgstab``); then the
+    damped sweeps polish that iterate.  The residual on the full generator
+    is checked every ``POWER_CHECK_EVERY`` sweeps until it is at most
+    ``DEFAULT_SOLVER_TOL`` / ``POWER_TOL_MARGIN``; after
+    ``POWER_MAX_SWEEPS`` sweeps NoConvergence is raised.  A clearly
+    negative mass raises NegativeStationaryMass, and more than one closed
+    class raises NotIrreducible.  (Stewart, *Introduction to the Numerical
+    Solution of Markov Chains*, 1994, ch. 3-4.)
     """
     q = rm.matrix
     n = q.shape[0]
@@ -232,24 +247,77 @@ def solve_stationary(rm: RateMatrix) -> StationaryDistribution:
     scale = 1.0 / -q_sub.diagonal() if m > 1 else np.ones(1)
     # the transposed step, so that each sweep is one CSR product
     step = (sp.identity(m, format="csr") + sp.diags(scale / POWER_DAMPING) @ q_sub).T.tocsr()
-    y = np.full(m, 1.0 / m)
+    y, iterations = _bicgstab(step, scale)
     sweeps = 0
     while True:
-        burst = min(POWER_CHECK_EVERY, POWER_MAX_SWEEPS - sweeps)
-        for _ in range(burst):
-            y = step @ y
-        sweeps += burst
         pi = np.zeros(n)
         pi[keep] = y * scale
         pi /= pi.sum()
         res = _residual(pi, q)
         if res <= DEFAULT_SOLVER_TOL / POWER_TOL_MARGIN:
-            return _distribution(pi, q, sweeps)
+            return _distribution(pi, q, sweeps, iterations)
         if sweeps >= POWER_MAX_SWEEPS:
-            raise NoConvergence(sweeps, res)
+            raise NoConvergence(iterations, sweeps, res)
+        burst = min(POWER_CHECK_EVERY, POWER_MAX_SWEEPS - sweeps)
+        for _ in range(burst):
+            y = step @ y
+        sweeps += burst
 
 
-def _distribution(pi: np.ndarray, q: sp.csr_matrix, sweeps: int) -> StationaryDistribution:
+def _bicgstab(step: sp.csr_matrix, scale: np.ndarray) -> tuple[np.ndarray, int]:
+    """An iterate y with pi = y D / |y D| near the solution, and the
+    BiCGSTAB iterations it took (van der Vorst, *SIAM J. Sci. Stat.
+    Comput.* 13(2), 1992).
+
+    The system is (step - I) y = 0, i.e. y D Q = 0 up to the factor
+    POWER_DAMPING, so that the sweeps' one matrix serves both phases.  It
+    is singular and consistent: the iterate converges to its null vector
+    without a normalization row.  The recursive residual r gives
+    max|pi Q| = POWER_DAMPING max|r| / sum(y D) with no extra product.  A
+    breakdown (rho or omega zero), or a residual down to ``KRYLOV_RESTART``
+    times its size at the last start, restarts from the current iterate.
+    After ``KRYLOV_MAX_ITERATIONS`` the iterate is returned as it stands.
+    Inner products are pairwise sums, so the result does not depend on
+    the BLAS build or its threads.
+    """
+    tol = KRYLOV_TOL / POWER_DAMPING
+    y = np.ones(len(scale))
+    iterations = 0
+    while iterations < KRYLOV_MAX_ITERATIONS:
+        r = y - step @ y
+        start = np.abs(r).max()
+        if start <= tol * (y * scale).sum():
+            break
+        r_hat = r
+        rho = alpha = omega = 1.0
+        p = v = np.zeros_like(y)
+        while iterations < KRYLOV_MAX_ITERATIONS:
+            rho_next = (r_hat * r).sum()
+            if rho_next == 0.0:
+                break
+            iterations += 1
+            p = r + (rho_next / rho) * (alpha / omega) * (p - omega * v)
+            v = step @ p - p
+            alpha = rho_next / (r_hat * v).sum()
+            y = y + alpha * p
+            s = r - alpha * v
+            if np.abs(s).max() <= tol * (y * scale).sum():
+                return y, iterations
+            t = step @ s - s
+            omega = (t * s).sum() / (t * t).sum()
+            y = y + omega * s
+            r = s - omega * t
+            size = np.abs(r).max()
+            if size <= tol * (y * scale).sum():
+                return y, iterations
+            if omega == 0.0 or size <= KRYLOV_RESTART * start:
+                break
+            rho = rho_next
+    return y, iterations
+
+
+def _distribution(pi: np.ndarray, q: sp.csr_matrix, sweeps: int,
+                  iterations: int = 0) -> StationaryDistribution:
     """The gated distribution: no clearly negative mass, clipped and renormalized."""
     worst = int(np.argmin(pi))
     if pi[worst] < -1e-14:
@@ -259,9 +327,10 @@ def _distribution(pi: np.ndarray, q: sp.csr_matrix, sweeps: int) -> StationaryDi
     return StationaryDistribution(
         pi=pi,
         residual=_residual(pi, q),
-        method=POWER_METHOD,
+        method=SOLVER_METHOD,
         dimension=q.shape[0],
         nnz=int(q.nnz),
+        iterations=iterations,
         sweeps=sweeps,
     )
 
@@ -282,8 +351,8 @@ def rescale_reconfiguration(
     either (Meyer, "Stochastic complementation, uncoupling Markov chains",
     SIAM Review 31(2), 1989), and the mass of every reconfiguration state
     scales with the inverse rate: multiply it by ``factor`` and
-    renormalize.  The residual is measured on ``rm``; the sweep count is
-    that of the solve behind ``dist``.
+    renormalize.  The residual is measured on ``rm``; the iteration and
+    sweep counts are those of the solve behind ``dist``.
     """
     pi = dist.pi.copy()
     pi[num_regular:] *= factor

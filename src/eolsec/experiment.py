@@ -197,6 +197,12 @@ def load_config(path: str | Path, **overrides) -> ExperimentConfig:
     for v in cfg.variants:
         if v not in VARIANT_NAMES:
             raise ConfigError(f"field sweep.variants: unknown variant {v!r} (choose from {VARIANT_NAMES})")
+    # every rate, whatever the variants: a regular cell's row still carries them
+    for lambda_s, mu_d in product(cfg.randomization_rates, cfg.reconfig_rates):
+        try:
+            ModelVariant.randomized(lambda_s, mu_d)
+        except ValueError as exc:
+            raise ConfigError(f"sweep: {exc}") from exc
     if len(set(cfg.window_widths)) < len(cfg.window_widths):
         raise ConfigError("field window_widths must not repeat a width")
     for w in cfg.window_widths:
@@ -295,11 +301,8 @@ def cell_specs(cfg: ExperimentConfig) -> tuple[list[CellSpec], int | None]:
     specs = []
     for i, (name, (load, profile), lambda_s, mu_d) in enumerate(points):
         kind = VariantKind(name)
-        try:
-            model = (ModelVariant(kind, lambda_s, mu_d) if kind is not VariantKind.REGULAR
-                     else ModelVariant.regular())
-        except ValueError as exc:
-            raise ConfigError(f"sweep: {exc}") from exc
+        model = (ModelVariant(kind, lambda_s, mu_d) if kind is not VariantKind.REGULAR
+                 else ModelVariant.regular())
         chain_model = model
         if model.has_randomization:
             chain_model = replace(model, reconfig_rate=cfg.reconfig_rates[0])

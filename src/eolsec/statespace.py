@@ -36,10 +36,10 @@ import numpy as np
 from .link import DemandProfile
 
 # Regular states the exact engine is known to finish: one randomized-defrag
-# cell (enumerate, transitions, power solve, three window widths) takes
-# 2.4-3.3 s and 225-239 MB at C=32, demands (4,6,8), 163,312 states, and
-# 2.3-3.2 s and 222-235 MB at C=19, demands (2,3,4), 147,312 states, through
-# `eolsec run` on a 2-core VM.  Beyond it analytic falls back to Monte Carlo.
+# cell (enumerate, transitions, solve, three window widths) takes 1.9-2.0 s
+# and 220-227 MB at C=32, demands (4,6,8), 163,312 states, and 1.6 s and
+# 222-231 MB at C=19, demands (2,3,4), 147,312 states, through `eolsec run`
+# on a 2-core VM.  Beyond it analytic falls back to Monte Carlo.
 DEFAULT_STATE_BUDGET = 163_312
 
 

@@ -1,6 +1,9 @@
 import json
 import logging
 import math
+import os
+import subprocess
+import sys
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -26,6 +29,8 @@ from eolsec.experiment import (
 from eolsec.link import DemandProfile
 from eolsec.security import attack_success_probability
 from eolsec.statespace import StateBudgetExceeded
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 BASE_CONFIG = """\
 schema_version: 1
@@ -395,21 +400,22 @@ class TestRunExperiments:
             assert len(summary["cells"]) == 6
             for cell in summary["cells"]:
                 solver = cell["analytic"]["solver"]
-                assert set(solver) == {"method", "dimension", "nnz", "sweeps"}
-                assert solver["method"] == ctmc.POWER_METHOD
+                assert set(solver) == {"method", "dimension", "nnz", "iterations", "sweeps"}
+                assert solver["method"] == ctmc.SOLVER_METHOD
                 if path == config_path:
                     assert solver["dimension"] == dims[cell["variant"]]
                 assert 0 < solver["dimension"] < solver["nnz"]
-                assert solver["sweeps"] > 0 and solver["sweeps"] % ctmc.POWER_CHECK_EVERY == 0
+                assert 0 < solver["iterations"] <= ctmc.KRYLOV_MAX_ITERATIONS
+                assert solver["sweeps"] % ctmc.POWER_CHECK_EVERY == 0
                 assert cell["analytic"]["residual"] <= 1e-10 / ctmc.POWER_TOL_MARGIN
 
     def test_summary_names_the_power_route(self, config_path):
         summary = json.loads(run_experiments(load_config(config_path)).summary_path.read_text())
         for cell in summary["cells"]:
             solver = cell["analytic"]["solver"]
-            assert set(solver) == {"method", "dimension", "nnz", "sweeps"}
-            assert solver["method"] == "power:jacobi-scaled"
-            assert solver["sweeps"] > 0
+            assert set(solver) == {"method", "dimension", "nnz", "iterations", "sweeps"}
+            assert solver["method"] == "bicgstab+power:jacobi-scaled"
+            assert solver["iterations"] > 0 and solver["sweeps"] >= 0
             assert cell["analytic"]["residual"] <= 1e-10
 
     def test_wall_ms_excludes_the_shared_transitions(self, config_path, monkeypatch):
@@ -812,6 +818,55 @@ class TestCli:
         assert "config ok" not in captured.out
         assert captured.err == f"config error: {message}\n"
 
+    @pytest.mark.parametrize("rates, message", [
+        ({"randomization_rates": [math.nan], "reconfig_rates": [math.inf]},
+         "sweep: randomization and reconfiguration rates must be finite, got nan and inf"),
+        ({"randomization_rates": [-1.0], "reconfig_rates": [0.0]},
+         "sweep: randomization rate must be >= 0"),
+        ({"randomization_rates": [1.0], "reconfig_rates": [10.0, 0.0]},
+         "sweep: reconfiguration rate must be > 0"),
+    ], ids=["non-finite", "negative", "zero"])
+    def test_sweep_rates_checked_without_randomized_variants(self, tmp_path, capsys, rates, message):
+        # a regular cell's row carries lambda_S and mu_d as labels
+        out_dir = tmp_path / "out"
+        path = tmp_path / "regular.yaml"
+        path.write_text(yaml.safe_dump({
+            "schema_version": 1, "profile": {"capacity": 7, "demands": [3, 4]},
+            "traffic": {"loads": [2.0]}, "sweep": {"variants": ["regular"], **rates},
+            "output": {"dir": str(out_dir)},
+        }))
+        for command in ("validate", "run"):
+            assert main([command, "--config", str(path)]) == EXIT_CONFIG
+            captured = capsys.readouterr()
+            assert "config ok" not in captured.out
+            assert captured.err == f"config error: {message}\n"
+        assert not out_dir.exists()
+
+    def test_output_does_not_depend_on_blas_threads(self, tmp_path):
+        # 14,676 regular states: OpenBLAS splits a dot product this long
+        # across its threads, so a BLAS inner product would show here
+        path = tmp_path / "c26.yaml"
+        path.write_text(yaml.safe_dump({
+            "schema_version": 1, "profile": {"capacity": 26, "demands": [4, 6, 8]},
+            "traffic": {"loads": [14.0]},
+            "sweep": {"variants": ["randomized-defrag"], "randomization_rates": [5.0],
+                      "reconfig_rates": [100.0]},
+            "window_widths": [10], "output": {"timestamp": False},
+        }))
+        path_var = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+        outputs = []
+        for threads in ("1", "2"):
+            out_dir = tmp_path / f"threads{threads}"
+            subprocess.run(
+                [sys.executable, "-c", "import sys; from eolsec.cli import main; sys.exit(main())",
+                 "run", "--config", str(path), "--out-dir", str(out_dir)],
+                env={**os.environ, "PYTHONPATH": path_var, "OPENBLAS_NUM_THREADS": threads},
+                check=True, timeout=300,
+            )
+            outputs.append([(out_dir / name).read_bytes()
+                            for name in ("results.csv", "results_summary.json")])
+        assert outputs[0] == outputs[1]
+
     def test_zero_load_cell_reports_nan_security(self, tmp_path, capsys):
         # at load 0 the link stays empty, so no randomization is ever scored
         def run(loads):
@@ -920,10 +975,11 @@ class TestCli:
         assert "negative" in capsys.readouterr().err
 
     def test_power_sweep_cap_is_numerical_failure(self, config_path, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(ctmc, "KRYLOV_MAX_ITERATIONS", 1)
         monkeypatch.setattr(ctmc, "POWER_MAX_SWEEPS", 1)
         code = main(["run", "--config", str(config_path), "--out-dir", str(tmp_path / "o")])
         assert code == EXIT_NUMERICAL
-        assert "after 1 power sweeps" in capsys.readouterr().err
+        assert "after 1 BiCGSTAB iterations and 1 power sweeps" in capsys.readouterr().err
 
     @pytest.mark.parametrize("level, shown", [(None, True), ("WARNING", False)])
     def test_run_log_level(self, config_path, tmp_path, caplog, level, shown):

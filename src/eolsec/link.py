@@ -7,7 +7,10 @@ connection (width ``demands[k-1]``).  Two adjacent equal tokens are two
 distinct connections, so the token sequence fully determines the state.
 The functions below take any sequence of tokens; the simulator edits one
 list in place, and ``defragmented`` returns a new list.  The exact engine
-holds its states as token rows of ``statespace.StateSpace.blocks``.
+holds its states as token rows of ``statespace.StateSpace.blocks``.  Token
+rows are also what ``security.WindowSurvival`` scores: the exact engine's
+blocks, and the pre-states the simulator copies at its measured
+randomizations.
 """
 
 from __future__ import annotations
@@ -174,16 +177,3 @@ def defragmented(tokens: Sequence[int], rng: random.Random) -> list[int]:
     gap = rng.randrange(len(conns) + 1) if conns else 0
     return conns[:gap] + [FREE] * (len(tokens) - len(conns)) + conns[gap:]
 
-
-def token_spans(tokens: Sequence[int], demands: tuple[int, ...]) -> list[tuple[int, int, int]]:
-    """Connections of ``tokens`` as (class, first_slot, last_slot), 1-based slots."""
-    spans: list[tuple[int, int, int]] = []
-    slot = 1
-    for t in tokens:
-        if t != FREE:
-            w = demands[t - 1]
-            spans.append((t, slot, slot + w - 1))
-            slot += w
-        else:
-            slot += 1
-    return spans

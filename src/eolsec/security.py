@@ -7,26 +7,34 @@ unchanged and no connection straddles a window edge afterwards; straddling
 spectrum is observationally distinct, so straddled placements never count
 as the same observation.
 
-``WindowSurvival`` is the one implementation of this rule: per window
-position, the surviving arrangements are the inside orderings times the
-ways to split the outside tokens onto the two sides of the window
-(``_outside_split_prefix``), and the exact integer counts are divided once,
-so each value is the correctly rounded probability.  The simulator scores
-one state per measured randomization (``WindowSurvival.expected``); the
-exact engine scores a whole state space at once with the same counting
-(``per_state_attack_success``).  The references the tests check both
-against, a per-position count and ``expected`` run state by state, live in
+``WindowSurvival.scores`` is the one implementation of this rule, for
+groups of pre-states that each share a pattern.  Per window position, the
+surviving arrangements are the inside orderings times the ways to split
+the outside tokens onto the two sides of the window (``_outside_splits``),
+and the exact integer counts are divided once, so each value is the
+correctly rounded probability.  The exact engine scores its state space
+(``per_state_attack_success``), the simulator its measured pre-states in
+batches.  The references the tests check both against, a per-position
+count and a scalar kernel that scores one state at a time, live in
 ``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
-from itertools import product
+import math
+import operator
+from collections.abc import Iterable, Iterator
+from itertools import accumulate, product
 
 import numpy as np
 
 from .link import DemandProfile
 from .statespace import StateSpace, _permutation_count
+
+# Consecutive groups are scored together while the chunk's (slots, rows)
+# and (patterns, inside keys) arrays each stay under this many elements.
+_CHUNK_CELLS = 1 << 15
+_FLOAT_EXACT = 2**53  # float64 holds every integer below this
 
 
 class NonIntegerRpRatio(ValueError):
@@ -38,216 +46,188 @@ class NoOccupiedMass(ValueError):
     randomization is ever scored."""
 
 
-def _outside_split_prefix(
-    n_out: tuple[int, ...], frees_out: int, demands: tuple[int, ...]
-) -> list[int]:
-    """Prefix sums, over every ``cap_left``, of the ways to order the outside
-    tokens onto the two sides of the window.
+def _outside_splits(n_out: tuple[int, ...], frees_out: int, demands: tuple[int, ...]) -> list[int]:
+    """Ways to order the outside tokens onto the two sides of the window,
+    for every ``cap_left``.
 
-    The split count of one ``cap_left`` sums, over every multiset split whose
-    left side fills exactly ``cap_left`` slots, the orderings of each side.
-    Entry ``j`` sums the split counts of all ``cap_left < j``; the outside
+    Entry ``cap_left`` sums, over every multiset split whose left side fills
+    exactly ``cap_left`` slots, the orderings of each side.  The outside
     tokens fill ``frees_out + sum(n_out * demands)`` slots, so ``cap_left``
     runs over 0..that width.
     """
-    outside_width = frees_out + sum(n * d for n, d in zip(n_out, demands))
-    counts = [0] * (outside_width + 1)
+    counts = [0] * (frees_out + sum(n * d for n, d in zip(n_out, demands)) + 1)
     for m in product(*(range(n + 1) for n in n_out)):
         used = sum(c * d for c, d in zip(m, demands))
-        right = tuple(n - c for n, c in zip(n_out, m))
+        left = _orderings(m, frees_out)
+        right = _orderings(tuple(n - c for n, c in zip(n_out, m)), frees_out)
         for f_left in range(frees_out + 1):
-            counts[used + f_left] += (
-                _permutation_count(f_left, m) * _permutation_count(frees_out - f_left, right)
-            )
-    prefix = [0]
-    for c in counts:
-        prefix.append(prefix[-1] + c)
-    return prefix
+            counts[used + f_left] += left[f_left] * right[frees_out - f_left]
+    return counts
+
+
+def _orderings(counts: tuple[int, ...], frees: int) -> list[int]:
+    """``_permutation_count(f, counts)`` for every ``f`` in 0..frees."""
+    out = [_permutation_count(0, counts)]
+    for f in range(1, frees + 1):
+        out.append(out[-1] * (f + sum(counts)) // f)
+    return out
+
+
+def _exact(values: list) -> np.ndarray:
+    """``values`` as int64 when they all fit, else as Python ints."""
+    try:
+        return np.array(values, np.int64)
+    except OverflowError:
+        return np.array(values, object)
+
+
+class _Runs:
+    """The runs met so far at one width, by code (pattern id << 32 | inside
+    key): inside orderings and row of ``splits``, the outside split counts
+    per window start (row 0: none)."""
+
+    def __init__(self, positions: int):
+        self.codes, self.insides = np.zeros(0, np.int64), np.zeros(0, np.int64)
+        self.rows, self.splits = np.zeros(0, np.int32), np.zeros((1, positions), np.int64)
+        self.outside: dict[tuple[tuple[int, ...], int], int] = {}  # -> row of splits
 
 
 class WindowSurvival:
     """Chance that a window observation survives one uniform redraw.
 
-    ``expected`` scores one pre-state given by its connection spans.  Spans
-    are sorted and disjoint, so the fully-inside pattern changes only at two
-    breakpoints per span, and the entry and exit breakpoints are each
-    nondecreasing: two pointers merge them without a sort.  The inside
-    counts are one mixed-radix integer, updated with one addition per
-    breakpoint and decoded only on a cache miss.  Each run of window starts
-    with one inside pattern costs one prefix-sum difference of the
-    outside-split counts, times its inside orderings (``_run``).
-
-    An instance caches per link structure, so it serves one profile.
+    Chunks of groups list each connection token once: its class and its
+    last and first slot.  Per width, running sums over the slots give each
+    (window start, row) its inside key, the inside counts in mixed radix
+    (class k has radix pat[k] + 1).  The run of that key, its inside
+    orderings times the outside split counts of the start, gives the
+    surviving arrangements, at most the pattern's arrangements.  A chunk
+    whose arrangements times positions stay below 2**53 sums them in int64
+    and divides exactly in float64; any other chunk sums Python ints, whose
+    quotient Python rounds correctly.  An instance caches per link
+    structure, so it serves one profile: pattern ids, and runs per width.
     """
 
     def __init__(self, profile: DemandProfile):
         self.capacity = profile.capacity
         self.demands = profile.demands
-        # Inside counts are one integer in mixed radix: class k (1-based)
-        # holds at most capacity // d_k connections, so its digit has radix
-        # capacity // d_k + 1 and place value _place[k] (slot 0 unused).
-        self._radix = [self.capacity // d + 1 for d in self.demands]
-        self._place = [0, 1]
-        for r in self._radix[:-1]:
-            self._place.append(self._place[-1] * r)
-        # (outside pattern, outside frees) -> prefix sums over cap_left
-        self._prefix: dict[tuple[tuple[int, ...], int], list[int]] = {}
-        # (pattern, width) -> ({inside key: (inside orderings, prefix) or ()},
-        #                      arrangements of the pattern * window positions)
-        self._runs: dict[tuple[tuple[int, ...], int], tuple[dict, int]] = {}
+        self._ids: dict[tuple[int, ...], int] = {}  # pattern -> id, in the order met
+        self._runs: dict[int, _Runs] = {}  # by width
 
-    def expected(self, spans: list[tuple[int, int, int]], pat: tuple[int, ...], width: int) -> float:
-        """E[survival | spans] for a window of ``width`` slots; ``pat`` is the spans' pattern."""
-        positions = self.capacity - width + 1
-        table = self._runs.get((pat, width))
-        if table is None:
-            total = _permutation_count(self._frees(pat), pat)
-            table = self._runs[(pat, width)] = ({}, total * positions)
-        runs, denominator = table
-        # A span (k, s, e) lies fully inside the windows starting in
-        # [e - width + 1, s]: it enters there and leaves after s.  Spans are
-        # sorted and disjoint, so both lists of breakpoints are nondecreasing.
-        place = self._place
-        enters = []
-        leaves = []
-        steps = []
-        for k, s, e in spans:
-            lo = e - width + 1 if e > width else 1
-            hi = s if s < positions else positions
-            if lo <= hi:
-                enters.append(lo)
-                leaves.append(hi + 1)
-                steps.append(place[k])
-        enters.append(positions + 1)  # sentinels: past the last window start
-        leaves.append(positions + 1)
+    def scores(self, chunks: Iterable[tuple], widths: Iterable[int]) -> dict[int, np.ndarray]:
+        """Per width, E[survival] of each token row of the chunks, in order."""
+        scores: dict[int, list] = {w: [] for w in widths}
+        for chunk in chunks:
+            for w, out in scores.items():
+                out.append(self._score(chunk, w))
+        return {w: np.concatenate(out) for w, out in scores.items()}
 
-        numerator = 0
-        key = 0
-        i = j = 0
-        first = 1
-        while first <= positions:
-            while enters[i] == first:
-                key += steps[i]
-                i += 1
-            while leaves[j] == first:
-                key -= steps[j]
-                j += 1
-            nxt = enters[i] if enters[i] < leaves[j] else leaves[j]
-            run = runs.get(key)
-            if run is None:
-                run = runs[key] = self._run(pat, self._decode(key), width)
-            if run:
-                inside, prefix = run
-                # window start s leaves cap_left = s - 1 slots on the left
-                numerator += inside * (prefix[nxt - 1] - prefix[first - 1])
-            first = nxt
-        return numerator / denominator
+    def chunks(self, groups: Iterable[tuple[tuple[int, ...], np.ndarray]]) -> Iterator[tuple]:
+        """The (pattern, token rows) groups, in chunks that bound ``scores``' arrays."""
+        chunk, n, keys = [], 0, 0
+        for pat, block in groups:
+            span = math.prod(c + 1 for c in pat)
+            if chunk and max((n + len(block)) * (self.capacity + 1), keys + span) > _CHUNK_CELLS:
+                yield self._tokens(chunk, n)
+                chunk, n, keys = [], 0, 0
+            chunk.append((pat, block, span))
+            n, keys = n + len(block), keys + span
+        if chunk:
+            yield self._tokens(chunk, n)
 
-    def _decode(self, key: int) -> tuple[int, ...]:
-        """Per-class inside counts of a mixed-radix key."""
-        return tuple(key // p % r for p, r in zip(self._place[1:], self._radix))
+    def _tokens(self, chunk: list[tuple[tuple[int, ...], np.ndarray, int]], n: int) -> tuple:
+        """Per pattern: id, arrangements, rows, key offset and places; per
+        token: (pattern, class), last slot and first slot."""
+        widths = np.array((1,) + self.demands)
+        sizes = np.array([len(block) for _, block, _ in chunk])
+        tokens = np.concatenate([block.ravel() for _, block, _ in chunk])
+        row = np.repeat(np.arange(n), np.repeat([block.shape[1] for _, block, _ in chunk], sizes))
+        # every row fills the link, so a running sum over all rows, less
+        # capacity per row before, is each token's last slot in its row
+        end = np.cumsum(widths[tokens]) - row * self.capacity
+        at = np.flatnonzero(tokens)
+        k = tokens[at]
+        end = end[at] * n + row[at]
+        cls = (np.repeat(np.arange(len(chunk)), sizes)[row[at]] * len(widths) + k).astype(np.int32)
+        offsets = [0, *accumulate(span for _, _, span in chunk)]
+        places = [[0, *accumulate((c + 1 for c in pat[:-1]), operator.mul, initial=1)] for pat, _, _ in chunk]
+        ids = np.array([self._ids.setdefault(pat, len(self._ids)) for pat, _, _ in chunk])
+        arrangements = [_permutation_count(block.shape[1] - sum(pat), pat) for pat, block, _ in chunk]
+        return (ids, arrangements, sizes, offsets, places, cls,
+                end.astype(np.int32), (end - (widths[k] - 1) * n).astype(np.int32))
 
-    def _frees(self, pat: tuple[int, ...]) -> int:
-        return self.capacity - sum(n * d for n, d in zip(pat, self.demands))
-
-    def _run(self, pat: tuple[int, ...], n_in: tuple[int, ...], width: int):
-        """(inside orderings, outside prefix sums) of one inside pattern, or () if infeasible."""
-        frees_total = self._frees(pat)
-        frees_in = width - sum(n * d for n, d in zip(n_in, self.demands))
-        if frees_in > frees_total:
-            return ()
-        key = (tuple(p - n for p, n in zip(pat, n_in)), frees_total - frees_in)
-        prefix = self._prefix.get(key)
-        if prefix is None:
-            prefix = self._prefix[key] = _outside_split_prefix(*key, self.demands)
-        return _permutation_count(frees_in, n_in), prefix
-
-
-# Consecutive blocks are scored together while the chunk's (slots, states)
-# and (patterns, inside keys) arrays each stay under this many elements.
-_CHUNK_CELLS = 1 << 16
-_FLOAT_EXACT = 2**53  # float64 holds every integer below this
-
-
-class InexactScore(ArithmeticError):
-    """A pattern's arrangements times the window positions reach 2**53, so a
-    float64 quotient of the exact counts would not be correctly rounded."""
-
-
-def _denominator(arrangements: int, positions: int) -> float:
-    if arrangements * positions >= _FLOAT_EXACT:
-        raise InexactScore(f"{arrangements} arrangements x {positions} window positions >= 2**53")
-    return float(arrangements * positions)
-
-
-class SpaceSurvival:
-    """Per-state attack success of one state space, by window width.
-
-    Chunks of consecutive blocks list each connection token once: its class
-    and its last and first slot.  Per width, running sums over the slots of
-    the counted spans' mixed-radix places give each (window start, state)
-    its inside key: the spans ending by the window's last slot less those
-    starting before its first.  Each (pattern, key) pair that occurs gets a
-    row of surviving arrangements per start from ``WindowSurvival._run``.
-    Every entry is at most its pattern's arrangements, and those times the
-    positions are checked to stay below 2**53, so the sums and the float64
-    quotient are exact.
-    """
-
-    def __init__(self, space: StateSpace):
-        self.kernel = kernel = WindowSurvival(space.profile)
-        self.by_width: dict[int, np.ndarray] = {}
-        self.key_space = kernel._place[-1] * kernel._radix[-1]
-        slots, widths = kernel.capacity + 1, np.array((1,) + kernel.demands)
-        groups = list(zip(space.pattern_groups, space.blocks))
-        self.chunks = []
-        while groups:
-            take, n = 1, len(groups[0][1])
-            while (take < len(groups)
-                   and max((n + len(groups[take][1])) * slots, (take + 1) * self.key_space) <= _CHUNK_CELLS):
-                n += len(groups[take][1])
-                take += 1
-            chunk, groups = groups[:take], groups[take:]
-            sizes = np.array([len(block) for _, block in chunk])
-            tokens = []
-            for offset, (_, block) in zip(np.cumsum(sizes) - sizes, chunk):
-                col, row = np.nonzero(block.T)  # in slot order, which speeds the scatters
-                k = block[row, col]
-                end = np.cumsum(widths[block], axis=1)[row, col] * n + row + offset
-                tokens.append((k, end.astype(np.int32), (end - (widths[k] - 1) * n).astype(np.int32)))
-            self.chunks.append(([pat for pat, _ in chunk], sizes, *map(np.concatenate, zip(*tokens))))
-
-    def score(self, width: int) -> np.ndarray:
-        kernel, keys, slots = self.kernel, self.key_space, self.kernel.capacity + 1
+    def _score(self, chunk: tuple, width: int) -> np.ndarray:
+        ids, arrangements, sizes, offsets, places, cls, ends, firsts = chunk
+        slots = self.capacity + 1
         positions = slots - width
-        # a class wider than the window is never inside it
-        place = np.array(kernel._place, np.int32) * (np.array((0,) + kernel.demands) <= width)
-        infeasible = (0, [0] * (positions + 1))
-        scores = []
-        for pats, sizes, cls, ends, firsts in self.chunks:
-            denominators = [_denominator(size, positions) for size in sizes.tolist()]
-            cum = np.zeros((2, slots * sizes.sum()), np.int32)
-            cum[0, ends] = cum[1, firsts] = place[cls]
-            cum = cum.reshape(2, slots, -1)
-            for slot in range(1, slots):  # faster than cumsum along a row
-                cum[:, slot] += cum[:, slot - 1]
-            # key[s, r] of window start s + 1; a counted span starting before
-            # the window also ends before its last slot
-            key = cum[0, width:] - cum[1, :positions]
-            del cum  # a chunk's temporaries are freed as they are used up
-            key += np.repeat(np.arange(len(pats), dtype=np.int32) * keys, sizes)
-            seen = np.zeros(len(pats) * keys, bool)  # numbers the pairs without a sort
-            seen[key] = True
-            runs = [kernel._run(pats[pair // keys], kernel._decode(pair % keys), width) or infeasible
-                    for pair in np.flatnonzero(seen).tolist()]
-            # window start s leaves cap_left = s - 1 slots on the left
-            table = np.array([[inside] for inside, _ in runs], np.int64) * np.diff(
-                np.array([prefix for _, prefix in runs], np.int64), axis=1)
-            key = (np.cumsum(seen, dtype=np.int32) - 1)[key]
-            key *= positions
-            key += np.arange(positions, dtype=np.int32)[:, None]
-            scores.append(table.ravel()[key].sum(axis=0) / np.repeat(denominators, sizes))
-        return np.concatenate(scores)
+        denominators = [a * positions for a in arrangements]
+        exact = np.int64 if max(denominators) < _FLOAT_EXACT else object
+        # a class wider than the window is never inside it; int32 keys while they fit
+        index = np.int32 if offsets[-1] < 2**31 else np.int64
+        place = (np.array(places, index) * (np.array((0,) + self.demands) <= width)).ravel()
+        # key[s, r] of window start s + 1: the places of the spans ending by
+        # slot s + width less those starting by slot s (no wider than the
+        # window, these end by then too), as one running sum over the slots
+        # of +place at each last slot and -place a width after each first
+        n = sizes.sum()
+        cum = np.zeros(slots * n, index)
+        cum[ends] = place[cls]
+        firsts = firsts + width * n
+        kept = firsts < len(cum)
+        cum[firsts[kept]] -= place[cls[kept]]
+        cum = cum.reshape(slots, n)
+        for slot in range(1, slots):  # faster than cumsum along a row
+            cum[slot] += cum[slot - 1]
+        key = cum[width:]
+        key += np.repeat(np.array(offsets[:-1], index), sizes)
+        seen = np.zeros(offsets[-1], bool)  # numbers the pairs without a sort
+        seen[key] = True
+        pairs = np.flatnonzero(seen)
+        p = np.searchsorted(offsets, pairs, side="right") - 1
+        runs, found = self._find(width, ids[p] << 32 | pairs - np.array(offsets)[p])
+        # surviving arrangements per (pair, window start); window start s
+        # leaves cap_left = s - 1 slots on the left
+        inside = runs.insides[found].astype(exact)
+        table = inside[:, None] * runs.splits[runs.rows[found]].astype(exact, copy=False)
+        key = (np.cumsum(seen, dtype=np.int32) - 1)[key]
+        del cum, seen  # the temporaries are freed as they are used up
+        key *= positions
+        key += np.arange(positions, dtype=np.int32)[:, None]
+        numerators = table.ravel()[key].sum(axis=0)
+        return (numerators / np.repeat(np.array(denominators, exact), sizes)).astype(float)
+
+    def _find(self, width: int, codes: np.ndarray) -> tuple[_Runs, np.ndarray]:
+        """The runs of ``width`` and the index of each code among them,
+        after adding the runs not met yet."""
+        runs = self._runs.get(width) or self._runs.setdefault(width, _Runs(self.capacity - width + 1))
+        at = np.searchsorted(runs.codes, codes)
+        new = np.sort(codes[runs.codes.take(at, mode="clip") != codes] if len(runs.codes) else codes)
+        if len(new):
+            patterns = list(self._ids)
+            insides, rows, splits = [], [], []
+            for code in new.tolist():
+                pat, key, n_in = patterns[code >> 32], code & 0xFFFFFFFF, []
+                for c in pat:
+                    key, n = divmod(key, c + 1)
+                    n_in.append(n)
+                frees_in = width - sum(n * d for n, d in zip(n_in, self.demands))
+                frees_out = self.capacity - sum(n * d for n, d in zip(pat, self.demands)) - frees_in
+                outside = (tuple(p - n for p, n in zip(pat, n_in)), frees_out)
+                row = runs.outside.get(outside, 0 if frees_out < 0 else None)
+                if row is None:
+                    row = runs.outside[outside] = len(runs.outside) + 1
+                    splits.append(_outside_splits(*outside, self.demands))
+                insides.append(_permutation_count(frees_in, tuple(n_in)) if row else 0)
+                rows.append(row)
+            at = np.searchsorted(runs.codes, new)
+            runs.codes = np.insert(runs.codes, at, new)
+            insides = _exact(insides)
+            wide = runs.insides.astype(np.result_type(runs.insides, insides), copy=False)
+            runs.insides = np.insert(wide, at, insides)
+            runs.rows = np.insert(runs.rows, at, rows)
+            if splits:
+                runs.splits = np.concatenate([runs.splits, _exact(splits)])
+            at = np.searchsorted(runs.codes, codes)
+        return runs, at
 
 
 def per_state_attack_success(space: StateSpace, width: int) -> np.ndarray:
@@ -262,10 +242,12 @@ def per_state_attack_success(space: StateSpace, width: int) -> np.ndarray:
     if not 1 <= width <= capacity:
         raise ValueError(f"window width must be in 1..{capacity}")
     if space.survival is None:
-        space.survival = SpaceSurvival(space)
-    result = space.survival.by_width.get(width)
+        kernel = WindowSurvival(space.profile)
+        space.survival = (kernel, list(kernel.chunks(zip(space.pattern_groups, space.blocks))), {})
+    kernel, chunks, by_width = space.survival
+    result = by_width.get(width)
     if result is None:
-        result = space.survival.by_width[width] = space.survival.score(width)
+        result = by_width[width] = kernel.scores(chunks, (width,))[width]
         result.flags.writeable = False
     return result
 

@@ -13,10 +13,13 @@ after the warmup on an occupied link, as the exact engine excludes the
 all-free state; the request fixes the pre-state, so one requested during
 the warmup is not scored.  A randomization redraws the arrangement
 uniformly within its pattern, so it adds the exact survival given the
-pre-state, averaged over all window positions (``security.WindowSurvival``):
-a conditional Monte Carlo estimate with the same mean and less variance
-than checking the one redraw.  Defrag completions are not scored.  Scoring draws no random numbers, so it never
-changes the trajectory.
+pre-state, averaged over all window positions: a conditional Monte Carlo
+estimate with the same mean and less variance than checking the one
+redraw.  The pre-states are recorded and scored in batches by the exact
+engine's ``security.WindowSurvival``; adding the scores in event order
+keeps the result independent of the batch size.  Defrag completions are
+not scored.  Scoring draws no random numbers, so it never changes the
+trajectory.
 
 Confidence intervals come from independent replications, which differ only
 in their seed-derived random streams; results are bit-for-bit reproducible
@@ -27,7 +30,10 @@ from __future__ import annotations
 
 import math
 import random
+from array import array
 from dataclasses import dataclass, field, fields
+
+import numpy as np
 
 from .ctmc import ModelVariant, overall_blocking
 from .link import (
@@ -38,13 +44,13 @@ from .link import (
     pattern,
     random_fit,
     shuffle,
-    token_spans,
 )
 from .security import WindowSurvival
 
 DEFAULT_SEED = 1729
 DEFAULT_REPLICATIONS = 10
 _NO_RECONFIG, _RANDOMIZING, _DEFRAGMENTING = 0, 1, 2
+_SCORE_BATCH = 2048  # recorded pre-states scored together
 
 
 @dataclass(frozen=True)
@@ -141,6 +147,18 @@ def _departure_rate(counts: list[int], mu: tuple[float, ...]) -> float:
     return rate
 
 
+def _score(survival: WindowSurvival, pending: dict, ids: array, rp_success: dict[int, float]) -> None:
+    """Add the survival of each pending pre-state to ``rp_success`` per width, in event order."""
+    order = np.argsort(ids, kind="stable") + 1  # the pending rows, pattern by pattern, in event order
+    counts = np.bincount(ids).tolist()
+    blocks = ((pat, np.asarray(rows).reshape(counts[pid], -1)) for pat, (pid, rows) in pending.items())
+    for w, scores in survival.scores(survival.chunks(blocks), rp_success).items():
+        sums = np.empty(len(ids) + 1)
+        sums[0], sums[order] = rp_success[w], scores
+        # one running sum in event order, as if each score were added on its own
+        rp_success[w] = float(np.add.accumulate(sums)[-1])
+
+
 def _simulate_replication(cfg: SimConfig, rep: int, survival: WindowSurvival) -> _Replication:
     profile = cfg.profile
     variant = cfg.variant
@@ -166,6 +184,10 @@ def _simulate_replication(cfg: SimConfig, rep: int, survival: WindowSurvival) ->
 
     rec = _Replication(table=[[0] * K for _ in range(4)], rp_success={w: 0.0 for w in widths})
     table = rec.table
+    # measured pre-states not scored yet: pattern -> (id, token rows); ids in event order
+    pending: dict[tuple[int, ...], tuple[int, bytearray]] = {}
+    ids = array("q")
+    rows_buffer = bytearray if K < 256 else lambda: array("q")  # bytearray.extend is fastest
 
     tokens = [0] * capacity
     counts = [0] * K
@@ -247,10 +269,13 @@ def _simulate_replication(cfg: SimConfig, rep: int, survival: WindowSurvival) ->
                     # the tokens are frozen since the request, so they are the
                     # pre-state; the shuffle redraws uniformly within the
                     # pattern, so score the exact survival given the pre-state
-                    spans = token_spans(tokens, demands)
                     pat = tuple(counts)
-                    for w in widths:
-                        rec.rp_success[w] += survival.expected(spans, pat, w)
+                    pid, rows = pending.get(pat) or pending.setdefault(pat, (len(pending), rows_buffer()))
+                    ids.append(pid)
+                    rows.extend(tokens)
+                    if len(ids) == _SCORE_BATCH:
+                        _score(survival, pending, ids, rec.rp_success)
+                        pending, ids = {}, array("q")
                     rec.randomizations_scored += 1
                 shuffle(tokens, getrandbits)
             else:
@@ -290,6 +315,8 @@ def _simulate_replication(cfg: SimConfig, rep: int, survival: WindowSurvival) ->
             if debug:
                 check_state()
 
+    if ids:
+        _score(survival, pending, ids, rec.rp_success)
     return rec
 
 

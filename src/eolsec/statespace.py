@@ -199,7 +199,7 @@ class StateSpace:
     daas_patterns: tuple[tuple[int, ...], ...]
     defrag_targets: tuple[np.ndarray, ...]
     blocks: tuple[np.ndarray, ...] = field(repr=False)
-    # security.SpaceSurvival of this space, created on first use
+    # (security.WindowSurvival, its chunks of blocks, scores by width), made on first use
     survival: object = field(default=None, repr=False)
 
     @property

@@ -8,7 +8,7 @@ from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from itertools import product
+from itertools import accumulate, product
 
 import numpy as np
 import scipy.linalg
@@ -17,8 +17,8 @@ from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import splu
 
 from eolsec.ctmc import ModelVariant, RateMatrix
-from eolsec.link import FREE, DemandProfile, fit_runs, pattern, token_spans
-from eolsec.security import WindowSurvival
+from eolsec.link import FREE, DemandProfile, fit_runs, pattern
+from eolsec.security import _outside_splits
 from eolsec.statespace import (
     SpaceOptions,
     StateSpace,
@@ -216,6 +216,20 @@ def free_fragments(arr: tuple[int, ...]) -> list[int]:
 def placement_count(arr: tuple[int, ...], k: int, profile: DemandProfile) -> int:
     """Number of distinct slot positions where a class-k block fits."""
     return sum(c for _, c in fit_runs(arr, profile.demands[k - 1]))
+
+
+def token_spans(tokens: Sequence[int], demands: tuple[int, ...]) -> list[tuple[int, int, int]]:
+    """Connections of ``tokens`` as (class, first_slot, last_slot), 1-based slots."""
+    spans: list[tuple[int, int, int]] = []
+    slot = 1
+    for t in tokens:
+        if t != FREE:
+            w = demands[t - 1]
+            spans.append((t, slot, slot + w - 1))
+            slot += w
+        else:
+            slot += 1
+    return spans
 
 
 @dataclass(frozen=True)
@@ -441,9 +455,104 @@ def group_table_attack_success(space: StateSpace, width: int) -> np.ndarray:
     return np.array([n / d for n, d in zip(numerators, denominators)])
 
 
+class ScalarWindowSurvival:
+    """The window survival of one pre-state at a time, from its connection spans.
+
+    Spans are sorted and disjoint, so the fully-inside pattern changes only
+    at two breakpoints per span, and the entry and exit breakpoints are each
+    nondecreasing: two pointers merge them without a sort.  The inside
+    counts are one mixed-radix integer, updated with one addition per
+    breakpoint and decoded only on a cache miss.  Each run of window starts
+    with one inside pattern costs one prefix-sum difference of the
+    outside-split counts, times its inside orderings (``_run``).  The sums
+    are Python ints, divided once.
+
+    An instance caches per link structure, so it serves one profile.
+    """
+
+    def __init__(self, profile: DemandProfile):
+        self.capacity = profile.capacity
+        self.demands = profile.demands
+        # class k (1-based) holds at most capacity // d_k connections, so its
+        # digit has radix capacity // d_k + 1 and place value _place[k]
+        self._radix = [self.capacity // d + 1 for d in self.demands]
+        self._place = [0, 1]
+        for r in self._radix[:-1]:
+            self._place.append(self._place[-1] * r)
+        # (outside pattern, outside frees) -> prefix sums over cap_left
+        self._prefix: dict[tuple[tuple[int, ...], int], list[int]] = {}
+        # (pattern, width) -> ({inside key: (inside orderings, prefix) or ()},
+        #                      arrangements of the pattern * window positions)
+        self._runs: dict[tuple[tuple[int, ...], int], tuple[dict, int]] = {}
+
+    def expected(self, spans: list[tuple[int, int, int]], pat: tuple[int, ...], width: int) -> float:
+        """E[survival | spans] for a window of ``width`` slots; ``pat`` is the spans' pattern."""
+        positions = self.capacity - width + 1
+        table = self._runs.get((pat, width))
+        if table is None:
+            total = _permutation_count(self._frees(pat), pat)
+            table = self._runs[(pat, width)] = ({}, total * positions)
+        runs, denominator = table
+        # A span (k, s, e) lies fully inside the windows starting in
+        # [e - width + 1, s]: it enters there and leaves after s.
+        place = self._place
+        enters = []
+        leaves = []
+        steps = []
+        for k, s, e in spans:
+            lo = e - width + 1 if e > width else 1
+            hi = s if s < positions else positions
+            if lo <= hi:
+                enters.append(lo)
+                leaves.append(hi + 1)
+                steps.append(place[k])
+        enters.append(positions + 1)  # sentinels: past the last window start
+        leaves.append(positions + 1)
+
+        numerator = 0
+        key = 0
+        i = j = 0
+        first = 1
+        while first <= positions:
+            while enters[i] == first:
+                key += steps[i]
+                i += 1
+            while leaves[j] == first:
+                key -= steps[j]
+                j += 1
+            nxt = enters[i] if enters[i] < leaves[j] else leaves[j]
+            run = runs.get(key)
+            if run is None:
+                run = runs[key] = self._run(pat, self._decode(key), width)
+            if run:
+                inside, prefix = run
+                # window start s leaves cap_left = s - 1 slots on the left
+                numerator += inside * (prefix[nxt - 1] - prefix[first - 1])
+            first = nxt
+        return numerator / denominator
+
+    def _decode(self, key: int) -> tuple[int, ...]:
+        return tuple(key // p % r for p, r in zip(self._place[1:], self._radix))
+
+    def _frees(self, pat: tuple[int, ...]) -> int:
+        return self.capacity - sum(n * d for n, d in zip(pat, self.demands))
+
+    def _run(self, pat: tuple[int, ...], n_in: tuple[int, ...], width: int):
+        """(inside orderings, outside prefix sums) of one inside pattern, or () if infeasible."""
+        frees_total = self._frees(pat)
+        frees_in = width - sum(n * d for n, d in zip(n_in, self.demands))
+        if frees_in > frees_total:
+            return ()
+        key = (tuple(p - n for p, n in zip(pat, n_in)), frees_total - frees_in)
+        prefix = self._prefix.get(key)
+        if prefix is None:
+            prefix = self._prefix[key] = list(accumulate(_outside_splits(*key, self.demands), initial=0))
+        return _permutation_count(frees_in, n_in), prefix
+
+
 def scalar_attack_success(space: StateSpace, width: int) -> np.ndarray:
-    """Per-state attack survival from ``WindowSurvival.expected``, one state at a time."""
-    kernel = WindowSurvival(space.profile)
+    """Per-state attack survival from ``ScalarWindowSurvival.expected``, one state at a time."""
+    kernel = ScalarWindowSurvival(space.profile)
     return np.array([
         kernel.expected(token_spans(tokens, space.profile.demands), pat, width)
         for pat, block in zip(space.pattern_groups, space.blocks)

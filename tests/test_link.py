@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eolsec import DemandProfile, pattern
-from eolsec.link import check_arrangement, random_fit, shuffle, token_spans
+from eolsec.link import check_arrangement, random_fit, shuffle
 from oracles import (
     Classification,
     classify,
@@ -15,6 +15,7 @@ from oracles import (
     placement_count,
     placements,
     removals,
+    token_spans,
 )
 
 

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 from itertools import permutations
 from unittest.mock import patch
@@ -12,6 +13,7 @@ from eolsec import (
     DemandProfile,
     ModelVariant,
     NonIntegerRpRatio,
+    SimConfig,
     assemble_generator,
     attack_success_probability,
     build_state_space,
@@ -19,13 +21,15 @@ from eolsec import (
     observable_fraction,
     pattern_size,
     per_state_attack_success,
+    run_simulation,
     solve_stationary,
 )
 from eolsec import security
-from eolsec.link import pattern, token_spans
-from eolsec.security import InexactScore, WindowSurvival, _denominator, _outside_split_prefix
+from eolsec.link import pattern, shuffle
+from eolsec.security import WindowSurvival, _outside_splits
 from oracles import (
     ObservationWindow,
+    ScalarWindowSurvival,
     _outside_split_count,
     arrangements,
     count_matching_rearrangements,
@@ -33,7 +37,13 @@ from oracles import (
     group_table_attack_success,
     inside_pattern,
     scalar_attack_success,
+    token_spans,
 )
+
+
+def score_groups(kernel, groups, width):
+    """The scorer's values for (pattern, token rows) groups, row by row in group order."""
+    return kernel.scores(kernel.chunks(groups), (width,))[width]
 
 
 def brute_force_matches(arr, window, profile):
@@ -189,31 +199,32 @@ class TestWindowSurvival:
             got = per_state_attack_success(space, width)
             assert np.abs(got - expected).max() <= 1e-12, width
 
-    def test_prefix_sums_the_split_counts(self):
+    def test_outside_splits_are_the_split_counts(self):
         demands = (2, 3, 4)
         n_out, frees_out = (2, 1, 1), 3
-        prefix = _outside_split_prefix(n_out, frees_out, demands)
+        counts = _outside_splits(n_out, frees_out, demands)
         width = frees_out + 2 * 2 + 3 + 4
-        assert len(prefix) == width + 2
+        assert len(counts) == width + 1
         for cap_left in range(width + 1):
-            step = prefix[cap_left + 1] - prefix[cap_left]
-            assert step == _outside_split_count(n_out, frees_out, cap_left, demands)
+            assert counts[cap_left] == _outside_split_count(n_out, frees_out, cap_left, demands)
 
     def test_empty_link_always_survives(self, profile14):
         kernel = WindowSurvival(profile14)
         for width in (1, 5, 14):
-            assert kernel.expected([], (0, 0, 0), width) == 1.0
+            assert score_groups(kernel, [((0, 0, 0), np.zeros((2, 14), np.int8))], width).tolist() == [1.0, 1.0]
 
     def test_one_kernel_serves_every_width(self, profile7):
         space = build_state_space(profile7)
         per_state_attack_success(space, 2)
-        kernel = space.survival.kernel
-        prefixes = dict(kernel._prefix)
+        kernel = space.survival[0]
+        runs = kernel._runs[2]
+        codes = runs.codes.copy()
         per_state_attack_success(space, 3)
-        assert space.survival.kernel is kernel
-        assert len(kernel._prefix) > len(prefixes) > 0
-        # the first width's prefix sums are kept, not rebuilt
-        assert all(kernel._prefix[key] is prefix for key, prefix in prefixes.items())
+        assert space.survival[0] is kernel
+        assert set(kernel._runs) == {2, 3} and len(codes) > 0
+        # the first width's runs are kept, not rebuilt
+        assert kernel._runs[2] is runs
+        assert np.array_equal(runs.codes, codes)
 
     @pytest.mark.parametrize("capacity, demands, widths", [
         (24, (4, 6, 8), (10, 15, 20)),
@@ -232,17 +243,39 @@ class TestWindowSurvival:
         assert per_state_attack_success(space, 3) is scores
 
     def test_denominator_must_be_exact_in_float64(self):
-        assert _denominator(2**53 - 1, 1) == float(2**53 - 1)
-        with pytest.raises(InexactScore):
-            _denominator(2**53, 1)
-        with pytest.raises(InexactScore):
-            _denominator(2**52, 2)
+        # Past 2**53 arrangements x positions the scorer divides Python ints.
+        # (8, 4, 3) has 731,517,998,211,000 arrangements on 60 slots.
+        profile = DemandProfile.with_uniform_load(60, (2, 3, 4), 30.0)
+        pat = (8, 4, 3)
+        assert pattern_size(pat, profile) * 31 >= 2**53
+        rng = random.Random(3)
+        rows = []
+        for _ in range(5):
+            tokens = [0] * 20 + [1] * 8 + [2] * 4 + [3] * 3
+            shuffle(tokens, rng.getrandbits)
+            rows.append(tokens)
+        oracle = ScalarWindowSurvival(profile)
+        for width in (10, 30, 60):
+            got = score_groups(WindowSurvival(profile), [(pat, np.array(rows, np.int8))], width)
+            assert got.tolist() == [oracle.expected(token_spans(row, profile.demands), pat, width) for row in rows]
+        # the simulator on that link gives the floats it gave when it scored
+        # each randomization with the scalar kernel
+        result = run_simulation(SimConfig(
+            profile=profile, variant=ModelVariant.randomized_defrag(5.0, 1000.0), arrivals=5000,
+            warmup=10.0, replications=2, seed=1, window_widths=(10, 30, 60),
+        ))
+        means = {w: e.mean for w, e in result.attack_success.items()}
+        assert means == {10: 0.07860966367301195, 30: 0.031700200259399666, 60: 1.0}
 
-    def test_inexact_pattern_raises(self, profile14, monkeypatch):
-        # the largest (2,3,4) pattern at C=14 has 504 arrangements
-        monkeypatch.setattr(security, "_FLOAT_EXACT", 504 * 14)
-        with pytest.raises(InexactScore):
-            per_state_attack_success(build_state_space(profile14), 1)
+    def test_inexact_pattern_scores_exactly(self, profile14, monkeypatch):
+        # the largest (2,3,4) pattern at C=14 has 504 arrangements, so the
+        # first bound sends its chunks to Python ints at width 1 only, and
+        # the second sends every chunk there
+        for bound in (504 * 14, 1):
+            monkeypatch.setattr(security, "_FLOAT_EXACT", bound)
+            space = build_state_space(profile14)
+            for width in (1, 2, 7, 14):
+                assert np.array_equal(per_state_attack_success(space, width), scalar_attack_success(space, width))
 
 
 @settings(max_examples=40, deadline=None)
@@ -299,7 +332,7 @@ def test_window_survival_is_exact_at_scale(data):
                 room -= demands[c - 1]
         arr = tuple(data.draw(st.permutations(tokens + [0] * room)))
         pat = pattern(arr, profile)
-        spans = token_spans(arr, demands)
+        group = [(pat, np.array([arr], np.int8))]
         for width in widths:
             positions = capacity - width + 1
             matches = sum(
@@ -307,9 +340,38 @@ def test_window_survival_is_exact_at_scale(data):
                 for s in range(1, positions + 1)
             )
             exact = float(Fraction(matches, pattern_size(pat, profile) * positions))
-            assert WindowSurvival(profile).expected(spans, pat, width) == exact
+            assert score_groups(WindowSurvival(profile), group, width).tolist() == [exact]
             # a kernel already used on other patterns and widths agrees
-            assert shared.expected(spans, pat, width) == exact
+            assert score_groups(shared, group, width).tolist() == [exact]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_partial_groups_score_as_their_states(data):
+    # A batch of the simulator holds some rows of each pattern, repeated and
+    # in event order; its scores must equal those of the states in the whole
+    # space, also when earlier batches left runs in the kernel.
+    capacity = data.draw(st.integers(1, 12))
+    k = data.draw(st.integers(1, 3))
+    demands = tuple(data.draw(st.integers(1, capacity)) for _ in range(k))
+    profile = DemandProfile(capacity, demands, (1.0,) * k, (1.0,) * k)
+    assume(count_states(profile) <= 2000)
+    space = build_state_space(profile)
+    states = [(pat, row) for pat, block in zip(space.pattern_groups, space.blocks) for row in block]
+    kernel = WindowSurvival(profile)
+    with patch.object(security, "_CHUNK_CELLS", data.draw(st.integers(1, 20_000))):
+        for _ in range(4):
+            # a batch may meet a width for the first time after its patterns
+            widths = data.draw(st.lists(st.integers(1, capacity), min_size=1, max_size=2))
+            picks = data.draw(st.lists(st.integers(0, len(states) - 1), min_size=1, max_size=40))
+            members = {}
+            for i in picks:
+                members.setdefault(states[i][0], []).append(i)
+            groups = [(pat, np.array([states[i][1] for i in rows])) for pat, rows in members.items()]
+            order = [i for rows in members.values() for i in rows]
+            for width in widths:
+                expected = per_state_attack_success(space, width)[order]
+                assert np.array_equal(score_groups(kernel, groups, width), expected)
 
 
 class TestAttackProbability:

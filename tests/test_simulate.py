@@ -280,6 +280,54 @@ class TestRunSimulation:
         assert scored.reconfiguration_blocking == bare.reconfiguration_blocking
         assert scored.overall_blocking == bare.overall_blocking
 
+    @pytest.mark.parametrize("batch", [1, 7])
+    def test_score_batch_leaves_results_unchanged(self, batch, monkeypatch):
+        # the scores are added in event order whatever the batches hold
+        cfg = SimConfig(
+            profile=DemandProfile.with_uniform_load(20, (4, 6, 8), 14.0),
+            variant=ModelVariant.randomized_defrag(5.0, 100.0),
+            arrivals=1000,
+            warmup=10.0,
+            replications=2,
+            seed=3,
+            window_widths=(10, 15, 20),
+        )
+        whole = run_simulation(cfg)
+        monkeypatch.setattr(simulate, "_SCORE_BATCH", batch)
+        assert run_simulation(cfg) == whole
+
+    @pytest.mark.parametrize("capacity, demands, load, mu_d, seed, means", [
+        (20, (4, 6, 8), 14.0, 100.0, 1,
+         {10: "0.14647211472669552", 15: "0.20660122094661737", 20: "1.0"}),
+        (100, (5, 10, 15), 60.0, 1000.0, 7,
+         {25: "0.08471871210922133", 50: "0.05557832715758688", 100: "1.0"}),
+    ], ids=["c20", "c100"])
+    def test_attack_success_is_pinned(self, capacity, demands, load, mu_d, seed, means):
+        # the means the simulator gave when it scored each randomization on
+        # its own with the scalar kernel, to the last bit
+        result = run_simulation(SimConfig(
+            profile=DemandProfile.with_uniform_load(capacity, demands, load),
+            variant=ModelVariant.randomized_defrag(5.0, mu_d),
+            arrivals=3000,
+            warmup=10.0,
+            replications=2,
+            seed=seed,
+            window_widths=tuple(means),
+        ))
+        assert {w: repr(e.mean) for w, e in result.attack_success.items()} == means
+
+    def test_many_classes_are_scored(self):
+        # 256 classes: token rows wider than a byte, and far more inside
+        # patterns than an int64 key holds in the link's radix; the means
+        # are those of the scalar kernel
+        profile = DemandProfile(300, (1,) * 256, (0.001,) * 256, (1.0,) * 256)
+        result = run_simulation(SimConfig(
+            profile=profile, variant=ModelVariant.randomized(5.0, 1000.0), arrivals=30,
+            replications=2, seed=1, window_widths=(299, 300),
+        ))
+        assert result.randomizations_scored == 227
+        assert {w: e.mean for w, e in result.attack_success.items()} == {299: 0.9869522508456956, 300: 1.0}
+
     def test_horizon_mode(self, profile7):
         cfg = SimConfig(
             profile=profile7,

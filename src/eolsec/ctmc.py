@@ -24,7 +24,6 @@ from enum import Enum
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
 
 from .link import DemandProfile
 from .statespace import StateSpace
@@ -50,6 +49,8 @@ KRYLOV_RESTART = 1e-3
 # About twice the most any measured chain took (109 at C=24, lambda_S=50);
 # past it the sweeps take over.
 KRYLOV_MAX_ITERATIONS = 200
+# Entries of the step matrix scaled per slice: 8 MB of gathered factors.
+SCALE_SLICE = 1 << 20
 
 
 class VariantKind(str, Enum):
@@ -189,6 +190,7 @@ def assemble_generator(space: StateSpace, profile: DemandProfile, variant: Model
     # states; otherwise blocked arrivals cause no transition (lost calls).
     defrag = 1.0 if variant.has_defrag else 0.0
     t = space.transitions
+    end = t.indptr[dim]
     rates = t.rates(
         lam,
         lam * defrag,
@@ -196,11 +198,41 @@ def assemble_generator(space: StateSpace, profile: DemandProfile, variant: Model
         variant.randomization_rate,
         variant.reconfig_rate,
         variant.reconfig_rate * defrag,
-    )
-    live = rates != 0.0
-    q = sp.coo_matrix((rates[live], (t.row[live], t.col[live])), shape=(dim, dim)).tocsr()
-    q = q + sp.diags(-np.asarray(q.sum(axis=1)).ravel(), format="csr")
-    return RateMatrix(q)
+    )[:end]
+    col = t.col[:end]
+    # A defrag state entered from several blocked classes is one entry.
+    # Its rates are summed left to right, in class order, as scipy sums
+    # duplicates, onto the first entry of the run.
+    repeat = np.zeros(end + 1, bool)  # entry e has the row and column of e - 1
+    np.equal(col[1:], col[:-1], out=repeat[1:end])
+    repeat[t.indptr[1:dim]] = False
+    heads = np.flatnonzero(repeat[1:] & ~repeat[:-1])
+    after = 1
+    while len(heads):
+        rates[heads] += rates[heads + after]
+        after += 1
+        heads = heads[repeat[heads + after]]
+    keep = rates != 0.0
+    keep &= ~repeat[:end]
+    kept = np.zeros(end + 1, np.int64)  # kept entries before each entry
+    np.cumsum(keep, out=kept[1:])
+    indptr, at = kept[t.indptr[:dim + 1]], kept[t.diagonal[:dim]]
+    del kept
+    data, indices = rates[keep], col[keep]
+    del rates, keep
+    # the diagonal is minus the row sum, added up as scipy's q.sum(axis=1) does
+    total = np.zeros(dim)
+    rows = np.flatnonzero(np.diff(indptr))
+    total[rows] = np.add.reduceat(data, indptr[rows])
+    rows = np.flatnonzero(total)
+    spots = at[rows] + np.arange(len(rows))  # the diagonal's place among its row's columns
+    off = np.ones(len(data) + len(rows), bool)
+    off[spots] = False
+    values, columns = np.empty(len(off)), np.empty(len(off), indices.dtype)
+    values[off], values[spots] = data, -total[rows]
+    columns[off], columns[spots] = indices, rows
+    indptr[1:] += np.cumsum(total != 0.0)
+    return RateMatrix(sp.csr_matrix((values, columns, indptr), shape=(dim, dim)))
 
 
 def _terminal_states(q: sp.csr_matrix) -> np.ndarray:
@@ -208,17 +240,45 @@ def _terminal_states(q: sp.csr_matrix) -> np.ndarray:
 
     States outside it are transient and carry zero stationary mass; more
     than one closed class means the stationary distribution is not unique.
+    From state 0 the search moves on to a state that the current one
+    reaches but that does not reach it back, until there is none: then the
+    states the current one reaches are a closed class, the only one if
+    every state reaches it.  Every state of a model chain reaches state 0
+    (departures empty the link, reconfigurations end), so there one pass
+    each way finds the class.
     """
-    # self-loops (the diagonal) never join two components
-    n_comp, labels = connected_components(q, directed=True, connection="strong")
-    if n_comp == 1:
-        return np.arange(q.shape[0])
-    coo = q.tocoo()
-    crossing = (coo.data != 0) & (labels[coo.row] != labels[coo.col])
-    terminal = np.setdiff1d(np.arange(n_comp), labels[coo.row[crossing]])
-    if len(terminal) != 1:
-        raise NotIrreducible(f"{len(terminal)} closed communicating classes")
-    return np.flatnonzero(labels == terminal[0])
+    forward = q.T  # a view: its rows are the columns of q
+    s = 0
+    while True:
+        ahead, behind = _reached(forward, s), _reached(q, s)
+        beyond = ahead & ~behind
+        if not beyond.any():
+            break
+        s = int(np.argmax(beyond))
+    if not behind.all():
+        raise NotIrreducible("more than one closed communicating class")
+    return np.flatnonzero(ahead)
+
+
+def _reached(a: sp.spmatrix, s: int) -> np.ndarray:
+    """States joined to state ``s`` along the rows of ``a``: with ``a = q``
+    the states that reach ``s``, with ``a = q.T`` the states ``s`` reaches.
+
+    One product per step: a state off the set gets a positive sum exactly
+    when it has an edge into the set, as off-diagonal rates are positive
+    and its own diagonal meets a zero.
+    """
+    n = a.shape[0]
+    x = np.zeros(n)
+    x[s] = 1.0
+    size = 1
+    while size < n:
+        x[a @ x > 0.0] = 1.0
+        grown = np.count_nonzero(x)
+        if grown == size:
+            break
+        size = grown
+    return x > 0.0
 
 
 def solve_stationary(rm: RateMatrix) -> StationaryDistribution:
@@ -245,8 +305,15 @@ def solve_stationary(rm: RateMatrix) -> StationaryDistribution:
     m = q_sub.shape[0]
     # a one-state class has no outflow: its whole mass is the solution
     scale = 1.0 / -q_sub.diagonal() if m > 1 else np.ones(1)
-    # the transposed step, so that each sweep is one CSR product
-    step = (sp.identity(m, format="csr") + sp.diags(scale / POWER_DAMPING) @ q_sub).T.tocsr()
+    # the transposed step, so that each sweep is one CSR product; its
+    # entries are q_ij * scale_i / POWER_DAMPING, plus 1 on the diagonal,
+    # scaled a slice at a time to hold no gather of its whole length
+    step = q_sub.T.tocsr()
+    factor = scale / POWER_DAMPING
+    for start in range(0, step.nnz, SCALE_SLICE):
+        part = slice(start, start + SCALE_SLICE)
+        step.data[part] *= factor[step.indices[part]]
+    step.setdiag(step.diagonal() + 1.0)
     y, iterations = _bicgstab(step, scale)
     sweeps = 0
     while True:

@@ -36,10 +36,12 @@ import numpy as np
 from .link import DemandProfile
 
 # Regular states the exact engine is known to finish: one randomized-defrag
-# cell (enumerate, transitions, solve, three window widths) takes 1.9-2.0 s
-# and 220-227 MB at C=32, demands (4,6,8), 163,312 states, and 1.6 s and
-# 222-231 MB at C=19, demands (2,3,4), 147,312 states, through `eolsec run`
-# on a 2-core VM.  Beyond it analytic falls back to Monte Carlo.
+# cell (enumerate, transitions, solve, three window widths) takes 2.3-3.0 s
+# and 148 MB at C=32, demands (4,6,8), 163,312 states, and 2.1-2.8 s and
+# 142 MB at C=19, demands (2,3,4), 147,312 states, through `eolsec run`
+# (jobs: 1) on a 2-core VM; C=36 (814,012 states) takes 11 s and 554 MB.
+# Each pool worker builds its own copy of the space, so the budget allows
+# for `jobs` copies.  Beyond it analytic falls back to Monte Carlo.
 DEFAULT_STATE_BUDGET = 163_312
 
 
@@ -140,21 +142,23 @@ def _keys(rows: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TransitionStructure:
-    """Rate-free transitions of every model variant over one state space.
+    """Rate-free transitions of every model variant over one state space,
+    laid out as a CSR matrix.
 
-    Entry ``e`` moves state ``row[e]`` to state ``col[e]`` at rate
-    ``base[kind[e]] / div[e]``; ``rates`` lays out ``base``.  Entries are
-    in assembly order: by source state, then per class its arrivals (in
-    slot order) and its departures (in token order), then the move into the
-    randomization state; the returns of the randomization and defrag states
-    follow.  Global indices follow the full [regular | randomization |
-    defrag] layout.
+    The entries of row ``i`` are ``indptr[i]:indptr[i + 1]``; entry ``e``
+    moves state ``i`` to state ``col[e]`` at rate ``base[kind[e]] /
+    div[e]``, and ``rates`` lays out ``base``.  Within a row the columns
+    ascend.  The one column that repeats is a defrag state, entered once
+    per fragmentation-blocked class, in class order.  Row ``i``'s diagonal
+    would go before entry ``diagonal[i]``.  Global indices follow the full
+    [regular | randomization | defrag] layout.
     """
 
-    row: np.ndarray
-    col: np.ndarray
-    kind: np.ndarray
-    div: np.ndarray
+    indptr: np.ndarray  # int64
+    col: np.ndarray  # int32
+    kind: np.ndarray  # the least unsigned type that holds 3K + 2
+    div: np.ndarray  # int32
+    diagonal: np.ndarray  # int64
 
     def rates(
         self,
@@ -175,7 +179,9 @@ class TransitionStructure:
         base = np.concatenate([
             arrival, defrag_arrival, service, [randomization, randomization_return, defrag_return],
         ])
-        return base[self.kind] / self.div
+        rates = base[self.kind]
+        rates /= self.div
+        return rates
 
 
 @dataclass(eq=False)
@@ -223,57 +229,81 @@ class StateSpace:
         keys = {pat: _keys(block) for pat, block in zip(self.pattern_groups, self.blocks)}
         raas_index = {pat: v for v, pat in enumerate(self.raas_patterns)}
         daas_index = {pat: v for v, pat in enumerate(self.daas_patterns)}
-        parts: list[list[np.ndarray]] = []  # (row, col, kind, div) per pattern, in entry order
+        # The entries in closed form, so that each pattern writes its own in
+        # place: a (row, slot) where class k fits is a row of the pattern
+        # with d_k of its free slots merged into one token.
+        size = sum(map(len, self.frag_blocked)) + sum(map(len, self.defrag_targets))
+        for pat, group in self.pattern_groups.items():
+            frees = self.profile.capacity - sum(n * d for n, d in zip(pat, demands))
+            size += len(group) * (sum(pat) + 2 * (pat in raas_index))
+            size += sum(_permutation_count(frees - d, pat + (1,)) for d in demands if frees >= d)
+        col, div = np.empty(size, np.int32), np.empty(size, np.int32)
+        kind = np.empty(size, np.min_scalar_type(3 * K + 2))
+        states = n_sa + n_r + self.num_daas
+        indptr = np.zeros(states + 1, np.int64)  # first the entries of each state
+        diagonal = np.zeros(states, np.int64)  # first the entries of each state into a lesser one
 
+        at = 0
         for (pat, group), block in zip(self.pattern_groups.items(), self.blocks):
             length = block.shape[1]
             frees = length - sum(pat)
             runs = _free_runs(block)
-            # groups of entries in (class, arrival before departure) order,
-            # each sorted by row and then by token position
-            groups = []
+            # Groups of (row, col, kind, div), each sorted by row and then by
+            # column, in the order of their columns: the departures of class
+            # 1..K (into the patterns below this one), the arrivals of class
+            # K..1 (above it), the randomization state, then the defrag state
+            # once per blocked class.
+            departures, arrivals, blocked = [], [], []
             for k, d in enumerate(demands, start=1):
                 if frees >= d:
-                    # fits[r, s]: the d tokens from s on are free in row r
-                    fits = runs[:, d - 1:] >= d
+                    # fits[r, s]: the d tokens from s on are free in row r; a
+                    # later slot gives a lesser row, so the slots go last first
+                    fits = runs[:, d - 1:][:, ::-1] >= d
                     n_fits = fits.sum(axis=1)
                     r, s = np.nonzero(fits)
+                    s = length - d - s
                     cols = np.arange(length - d + 1)
                     target = block[r[:, None], cols + (d - 1) * (cols > s[:, None])]
                     target[np.arange(len(r)), s] = k
                     up = pat[:k - 1] + (pat[k - 1] + 1,) + pat[k:]
-                    col = self.pattern_groups[up].start + np.searchsorted(keys[up], _keys(target))
-                    groups.append((r, col, k - 1, n_fits[r]))
-                    blocked = np.flatnonzero(n_fits == 0)
-                    if len(blocked):
-                        groups.append((blocked, n_sa + n_r + daas_index[pat], K + k - 1, 1))
+                    to = self.pattern_groups[up].start + np.searchsorted(keys[up], _keys(target))
+                    arrivals.insert(0, (r, to, k - 1, n_fits[r]))
+                    stuck = np.flatnonzero(n_fits == 0)
+                    if len(stuck):
+                        blocked.append((stuck, n_sa + n_r + daas_index[pat], K + k - 1, 1))
                 if pat[k - 1]:
+                    # an earlier token gives a lesser row
                     r, s = np.nonzero(block == k)
                     cols = np.arange(length + d - 1)
                     target = block[r[:, None], cols - np.clip(cols - s[:, None], 0, d - 1)]
                     target[(cols >= s[:, None]) & (cols < s[:, None] + d)] = 0
                     down = pat[:k - 1] + (pat[k - 1] - 1,) + pat[k:]
-                    col = self.pattern_groups[down].start + np.searchsorted(keys[down], _keys(target))
-                    groups.append((r, col, 2 * K + k - 1, 1))
+                    to = self.pattern_groups[down].start + np.searchsorted(keys[down], _keys(target))
+                    departures.append((r, to, 2 * K + k - 1, 1))
+            groups = departures + arrivals
             if pat in raas_index:
                 groups.append((np.arange(len(block)), n_sa + raas_index[pat], 3 * K, 1))
-            row, col, kind, div = (np.concatenate(a) for a in zip(*(np.broadcast_arrays(*g) for g in groups)))
+            groups += blocked
+            row, to, how, share = (np.concatenate(a) for a in zip(*(np.broadcast_arrays(*g) for g in groups)))
             # a stable sort by row keeps each row's entries in group order
             order = np.argsort(row, kind="stable")
-            parts.append([group.start + row[order], col[order], kind[order], div[order]])
+            entries = slice(at, at + len(row))
+            col[entries], kind[entries], div[entries] = to[order], how[order], share[order]
+            indptr[group.start + 1:group.stop + 1] = np.bincount(row, minlength=len(block))
+            diagonal[group.start:group.stop] = np.bincount(row[to < group.start + row], minlength=len(block))
+            at += len(row)
 
         # the randomization states return to their pattern, the defrag states to its targets
         groups = [self.pattern_groups[pat] for pat in self.raas_patterns]
         returns = [np.arange(g.start, g.stop) for g in groups] + list(self.defrag_targets)
         sizes = np.array([len(g) for g in returns], np.int64)
-        parts.append([
-            np.repeat(np.arange(n_sa, n_sa + len(returns)), sizes),
-            np.concatenate(returns),
-            np.repeat(np.where(np.arange(len(returns)) < n_r, 3 * K + 1, 3 * K + 2), sizes),
-            np.repeat(sizes, sizes),
-        ])
-        row, col, kind, div = (np.concatenate(a, dtype=np.int64) for a in zip(*parts))
-        return TransitionStructure(row=row, col=col, kind=kind, div=div)
+        indptr[n_sa + 1:] = diagonal[n_sa:] = sizes
+        np.concatenate(returns, out=col[at:], casting="same_kind")
+        kind[at:] = np.repeat(np.where(np.arange(len(returns)) < n_r, 3 * K + 1, 3 * K + 2), sizes)
+        div[at:] = np.repeat(sizes, sizes)
+        np.cumsum(indptr, out=indptr)
+        diagonal += indptr[:-1]
+        return TransitionStructure(indptr=indptr, col=col, kind=kind, div=div, diagonal=diagonal)
 
 
 def build_state_space(profile: DemandProfile, options: SpaceOptions | None = None) -> StateSpace:

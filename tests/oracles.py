@@ -416,6 +416,18 @@ def is_strongly_connected(rm: RateMatrix) -> bool:
     return n_comp == 1
 
 
+def closed_classes(q: sp.csr_matrix) -> list[np.ndarray]:
+    """The closed communicating classes of a generator: the strongly
+    connected components that no edge leaves."""
+    adjacency = q.copy()
+    adjacency.setdiag(0)
+    adjacency.eliminate_zeros()
+    n_comp, labels = connected_components(adjacency, directed=True, connection="strong")
+    edges = adjacency.tocoo()
+    left = labels[edges.row[labels[edges.row] != labels[edges.col]]]
+    return [np.flatnonzero(labels == c) for c in np.setdiff1d(np.arange(n_comp), left)]
+
+
 def dense_stationary_oracle(rm: RateMatrix) -> np.ndarray:
     """Independent dense solve: least squares on [Q^T; 1] x = [0; 1]."""
     q = rm.matrix.toarray()

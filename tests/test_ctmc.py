@@ -26,6 +26,7 @@ from eolsec import (
 from eolsec import ctmc
 from oracles import (
     arrangements,
+    closed_classes,
     dense_stationary_oracle,
     is_strongly_connected,
     loop_generator,
@@ -268,6 +269,18 @@ def test_assembly_matches_loop_bit_for_bit(capacity, variant, space7, space14):
         assert np.array_equal(a, b), name
 
 
+def test_assembly_sums_blocked_classes_left_to_right(space14):
+    # a state blocked for all three classes enters its defrag state once per
+    # class; (0.1 + 0.2) + 0.3 and 0.1 + (0.2 + 0.3) differ in the last bit
+    rates = DemandProfile(14, (2, 3, 4), (0.1, 0.2, 0.3), (1.0, 1.5, 2.0))
+    variant = ModelVariant.randomized_defrag(0.7, 11.0)
+    got = assemble_generator(space14, rates, variant).matrix
+    expected = loop_generator(space14, rates, variant).matrix
+    assert (got.data == (0.1 + 0.2) + 0.3).any()
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(got, name), getattr(expected, name)), name
+
+
 def test_negative_mass_raises_typed_error(space7, rates7):
     # -pi meets the residual gate (it solves pi Q = 0) but has negative mass
     rm = assemble_generator(space7, rates7, ModelVariant.randomized(0.7, 11.0))
@@ -486,6 +499,70 @@ def test_chain_is_mirror_symmetric(chain, randomize_empty):
     for width in range(1, profile.capacity + 1):
         scores = per_state_attack_success(space, width)
         assert (scores[regular] == scores).all()
+
+
+@st.composite
+def digraph_generators(draw):
+    """The generator of a random sparse digraph with positive rates.
+
+    It may have several closed classes, states without outflow (one-state
+    classes) and a state 0 that nothing enters, so that it is transient.
+    """
+    n = draw(st.integers(1, 12))
+    state = st.integers(0, n - 1)
+    edges = draw(st.sets(st.tuples(state, state), min_size=n, max_size=4 * n))
+    if n > 1 and draw(st.booleans()):
+        edges = {(i, j) for i, j in edges if j != 0} | {(0, draw(st.integers(1, n - 1)))}
+    if draw(st.booleans()):
+        absorbing = draw(state)
+        edges = {(i, j) for i, j in edges if i != absorbing}
+    edges = sorted((i, j) for i, j in edges if i != j)
+    rates = [draw(st.floats(0.01, 100.0)) for _ in edges]
+    off = sp.csr_matrix((rates, ([i for i, _ in edges], [j for _, j in edges])), shape=(n, n))
+    return off - sp.diags(np.asarray(off.sum(axis=1)).ravel())
+
+
+def check_terminal_states(q):
+    classes = closed_classes(q)
+    if len(classes) == 1:
+        assert np.array_equal(ctmc._terminal_states(q), classes[0])
+    else:
+        with pytest.raises(NotIrreducible, match="^more than one closed communicating class$"):
+            ctmc._terminal_states(q)
+    return classes
+
+
+@settings(max_examples=300, deadline=None)
+@given(digraph_generators())
+def test_terminal_states_match_components_on_digraphs(q):
+    check_terminal_states(q)
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_chains())
+def test_terminal_states_match_components_on_chains(chain):
+    profile, variant = chain
+    q = assemble_generator(build_state_space(profile), profile, variant).matrix
+    classes = check_terminal_states(q)
+    assert len(classes) == 1 and classes[0][0] == 0
+
+
+def test_terminal_states_cases():
+    # state 0 transient, a one-state class, and two closed classes
+    chains = {
+        "0 -> 1 <-> 2": ([(0, 1), (1, 2), (2, 1)], [1, 2]),
+        "1 <- 0 -> 2 -> 1": ([(0, 1), (0, 2), (2, 1)], [1]),
+        "0 -> 1, 0 -> 2": ([(0, 1), (0, 2)], None),
+    }
+    for name, (edges, closed) in chains.items():
+        off = sp.csr_matrix(([1.0] * len(edges), tuple(zip(*edges))), shape=(3, 3))
+        q = off - sp.diags(np.asarray(off.sum(axis=1)).ravel())
+        if closed is None:
+            with pytest.raises(NotIrreducible):
+                ctmc._terminal_states(q)
+        else:
+            assert ctmc._terminal_states(q).tolist() == closed, name
+        check_terminal_states(q)
 
 
 def test_power_sweep_cap_raises_no_convergence(space7, rates7, monkeypatch):

@@ -867,6 +867,31 @@ class TestCli:
                             for name in ("results.csv", "results_summary.json")])
         assert outputs[0] == outputs[1]
 
+    def test_engines_run_without_scipy_linalg(self, tmp_path):
+        # scipy.sparse.csgraph would load scipy.sparse.linalg and
+        # scipy.linalg, some 11 MB that neither engine uses
+        path = tmp_path / "both.yaml"
+        path.write_text(yaml.safe_dump({
+            "schema_version": 1, "profile": {"capacity": 7, "demands": [3, 4]},
+            "traffic": {"loads": [2.0]},
+            "sweep": {"variants": ["randomized-defrag"], "randomization_rates": [1.0],
+                      "reconfig_rates": [10.0]},
+            "window_widths": [3], "engine": "both",
+            "sim": {"arrivals": 2000, "warmup": 10.0, "replications": 2, "seed": 7},
+            "output": {"dir": str(tmp_path / "out"), "timestamp": False},
+        }))
+        script = (
+            "import sys, eolsec\n"
+            "from eolsec.experiment import load_config, run_experiments\n"
+            f"print(run_experiments(load_config({str(path)!r})).num_rows)\n"
+            "print(*sorted(m for m in sys.modules if m.startswith(('scipy.linalg', 'scipy.sparse.linalg',"
+            " 'scipy.sparse.csgraph'))))\n"
+        )
+        path_var = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+        run = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": path_var},
+                             capture_output=True, text=True, check=True, timeout=300)
+        assert run.stdout == "2\n\n"
+
     def test_zero_load_cell_reports_nan_security(self, tmp_path, capsys):
         # at load 0 the link stays empty, so no randomization is ever scored
         def run(loads):

@@ -20,6 +20,11 @@ from eolsec.statespace import feasible_patterns
 from oracles import arrangements, scalar_state_space, scalar_transitions
 
 
+def rows(t):
+    """The source state of every entry of ``t``."""
+    return np.repeat(np.arange(len(t.indptr) - 1), np.diff(t.indptr))
+
+
 class TestWorkedExample:
     def test_regular_state_count(self, space7):
         assert space7.num_regular == 15
@@ -153,7 +158,7 @@ def test_long_link_builds_without_deep_recursion():
     assert [block.shape for block in space.blocks] == [(1, 1100), (1, 1)]
     # arrival, departure, randomization and its return
     t = space.transitions
-    assert list(zip(t.row.tolist(), t.col.tolist())) == [(0, 1), (1, 0), (1, 2), (2, 1)]
+    assert list(zip(rows(t).tolist(), t.col.tolist())) == [(0, 1), (1, 0), (1, 2), (2, 1)]
 
 
 def test_feasible_patterns_lexicographic(profile7):
@@ -204,14 +209,35 @@ def test_array_state_space_matches_scalar_oracle(po):
     assert space.num_regular == sum(map(len, expected["pattern_groups"].values()))
     loop = scalar_transitions(space)
     assert (loop["mult"] == 1).all()  # no two departures ever reach the same state
-    for name in ("row", "col", "kind", "div"):
-        got = getattr(space.transitions, name)
-        assert got.dtype == np.int64
-        assert np.array_equal(got, loop[name]), name
+    # the loop's entries by row, then by column; a stable sort keeps the
+    # entries into one defrag state in class order
+    order = np.lexsort((loop["col"], loop["row"]))
+    t = space.transitions
+    assert (t.indptr.dtype, t.col.dtype, t.kind.dtype, t.div.dtype, t.diagonal.dtype) == (
+        np.int64, np.int32, np.uint8, np.int32, np.int64)
+    for name, got in (("row", rows(t)), ("col", t.col), ("kind", t.kind), ("div", t.div)):
+        assert np.array_equal(got, loop[name][order]), name
+    lower = np.bincount(rows(t), weights=t.col < rows(t), minlength=len(t.indptr) - 1)
+    assert np.array_equal(t.diagonal, t.indptr[:-1] + lower)
+
+
+def assembly_order(t, num_classes):
+    """The entries of ``t`` in the order the pins below were recorded in.
+
+    Per source state: for each class its arrivals in slot order, its
+    fragmentation-blocked arrival and its departures in token order, then
+    the move into the randomization state.  A later slot gives a lesser
+    target, so arrivals go by falling column and all else by rising column.
+    """
+    K = num_classes
+    group = np.concatenate([3 * np.arange(K), 3 * np.arange(K) + 1, 3 * np.arange(K) + 2, [3 * K] * 3])
+    col = t.col.astype(np.int64)
+    return np.lexsort((np.where(t.kind < K, -col, col), group[t.kind], rows(t)))
 
 
 # SHA-256 of the transition arrays, recorded from the state-by-state loop
-# that built them before the array layout (scalar_transitions in oracles)
+# that built them before the array layout (scalar_transitions in oracles);
+# each array in assembly order and as int64
 TRANSITION_PINS = {
     (14, (2, 3, 4)): {
         "row": "2654c7893762af09ceca777c770901f3462f34dd5c1d981d3f14e92e294e4654",
@@ -239,5 +265,8 @@ def test_transition_arrays_match_pins(capacity, demands):
     k = len(demands)
     space = build_state_space(DemandProfile(capacity, demands, (1.0,) * k, (1.0,) * k))
     pins = TRANSITION_PINS[capacity, demands]
-    arrays = {name: getattr(space.transitions, name) for name in pins}
-    assert {name: hashlib.sha256(a.tobytes()).hexdigest() for name, a in arrays.items()} == pins
+    t = space.transitions
+    order = assembly_order(t, k)
+    arrays = {"row": rows(t), "col": t.col, "kind": t.kind, "div": t.div}
+    assert {name: hashlib.sha256(a[order].astype(np.int64).tobytes()).hexdigest()
+            for name, a in arrays.items()} == pins

@@ -13,6 +13,13 @@ Three model variants share one state space:
 
 Reconfiguration states have total outflow equal to the reconfiguration
 rate only: departures are frozen and further arrivals cause no transition.
+
+The generator is assembled and solved over mirror classes of regular
+states (``StateSpace.lumped``), about half of them: the chain is ordinarily
+lumpable over them, and a state and its mirror image have the same
+stationary mass, so each member of class ``a`` gets pi_hat(a) / |a|
+(Buchholz, *J. Appl. Prob.* 31(1), 1994).  Stationary distributions are
+reported in the full [regular | randomization | defrag] layout.
 """
 
 from __future__ import annotations
@@ -120,12 +127,14 @@ class NoConvergence(RuntimeError):
 
 
 class NegativeStationaryMass(RuntimeError):
-    """The solved distribution has a state with mass below round-off."""
+    """The solved distribution has a state with mass below round-off.
+
+    ``state`` is the generator's row: a mirror class for an assembled chain."""
 
     def __init__(self, state: int, mass: float):
         self.state = state
         self.mass = mass
-        super().__init__(f"stationary mass {mass:.3e} of state {state} is negative beyond round-off")
+        super().__init__(f"stationary mass {mass:.3e} of row {state} is negative beyond round-off")
 
     def __reduce__(self):
         return type(self), (self.state, self.mass)
@@ -133,19 +142,44 @@ class NegativeStationaryMass(RuntimeError):
 
 @dataclass
 class RateMatrix:
-    """Sparse generator; rows sum to zero, off-diagonal entries are rates."""
+    """Sparse generator; rows sum to zero, off-diagonal entries are rates.
+
+    ``lumped`` gives the row of each regular state where the rows are its
+    mirror classes; the states after the regular ones keep a row each.
+    Without it the rows are the states themselves.
+    """
 
     matrix: sp.csr_matrix
+    lumped: np.ndarray | None = None
 
     @property
     def dimension(self) -> int:
         return self.matrix.shape[0]
 
+    def expand(self, pi: np.ndarray) -> np.ndarray:
+        """A distribution over the rows as one over the states: each member
+        of a class gets an equal share, exactly, as a class has one or two."""
+        if self.lumped is None:
+            return pi
+        members = np.bincount(self.lumped)
+        return np.concatenate([(pi[:len(members)] / members)[self.lumped], pi[len(members):]])
+
+    def lump(self, pi: np.ndarray) -> np.ndarray:
+        """A distribution over the states as one over the rows."""
+        if self.lumped is None:
+            return pi
+        n = len(self.lumped)
+        return np.concatenate([np.bincount(self.lumped, weights=pi[:n]), pi[n:]])
+
 
 @dataclass(frozen=True)
 class StationaryDistribution:
     """Solution of pi Q = 0 plus the solver's diagnostics: ``iterations``
-    counts the BiCGSTAB iterations and ``sweeps`` the power sweeps behind it."""
+    counts the BiCGSTAB iterations and ``sweeps`` the power sweeps behind it.
+
+    ``pi`` covers every state; ``residual``, ``dimension`` and ``nnz``
+    describe the generator that was solved, the lumped one for a chain
+    from ``assemble_generator``."""
 
     pi: np.ndarray
     residual: float
@@ -171,7 +205,7 @@ class BlockingReport:
 
 
 def assemble_generator(space: StateSpace, profile: DemandProfile, variant: ModelVariant) -> RateMatrix:
-    """Install all transitions of ``variant`` over ``space``.
+    """Install all transitions of ``variant`` over the mirror classes of ``space``.
 
     ``profile`` must structurally match the space (same capacity and
     demands); its rates drive the transition intensities, so one space can
@@ -180,16 +214,15 @@ def assemble_generator(space: StateSpace, profile: DemandProfile, variant: Model
     if profile.capacity != space.profile.capacity or profile.demands != space.profile.demands:
         raise ValueError("profile does not match the state space structure")
 
-    n_sa = space.num_regular
+    t = space.transitions
     n_r = space.num_raas if variant.has_randomization else 0
     n_d = space.num_daas if variant.has_defrag else 0
-    dim = n_sa + n_r + n_d
+    dim = t.regular + n_r + n_d
     lam = np.asarray(profile.arrival_rates, dtype=float)
     # A zero rate switches its transitions off: regular has no
     # reconfiguration rates, and only randomized-defrag enters defrag
     # states; otherwise blocked arrivals cause no transition (lost calls).
     defrag = 1.0 if variant.has_defrag else 0.0
-    t = space.transitions
     end = t.indptr[dim]
     rates = t.rates(
         lam,
@@ -200,9 +233,9 @@ def assemble_generator(space: StateSpace, profile: DemandProfile, variant: Model
         variant.reconfig_rate * defrag,
     )[:end]
     col = t.col[:end]
-    # A defrag state entered from several blocked classes is one entry.
-    # Its rates are summed left to right, in class order, as scipy sums
-    # duplicates, onto the first entry of the run.
+    # A column entered more than once in a row is one entry: its rates are
+    # summed left to right, in class order for a defrag state, as scipy
+    # sums duplicates, onto the first entry of the run.
     repeat = np.zeros(end + 1, bool)  # entry e has the row and column of e - 1
     np.equal(col[1:], col[:-1], out=repeat[1:end])
     repeat[t.indptr[1:dim]] = False
@@ -232,10 +265,10 @@ def assemble_generator(space: StateSpace, profile: DemandProfile, variant: Model
     values[off], values[spots] = data, -total[rows]
     columns[off], columns[spots] = indices, rows
     indptr[1:] += np.cumsum(total != 0.0)
-    return RateMatrix(sp.csr_matrix((values, columns, indptr), shape=(dim, dim)))
+    return RateMatrix(sp.csr_matrix((values, columns, indptr), shape=(dim, dim)), space.lumped)
 
 
-def _terminal_states(q: sp.csr_matrix) -> np.ndarray:
+def _terminal_states(q: sp.csr_matrix, q_t: sp.csr_matrix | None = None) -> np.ndarray:
     """Indices of the unique closed communicating class.
 
     States outside it are transient and carry zero stationary mass; more
@@ -245,12 +278,15 @@ def _terminal_states(q: sp.csr_matrix) -> np.ndarray:
     states the current one reaches are a closed class, the only one if
     every state reaches it.  Every state of a model chain reaches state 0
     (departures empty the link, reconfigurations end), so there one pass
-    each way finds the class.
+    each way finds the class.  The passes walk the rows of ``q`` forward
+    and those of its transpose ``q_t`` (in CSR, made here if not given)
+    backward.
     """
-    forward = q.T  # a view: its rows are the columns of q
+    if q_t is None:
+        q_t = q.T.tocsr()
     s = 0
     while True:
-        ahead, behind = _reached(forward, s), _reached(q, s)
+        ahead, behind = _reached(q, s), _reached(q_t, s)
         beyond = ahead & ~behind
         if not beyond.any():
             break
@@ -260,25 +296,27 @@ def _terminal_states(q: sp.csr_matrix) -> np.ndarray:
     return np.flatnonzero(ahead)
 
 
-def _reached(a: sp.spmatrix, s: int) -> np.ndarray:
+def _reached(a: sp.csr_matrix, s: int) -> np.ndarray:
     """States joined to state ``s`` along the rows of ``a``: with ``a = q``
-    the states that reach ``s``, with ``a = q.T`` the states ``s`` reaches.
+    the states ``s`` reaches, with its transpose the states that reach ``s``.
 
-    One product per step: a state off the set gets a positive sum exactly
-    when it has an edge into the set, as off-diagonal rates are positive
-    and its own diagonal meets a zero.
+    A frontier walk: each state's row is read once, when it joins, so the
+    edges cost O(nnz).  An edge is a nonzero entry.  The frontier is kept
+    as a mask, a few passes over n bytes per step, which keeps it in index
+    order, so its rows are read in memory order.
     """
-    n = a.shape[0]
-    x = np.zeros(n)
-    x[s] = 1.0
-    size = 1
-    while size < n:
-        x[a @ x > 0.0] = 1.0
-        grown = np.count_nonzero(x)
-        if grown == size:
-            break
-        size = grown
-    return x > 0.0
+    seen = np.zeros(a.shape[0], bool)
+    seen[s] = True
+    fresh = np.zeros_like(seen)
+    frontier = np.array([s])
+    while len(frontier):
+        rows = a[frontier]
+        fresh[rows.indices[rows.data != 0.0]] = True
+        fresh &= ~seen
+        frontier = np.flatnonzero(fresh)
+        seen |= fresh
+        fresh[frontier] = False
+    return seen
 
 
 def solve_stationary(rm: RateMatrix) -> StationaryDistribution:
@@ -295,20 +333,27 @@ def solve_stationary(rm: RateMatrix) -> StationaryDistribution:
     ``DEFAULT_SOLVER_TOL`` / ``POWER_TOL_MARGIN``; after
     ``POWER_MAX_SWEEPS`` sweeps NoConvergence is raised.  A clearly
     negative mass raises NegativeStationaryMass, and more than one closed
-    class raises NotIrreducible.  (Stewart, *Introduction to the Numerical
-    Solution of Markov Chains*, 1994, ch. 3-4.)
+    class raises NotIrreducible.  The gates apply to the generator's rows;
+    the result is expanded onto every state (``RateMatrix.expand``).
+    (Stewart, *Introduction to the Numerical Solution of Markov Chains*,
+    1994, ch. 3-4.)
     """
     q = rm.matrix
     n = q.shape[0]
-    keep = _terminal_states(q)
-    q_sub = q[np.ix_(keep, keep)] if len(keep) < n else q
+    # the transposed step, so that each sweep is one CSR product: first the
+    # plain transpose, whose rows the closed-class search walks backward
+    step = q.T.tocsr()
+    keep = _terminal_states(q, step)
+    q_sub = q
+    if len(keep) < n:
+        del step
+        q_sub = q[np.ix_(keep, keep)]
+        step = q_sub.T.tocsr()
     m = q_sub.shape[0]
     # a one-state class has no outflow: its whole mass is the solution
     scale = 1.0 / -q_sub.diagonal() if m > 1 else np.ones(1)
-    # the transposed step, so that each sweep is one CSR product; its
-    # entries are q_ij * scale_i / POWER_DAMPING, plus 1 on the diagonal,
-    # scaled a slice at a time to hold no gather of its whole length
-    step = q_sub.T.tocsr()
+    # the step's entries are q_ij * scale_i / POWER_DAMPING, plus 1 on the
+    # diagonal, scaled a slice at a time to hold no gather of its whole length
     factor = scale / POWER_DAMPING
     for start in range(0, step.nnz, SCALE_SLICE):
         part = slice(start, start + SCALE_SLICE)
@@ -322,7 +367,7 @@ def solve_stationary(rm: RateMatrix) -> StationaryDistribution:
         pi /= pi.sum()
         res = _residual(pi, q)
         if res <= DEFAULT_SOLVER_TOL / POWER_TOL_MARGIN:
-            return _distribution(pi, q, sweeps, iterations)
+            return _distribution(pi, rm, sweeps, iterations)
         if sweeps >= POWER_MAX_SWEEPS:
             raise NoConvergence(iterations, sweeps, res)
         burst = min(POWER_CHECK_EVERY, POWER_MAX_SWEEPS - sweeps)
@@ -345,54 +390,74 @@ def _bicgstab(step: sp.csr_matrix, scale: np.ndarray) -> tuple[np.ndarray, int]:
     times its size at the last start, restarts from the current iterate.
     After ``KRYLOV_MAX_ITERATIONS`` the iterate is returned as it stands.
     Inner products are pairwise sums, so the result does not depend on
-    the BLAS build or its threads.
+    the BLAS build or its threads.  The vectors are updated in place, each
+    operation as in the textbook form and in its order, so the iterates
+    are the same; only the two products per iteration allocate.
     """
     tol = KRYLOV_TOL / POWER_DAMPING
-    y = np.ones(len(scale))
+    n = len(scale)
+    y = np.ones(n)
+    r_hat, p, s, work = np.empty(n), np.empty(n), np.empty(n), np.empty(n)
+
+    def dot(a: np.ndarray, b: np.ndarray) -> float:
+        return np.multiply(a, b, out=work).sum()
+
+    def size(a: np.ndarray) -> float:
+        return np.abs(a, out=work).max()
+
     iterations = 0
     while iterations < KRYLOV_MAX_ITERATIONS:
-        r = y - step @ y
-        start = np.abs(r).max()
-        if start <= tol * (y * scale).sum():
+        r = step @ y
+        np.subtract(y, r, out=r)  # r = y - step y
+        start = size(r)
+        if start <= tol * dot(y, scale):
             break
-        r_hat = r
+        np.copyto(r_hat, r)
         rho = alpha = omega = 1.0
-        p = v = np.zeros_like(y)
+        p.fill(0.0)
+        v = np.zeros(n)
         while iterations < KRYLOV_MAX_ITERATIONS:
-            rho_next = (r_hat * r).sum()
+            rho_next = dot(r_hat, r)
             if rho_next == 0.0:
                 break
             iterations += 1
-            p = r + (rho_next / rho) * (alpha / omega) * (p - omega * v)
-            v = step @ p - p
-            alpha = rho_next / (r_hat * v).sum()
-            y = y + alpha * p
-            s = r - alpha * v
-            if np.abs(s).max() <= tol * (y * scale).sum():
+            # p = r + (rho_next / rho) * (alpha / omega) * (p - omega * v)
+            np.subtract(p, np.multiply(v, omega, out=work), out=p)
+            p *= (rho_next / rho) * (alpha / omega)
+            p += r
+            v = step @ p
+            v -= p
+            alpha = rho_next / dot(r_hat, v)
+            y += np.multiply(p, alpha, out=work)
+            np.subtract(r, np.multiply(v, alpha, out=s), out=s)  # s = r - alpha * v
+            if size(s) <= tol * dot(y, scale):
                 return y, iterations
-            t = step @ s - s
-            omega = (t * s).sum() / (t * t).sum()
-            y = y + omega * s
-            r = s - omega * t
-            size = np.abs(r).max()
-            if size <= tol * (y * scale).sum():
+            t = step @ s
+            t -= s
+            omega = dot(t, s) / dot(t, t)
+            y += np.multiply(s, omega, out=work)
+            np.subtract(s, np.multiply(t, omega, out=r), out=r)  # r = s - omega * t
+            last = size(r)
+            if last <= tol * dot(y, scale):
                 return y, iterations
-            if omega == 0.0 or size <= KRYLOV_RESTART * start:
+            if omega == 0.0 or last <= KRYLOV_RESTART * start:
                 break
             rho = rho_next
     return y, iterations
 
 
-def _distribution(pi: np.ndarray, q: sp.csr_matrix, sweeps: int,
+def _distribution(pi: np.ndarray, rm: RateMatrix, sweeps: int,
                   iterations: int = 0) -> StationaryDistribution:
-    """The gated distribution: no clearly negative mass, clipped and renormalized."""
+    """The gated distribution over ``rm``'s rows (no clearly negative
+    mass), clipped, renormalized and expanded onto every state."""
     worst = int(np.argmin(pi))
     if pi[worst] < -1e-14:
         raise NegativeStationaryMass(worst, float(pi[worst]))
     pi = np.clip(pi, 0.0, None)
     pi /= pi.sum()
+    q = rm.matrix
     return StationaryDistribution(
-        pi=pi,
+        pi=rm.expand(pi),
         residual=_residual(pi, q),
         method=SOLVER_METHOD,
         dimension=q.shape[0],
@@ -418,13 +483,13 @@ def rescale_reconfiguration(
     either (Meyer, "Stochastic complementation, uncoupling Markov chains",
     SIAM Review 31(2), 1989), and the mass of every reconfiguration state
     scales with the inverse rate: multiply it by ``factor`` and
-    renormalize.  The residual is measured on ``rm``; the iteration and
-    sweep counts are those of the solve behind ``dist``.
+    renormalize.  The residual is measured on ``rm``, over its rows; the
+    iteration and sweep counts are those of the solve behind ``dist``.
     """
     pi = dist.pi.copy()
     pi[num_regular:] *= factor
     pi /= pi.sum()
-    return replace(dist, pi=pi, residual=_residual(pi, rm.matrix), nnz=int(rm.matrix.nnz))
+    return replace(dist, pi=pi, residual=_residual(rm.lump(pi), rm.matrix), nnz=int(rm.matrix.nnz))
 
 
 def blocking_report(

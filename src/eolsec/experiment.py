@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+import multiprocessing
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
@@ -542,7 +543,13 @@ def run_experiments(cfg: ExperimentConfig) -> ExperimentOutcome:
     log.info("%d grid cells, %d exact solves", len(specs), exact_solves(specs))
 
     if cfg.jobs > 1 and len(specs) > 1:
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
+        # Forked workers share the parent's space and its transitions copy
+        # on write, through the cache of state_space: one copy per run.
+        if any("analytic" in spec.engines for spec in specs):
+            state_space(cfg).transitions
+        fork = "fork" in multiprocessing.get_all_start_methods()
+        context = multiprocessing.get_context("fork") if fork else None
+        with ProcessPoolExecutor(max_workers=cfg.jobs, mp_context=context) as pool:
             # one chunk per randomized chain keeps its cells in one worker
             results = list(pool.map(_compute_cell, specs, chunksize=len(cfg.reconfig_rates)))
     else:

@@ -235,6 +235,9 @@ def per_state_attack_success(space: StateSpace, width: int) -> np.ndarray:
 
     Averages, over the uniformly placed window, the fraction of the
     pattern's rearrangements that leave the window's observation intact.
+    A state and its mirror image score the same (the window's position is
+    uniform, so mirroring maps every observation onto one of the mirror
+    image), so only the representative of each mirror class is scored.
     The values are kept in the space's ``survival``, read-only because every
     cell of the link shares them.
     """
@@ -243,11 +246,12 @@ def per_state_attack_success(space: StateSpace, width: int) -> np.ndarray:
         raise ValueError(f"window width must be in 1..{capacity}")
     if space.survival is None:
         kernel = WindowSurvival(space.profile)
-        space.survival = (kernel, list(kernel.chunks(zip(space.pattern_groups, space.blocks))), {})
+        rows = (block[reps] for block, reps in zip(space.blocks, space.representatives()))
+        space.survival = (kernel, list(kernel.chunks(zip(space.pattern_groups, rows))), {})
     kernel, chunks, by_width = space.survival
     result = by_width.get(width)
     if result is None:
-        result = by_width[width] = kernel.scores(chunks, (width,))[width]
+        result = by_width[width] = kernel.scores(chunks, (width,))[width][space.lumped]
         result.flags.writeable = False
     return result
 

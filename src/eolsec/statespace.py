@@ -21,6 +21,13 @@ whole blocks.  The length of the free run ending at each token gives the
 windows where an arrival fits, and a departure replaces one class-k token
 by ``d_k`` frees.  The rows of one block share one length and are sorted,
 so read as byte strings they rank a target row with one binary search.
+
+Reversing the slot order maps every transition, every blocked set and
+every defrag target set onto itself, so the chain is ordinarily lumpable
+over mirror classes (Kemeny & Snell, *Finite Markov Chains*, 1960, 6.3):
+a state and its mirror image form one class, a palindrome a class of one.
+``StateSpace.lumped`` numbers the classes, and ``transitions`` lays out
+the lumped chain, one row per class from its lesser member.
 """
 
 from __future__ import annotations
@@ -28,7 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import product
+from itertools import chain, product
 from typing import Iterator, TextIO
 
 import numpy as np
@@ -36,13 +43,14 @@ import numpy as np
 from .link import DemandProfile
 
 # Regular states the exact engine is known to finish: one randomized-defrag
-# cell (enumerate, transitions, solve, three window widths) takes 2.3-3.0 s
-# and 148 MB at C=32, demands (4,6,8), 163,312 states, and 2.1-2.8 s and
-# 142 MB at C=19, demands (2,3,4), 147,312 states, through `eolsec run`
-# (jobs: 1) on a 2-core VM; C=36 (814,012 states) takes 11 s and 554 MB.
-# Each pool worker builds its own copy of the space, so the budget allows
-# for `jobs` copies.  Beyond it analytic falls back to Monte Carlo.
-DEFAULT_STATE_BUDGET = 163_312
+# cell (enumerate, transitions, solve, three window widths) takes 2.4-2.5 s
+# and 180 MB at C=34, demands (4,6,8), 364,606 states, and 1.8 s and 152 MB
+# at C=20, demands (2,3,4), 283,953 states, through `eolsec run` (jobs: 1)
+# on a 2-core VM; C=35 (544,785 states) takes 3.4 s and 246 MB, C=38
+# (1,817,347) 12 s and 730 MB.  Pool workers share the parent's space, but
+# each solves and scores its own cells, so the budget allows for most of a
+# cell's memory per worker.  Beyond it analytic falls back to Monte Carlo.
+DEFAULT_STATE_BUDGET = 364_606
 
 
 class StateBudgetExceeded(RuntimeError):
@@ -142,21 +150,27 @@ def _keys(rows: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TransitionStructure:
-    """Rate-free transitions of every model variant over one state space,
-    laid out as a CSR matrix.
+    """Rate-free transitions of every model variant over the mirror-lumped
+    chain of one state space, laid out as a CSR matrix.
 
-    The entries of row ``i`` are ``indptr[i]:indptr[i + 1]``; entry ``e``
-    moves state ``i`` to state ``col[e]`` at rate ``base[kind[e]] /
-    div[e]``, and ``rates`` lays out ``base``.  Within a row the columns
-    ascend.  The one column that repeats is a defrag state, entered once
-    per fragmentation-blocked class, in class order.  Row ``i``'s diagonal
-    would go before entry ``diagonal[i]``.  Global indices follow the full
-    [regular | randomization | defrag] layout.
+    Row ``a`` of the first ``regular`` rows is mirror class ``a`` (see
+    ``StateSpace.lumped``); its entries, ``indptr[a]:indptr[a + 1]``, are
+    the transitions of the class's lesser member, each to the class of its
+    target.  Entry ``e`` moves the chain to ``col[e]`` at rate
+    ``base[kind[e]] / div[e]``, and ``rates`` lays out ``base``.  Within a
+    row the columns ascend.  A column repeats where a row enters it more
+    than once, and assembly sums those rates left to right: a defrag
+    state, entered once per fragmentation-blocked class in class order, or
+    a mirror class both of whose members one class's arrivals or
+    departures reach.  Row ``a``'s diagonal would go before entry
+    ``diagonal[a]``.  The randomization and defrag states follow the
+    classes, in that order.
     """
 
+    regular: int  # mirror classes of regular states
     indptr: np.ndarray  # int64
     col: np.ndarray  # int32
-    kind: np.ndarray  # the least unsigned type that holds 3K + 2
+    kind: np.ndarray  # the least unsigned type that holds 3K + 4
     div: np.ndarray  # int32
     diagonal: np.ndarray  # int64
 
@@ -174,10 +188,13 @@ class TransitionStructure:
         Per class: accepted arrivals, fragmentation-blocked arrivals (which
         enter a defrag state) and departures; then the rate into
         randomization states and the rates out of randomization and
-        defrag states.
+        defrag states, into a class of one and of two.  Doubling is exact,
+        so a return into a mirror pair is the sum of its members' rates.
         """
         base = np.concatenate([
-            arrival, defrag_arrival, service, [randomization, randomization_return, defrag_return],
+            arrival, defrag_arrival, service,
+            [randomization, randomization_return, defrag_return,
+             2.0 * randomization_return, 2.0 * defrag_return],
         ])
         rates = base[self.kind]
         rates /= self.div
@@ -205,7 +222,8 @@ class StateSpace:
     daas_patterns: tuple[tuple[int, ...], ...]
     defrag_targets: tuple[np.ndarray, ...]
     blocks: tuple[np.ndarray, ...] = field(repr=False)
-    # (security.WindowSurvival, its chunks of blocks, scores by width), made on first use
+    # (security.WindowSurvival, its chunks of the representatives' rows, scores
+    # by width), made on first use
     survival: object = field(default=None, repr=False)
 
     @property
@@ -221,43 +239,73 @@ class StateSpace:
         return len(self.daas_patterns)
 
     @cached_property
+    def lumped(self) -> np.ndarray:
+        """Each regular state's mirror class, derived on first use.
+
+        A state and its mirror image (its token row reversed) share one
+        class, and a palindrome is a class of its own.  The classes are
+        numbered in the order of their lesser member, the representative,
+        so the classes of one pattern are consecutive and the all-free
+        state is class 0.
+        """
+        lumped = np.empty(self.num_regular, np.int32)
+        first = 0
+        for group, block in zip(self.pattern_groups.values(), self.blocks):
+            rows = np.arange(len(block))
+            lesser = np.minimum(rows, np.searchsorted(_keys(block), _keys(block[:, ::-1])))
+            number = np.cumsum(lesser == rows) - 1
+            lumped[group.start:group.stop] = first + number[lesser]
+            first += int(number[-1]) + 1
+        return lumped
+
+    def representatives(self) -> Iterator[np.ndarray]:
+        """Per block, the rows of its mirror classes' representatives, ascending."""
+        for group in self.pattern_groups.values():
+            yield np.unique(self.lumped[group.start:group.stop], return_index=True)[1]
+
+    @cached_property
     def transitions(self) -> TransitionStructure:
         """The transition structure, derived on first use."""
         demands = self.profile.demands
         K = len(demands)
-        n_sa, n_r = self.num_regular, self.num_raas
+        lumped = self.lumped
+        n_sa, n_r = int(lumped.max()) + 1, self.num_raas
         keys = {pat: _keys(block) for pat, block in zip(self.pattern_groups, self.blocks)}
         raas_index = {pat: v for v, pat in enumerate(self.raas_patterns)}
         daas_index = {pat: v for v, pat in enumerate(self.daas_patterns)}
-        # The entries in closed form, so that each pattern writes its own in
-        # place: a (row, slot) where class k fits is a row of the pattern
-        # with d_k of its free slots merged into one token.
+        # The entries of the unlumped chain in closed form bound the ones
+        # written: a (row, slot) where class k fits is a row of the pattern
+        # with d_k of its free slots merged into one token.  Pages past the
+        # last entry written are never touched, and the arrays shrink to it.
         size = sum(map(len, self.frag_blocked)) + sum(map(len, self.defrag_targets))
         for pat, group in self.pattern_groups.items():
             frees = self.profile.capacity - sum(n * d for n, d in zip(pat, demands))
             size += len(group) * (sum(pat) + 2 * (pat in raas_index))
             size += sum(_permutation_count(frees - d, pat + (1,)) for d in demands if frees >= d)
         col, div = np.empty(size, np.int32), np.empty(size, np.int32)
-        kind = np.empty(size, np.min_scalar_type(3 * K + 2))
+        kind = np.empty(size, np.min_scalar_type(3 * K + 4))
         states = n_sa + n_r + self.num_daas
         indptr = np.zeros(states + 1, np.int64)  # first the entries of each state
         diagonal = np.zeros(states, np.int64)  # first the entries of each state into a lesser one
 
         at = 0
-        for (pat, group), block in zip(self.pattern_groups.items(), self.blocks):
+        for (pat, group), whole, reps in zip(self.pattern_groups.items(), self.blocks, self.representatives()):
+            block = whole[reps]
+            first = int(lumped[group.start])  # a block's first row is its least
             length = block.shape[1]
             frees = length - sum(pat)
             runs = _free_runs(block)
-            # Groups of (row, col, kind, div), each sorted by row and then by
-            # column, in the order of their columns: the departures of class
-            # 1..K (into the patterns below this one), the arrivals of class
-            # K..1 (above it), the randomization state, then the defrag state
-            # once per blocked class.
+            # Groups of (row, col, kind, div) in the order of their columns'
+            # patterns: the departures of class 1..K (into the patterns
+            # below this one), the arrivals of class K..1 (above it), the
+            # randomization state, then the defrag state once per blocked
+            # class.  Each target row becomes its class.
             departures, arrivals, blocked = [], [], []
             for k, d in enumerate(demands, start=1):
                 if frees >= d:
                     # fits[r, s]: the d tokens from s on are free in row r; a
-                    # later slot gives a lesser row, so the slots go last first
+                    # later slot gives a lesser row, so the slots go last
+                    # first, and the binary searches meet their keys in order
                     fits = runs[:, d - 1:][:, ::-1] >= d
                     n_fits = fits.sum(axis=1)
                     r, s = np.nonzero(fits)
@@ -267,7 +315,7 @@ class StateSpace:
                     target[np.arange(len(r)), s] = k
                     up = pat[:k - 1] + (pat[k - 1] + 1,) + pat[k:]
                     to = self.pattern_groups[up].start + np.searchsorted(keys[up], _keys(target))
-                    arrivals.insert(0, (r, to, k - 1, n_fits[r]))
+                    arrivals.insert(0, (r, lumped[to], k - 1, n_fits[r]))
                     stuck = np.flatnonzero(n_fits == 0)
                     if len(stuck):
                         blocked.append((stuck, n_sa + n_r + daas_index[pat], K + k - 1, 1))
@@ -279,31 +327,42 @@ class StateSpace:
                     target[(cols >= s[:, None]) & (cols < s[:, None] + d)] = 0
                     down = pat[:k - 1] + (pat[k - 1] - 1,) + pat[k:]
                     to = self.pattern_groups[down].start + np.searchsorted(keys[down], _keys(target))
-                    departures.append((r, to, 2 * K + k - 1, 1))
+                    departures.append((r, lumped[to], 2 * K + k - 1, 1))
             groups = departures + arrivals
             if pat in raas_index:
                 groups.append((np.arange(len(block)), n_sa + raas_index[pat], 3 * K, 1))
             groups += blocked
             row, to, how, share = (np.concatenate(a) for a in zip(*(np.broadcast_arrays(*g) for g in groups)))
-            # a stable sort by row keeps each row's entries in group order
-            order = np.argsort(row, kind="stable")
+            # by row, then by column; a stable sort keeps a repeated
+            # column's entries in group order, so blocked classes in class order
+            order = np.argsort(row * states + to, kind="stable")
             entries = slice(at, at + len(row))
             col[entries], kind[entries], div[entries] = to[order], how[order], share[order]
-            indptr[group.start + 1:group.stop + 1] = np.bincount(row, minlength=len(block))
-            diagonal[group.start:group.stop] = np.bincount(row[to < group.start + row], minlength=len(block))
+            indptr[first + 1:first + len(block) + 1] = np.bincount(row, minlength=len(block))
+            diagonal[first:first + len(block)] = np.bincount(row[to < first + row], minlength=len(block))
             at += len(row)
 
-        # the randomization states return to their pattern, the defrag states to its targets
-        groups = [self.pattern_groups[pat] for pat in self.raas_patterns]
-        returns = [np.arange(g.start, g.stop) for g in groups] + list(self.defrag_targets)
-        sizes = np.array([len(g) for g in returns], np.int64)
-        indptr[n_sa + 1:] = diagonal[n_sa:] = sizes
-        np.concatenate(returns, out=col[at:], casting="same_kind")
-        kind[at:] = np.repeat(np.where(np.arange(len(returns)) < n_r, 3 * K + 1, 3 * K + 2), sizes)
-        div[at:] = np.repeat(sizes, sizes)
+        # The randomization states return to the classes of their pattern,
+        # the defrag states to those of their targets, each member at the
+        # same rate: a class of two takes the doubled return kind.
+        groups = (self.pattern_groups[pat] for pat in self.raas_patterns)
+        returns = chain((lumped[g.start:g.stop] for g in groups), (lumped[t] for t in self.defrag_targets))
+        for v, classes in enumerate(returns):
+            into, members = np.unique(classes, return_counts=True)
+            entries = slice(at, at + len(into))
+            col[entries] = into
+            kind[entries] = 3 * K + 1 + (v >= n_r) + 2 * (members - 1)
+            div[entries] = len(classes)
+            indptr[n_sa + v + 1] = diagonal[n_sa + v] = len(into)
+            at += len(into)
+        # no view of the three arrays is left; a profiler's reference to the
+        # bound method would trip the reference check
+        for a in (col, kind, div):
+            a.resize(at, refcheck=False)
         np.cumsum(indptr, out=indptr)
         diagonal += indptr[:-1]
-        return TransitionStructure(indptr=indptr, col=col, kind=kind, div=div, diagonal=diagonal)
+        return TransitionStructure(regular=n_sa, indptr=indptr, col=col, kind=kind, div=div,
+                                   diagonal=diagonal)
 
 
 def build_state_space(profile: DemandProfile, options: SpaceOptions | None = None) -> StateSpace:

@@ -208,6 +208,76 @@ def scalar_transitions(space: StateSpace) -> dict[str, np.ndarray]:
     return dict(zip(("row", "col", "kind", "mult", "div"), columns))
 
 
+def mirror_images(space: StateSpace) -> np.ndarray:
+    """The index of each regular state's mirror image: its token tuple reversed."""
+    states = arrangements(space)
+    index = {tokens: i for i, tokens in enumerate(states)}
+    return np.array([index[tokens[::-1]] for tokens in states], np.int64)
+
+
+def mirror_classes(space: StateSpace) -> np.ndarray:
+    """Each regular state's mirror class, found state by state: a token
+    tuple and its reverse share one, numbered in the order of their lesser
+    member."""
+    lesser = np.minimum(mirror_images(space), np.arange(space.num_regular)).tolist()
+    number = {i: n for n, i in enumerate(sorted(set(lesser)))}
+    return np.array([number[i] for i in lesser], np.int64)
+
+
+def lumped_rows(space: StateSpace) -> np.ndarray:
+    """The lumped row of every state of the [regular | randomization |
+    defrag] layout: its mirror class, or, past the regular states, its own."""
+    classes = mirror_classes(space)
+    extra = np.arange(space.num_raas + space.num_daas)
+    return np.concatenate([classes, classes.max() + 1 + extra])
+
+
+def lumped_generator(space: StateSpace, rm: RateMatrix) -> RateMatrix:
+    """A generator over every state of ``space`` lumped over mirror classes.
+
+    Row ``a`` is the row of class ``a``'s lesser member with the columns of
+    each class added up; the diagonal is minus the row sum, taken as
+    ``loop_generator`` takes it.
+    """
+    q = rm.matrix
+    rows = lumped_rows(space)[:q.shape[0]]
+    dim = int(rows.max()) + 1
+    first = np.unique(rows, return_index=True)[1]
+    members = sp.csr_matrix((np.ones(len(rows)), (np.arange(len(rows)), rows)), shape=(len(rows), dim))
+    off = (q - sp.diags(q.diagonal())).tocsr()[first] @ members
+    off.sum_duplicates()  # sorted columns, which the row sums add in
+    off = off + sp.diags(-np.asarray(off.sum(axis=1)).ravel(), format="csr")
+    return RateMatrix(off, mirror_classes(space))
+
+
+def lumped_transitions(space: StateSpace, loop: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """``scalar_transitions`` over the mirror classes, ordered by row, then
+    by column, as ``TransitionStructure`` lays them out.
+
+    The entries of each class's lesser member, and of every
+    reconfiguration state, go to the classes of their targets.  The
+    returns of a reconfiguration state into both members of a class merge
+    into one entry of the doubled kind, 3K + 3 or 3K + 4.
+    """
+    K = space.profile.num_classes
+    rows = lumped_rows(space)
+    first = set(np.unique(rows, return_index=True)[1].tolist())
+    entries: list[tuple[int, int, int, int]] = []
+    returns: dict[tuple[int, int, int, int], int] = {}
+    for i, j, kind, mult, div in zip(*(loop[name].tolist() for name in ("row", "col", "kind", "mult", "div"))):
+        assert mult == 1  # no two departures ever reach the same state
+        entry = (int(rows[i]), int(rows[j]), kind, div)
+        if kind > 3 * K:
+            returns[entry] = returns.get(entry, 0) + 1
+        elif i in first:
+            entries.append(entry)
+    entries += [(a, b, kind + 2 * (n - 1), div) for (a, b, kind, div), n in returns.items()]
+    # a stable sort keeps the entries into one defrag state in class order
+    entries.sort(key=lambda e: e[:2])
+    columns = np.array(entries, np.int64).reshape(-1, 4).T
+    return dict(zip(("row", "col", "kind", "div"), columns))
+
+
 def free_fragments(arr: tuple[int, ...]) -> list[int]:
     """Sizes of maximal free-slot runs, in slot order."""
     return [size for _, size in fit_runs(arr, 1)]

@@ -37,6 +37,7 @@ from oracles import (
     dense_stationary_oracle,
     enumerated_matching_count,
     inside_pattern,
+    lumped_rows,
     placement_count,
 )
 
@@ -125,14 +126,16 @@ def test_criterion_1_worked_example_fixtures():
     assert len(np.intersect1d(space.frag_blocked[0], space.frag_blocked[1])) == 1
     assert space.num_daas == 2
     assert [len(t) for t in space.defrag_targets] == [2, 2]
-    # uniform return over the two defragmented targets
+    # uniform return over the two defragmented targets, which are mirror
+    # images: the rows of the lumped generator are mirror classes
     mu_d = 6.0
     rm = assemble_generator(space, profile, ModelVariant.randomized_defrag(1.0, mu_d))
     q = rm.matrix.toarray()
+    at = lumped_rows(space)
     base = space.num_regular + space.num_raas
     for v, targets in enumerate(space.defrag_targets):
-        for j in targets:
-            assert q[base + v, j] == mu_d / 2.0
+        (target,) = set(at[targets])
+        assert q[at[base + v], target] == 2 * (mu_d / 2.0)
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0
     print(f"\nACCEPTANCE 1 PASS: worked-example fixtures exact ({elapsed * 1000:.0f} ms)")
@@ -145,11 +148,13 @@ def test_criterion_2_balance_equation_rows():
     rm = assemble_generator(space, profile, ModelVariant.randomized_defrag(lam_s, mu_d))
     q = rm.matrix.toarray()
     n_sa, n_r = space.num_regular, space.num_raas
+    # the rows are mirror classes: a state's row is at[state]
+    at = lumped_rows(space)
 
     # row of the state that is fragmentation-blocked for both classes
-    (shared,) = np.intersect1d(space.frag_blocked[0], space.frag_blocked[1])
-    raas_10 = n_sa + space.raas_patterns.index((1, 0))
-    daas_10 = n_sa + n_r + space.daas_patterns.index((1, 0))
+    (shared,) = at[np.intersect1d(space.frag_blocked[0], space.frag_blocked[1])]
+    raas_10 = at[n_sa + space.raas_patterns.index((1, 0))]
+    daas_10 = at[n_sa + n_r + space.daas_patterns.index((1, 0))]
     assert q[shared, shared] == -(lam1 + lam2 + mu1 + lam_s)
     assert q[shared, daas_10] == lam1 + lam2
     assert q[shared, 0] == mu1
@@ -157,19 +162,20 @@ def test_criterion_2_balance_equation_rows():
     inflows = {i: q[i, shared] for i in range(rm.dimension) if i != shared and q[i, shared] != 0}
     assert inflows == {0: lam1 / 5.0, raas_10: mu_d / 5.0}
 
-    # randomization state of the full-link pattern
-    raas_11 = n_sa + space.raas_patterns.index((1, 1))
-    members = space.pattern_groups[(1, 1)]
-    assert len(members) == 2
-    for i in members:
-        assert q[i, raas_11] == lam_s
-        assert q[raas_11, i] == mu_d / 2.0
+    # randomization state of the full-link pattern; its two members are
+    # mirror images, one class entered at their summed rate
+    raas_11 = at[n_sa + space.raas_patterns.index((1, 1))]
+    assert len(space.pattern_groups[(1, 1)]) == 2
+    (members,) = set(at[space.pattern_groups[(1, 1)]])
+    assert q[members, raas_11] == lam_s
+    assert q[raas_11, members] == 2 * (mu_d / 2.0)
     assert q[raas_11, raas_11] == -mu_d
 
-    # defrag state of the one-class-1 pattern
-    frag2_only = np.setdiff1d(space.frag_blocked[1], space.frag_blocked[0])
+    # defrag state of the one-class-1 pattern; the two states blocked for
+    # class 2 alone are mirror images
+    (frag2_only,) = set(at[np.setdiff1d(space.frag_blocked[1], space.frag_blocked[0])])
     inflows = {i: q[i, daas_10] for i in range(rm.dimension) if q[i, daas_10] != 0 and i != daas_10}
-    assert inflows == {shared: lam1 + lam2, **{i: lam2 for i in frag2_only}}
+    assert inflows == {shared: lam1 + lam2, frag2_only: lam2}
     assert q[daas_10, daas_10] == -mu_d
     print("\nACCEPTANCE 2 PASS: balance-equation rows match coefficient-for-coefficient")
 
@@ -354,7 +360,7 @@ def test_criterion_8_solver_contract(solutions20):
         worst_residual = max(worst_residual, dist.residual)
         worst_norm = max(worst_norm, abs(float(dist.pi.sum()) - 1.0))
         assert float(dist.pi.min()) >= 0.0
-        oracle = dense_stationary_oracle(rm)
+        oracle = rm.expand(dense_stationary_oracle(rm))
         worst_oracle = max(worst_oracle, float(np.abs(dist.pi - oracle).max()))
     assert worst_residual <= 1e-10
     assert worst_norm <= 1e-12

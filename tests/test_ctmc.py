@@ -25,12 +25,15 @@ from eolsec import (
 )
 from eolsec import ctmc
 from oracles import (
-    arrangements,
     closed_classes,
     dense_stationary_oracle,
     is_strongly_connected,
     loop_generator,
     lu_stationary,
+    lumped_generator,
+    lumped_rows,
+    mirror_classes,
+    mirror_images,
 )
 
 
@@ -82,7 +85,8 @@ def test_rejects_mismatched_profile(space7):
 )
 def test_generator_shape_and_row_sums(space7, rates7, variant, profile7):
     rm = assemble_generator(space7, rates7, variant)
-    expected = space7.num_regular
+    assert np.array_equal(rm.lumped, mirror_classes(space7))
+    expected = int(rm.lumped.max()) + 1
     if variant.has_randomization:
         expected += space7.num_raas
     if variant.has_defrag:
@@ -107,14 +111,15 @@ def test_two_state_birth_death():
 def test_solution_matches_dense_oracle(space7, profile7):
     rm = assemble_generator(space7, profile7, ModelVariant.regular())
     dist = solve_stationary(rm)
-    # independent dense least-squares route
-    q = rm.matrix.toarray()
+    # independent dense least-squares route, on the unlumped generator
+    full = loop_generator(space7, profile7, ModelVariant.regular())
+    q = full.matrix.toarray()
     a = np.vstack([q.T, np.ones((1, q.shape[0]))])
     b = np.zeros(q.shape[0] + 1)
     b[-1] = 1.0
     expected, *_ = np.linalg.lstsq(a, b, rcond=None)
     assert np.abs(dist.pi - expected).max() <= 1e-9
-    assert np.abs(dist.pi - dense_stationary_oracle(rm)).max() <= 1e-9
+    assert np.abs(dist.pi - dense_stationary_oracle(full)).max() <= 1e-9
 
 
 def test_solution_contract(space7, rates7):
@@ -137,10 +142,12 @@ def test_balance_equation_coefficients(space7):
     rm = assemble_generator(space7, profile, ModelVariant.randomized_defrag(lam_s, mu_d))
     q = rm.matrix.toarray()
     n_sa, n_r = space7.num_regular, space7.num_raas
+    # the rows are mirror classes: a state's row is at[state]
+    at = lumped_rows(space7)
 
-    (shared,) = np.intersect1d(space7.frag_blocked[0], space7.frag_blocked[1])
-    raas_10 = n_sa + space7.raas_patterns.index((1, 0))
-    daas_10 = n_sa + n_r + space7.daas_patterns.index((1, 0))
+    (shared,) = at[np.intersect1d(space7.frag_blocked[0], space7.frag_blocked[1])]
+    raas_10 = at[n_sa + space7.raas_patterns.index((1, 0))]
+    daas_10 = at[n_sa + n_r + space7.daas_patterns.index((1, 0))]
     assert q[shared, shared] == -(lam1 + lam2 + mu1 + lam_s)
     assert q[shared, daas_10] == lam1 + lam2
     assert q[shared, 0] == mu1
@@ -149,23 +156,21 @@ def test_balance_equation_coefficients(space7):
     assert inflows == {0: lam1 / 5.0, raas_10: mu_d / 5.0}
 
     # randomization state of the full-link pattern: fed by its two members,
-    # returns uniformly over them
-    raas_11 = n_sa + space7.raas_patterns.index((1, 1))
-    members = space7.pattern_groups[(1, 1)]
-    for i in members:
-        assert q[i, raas_11] == lam_s
-        assert q[raas_11, i] == mu_d / 2.0
+    # returns uniformly over them, which are one mirror class
+    raas_11 = at[n_sa + space7.raas_patterns.index((1, 1))]
+    (members,) = set(at[space7.pattern_groups[(1, 1)]])
+    assert q[members, raas_11] == lam_s
+    assert q[raas_11, members] == 2 * (mu_d / 2.0)
     assert q[raas_11, raas_11] == -mu_d
 
     # defrag state of the single-class-1 pattern: class-2 arrivals from the two
-    # one-sided fragmented states plus both classes from the shared state
-    frag2_only = np.setdiff1d(space7.frag_blocked[1], space7.frag_blocked[0])
-    for i in frag2_only:
-        assert q[i, daas_10] == lam2
+    # one-sided fragmented states (a mirror pair) plus both classes from the
+    # shared state
+    (frag2_only,) = set(at[np.setdiff1d(space7.frag_blocked[1], space7.frag_blocked[0])])
+    assert q[frag2_only, daas_10] == lam2
     assert q[shared, daas_10] == lam1 + lam2
-    targets = space7.defrag_targets[space7.daas_patterns.index((1, 0))]
-    for j in targets:
-        assert q[daas_10, j] == mu_d / 2.0
+    (targets,) = set(at[space7.defrag_targets[space7.daas_patterns.index((1, 0))]])
+    assert q[daas_10, targets] == 2 * (mu_d / 2.0)
     assert q[daas_10, daas_10] == -mu_d
 
 
@@ -179,7 +184,7 @@ def test_reconfig_states_outflow_is_reconfig_rate_only(space7, rates7):
 def test_randomized_reduces_to_regular_without_randomization(space7, rates7):
     regular = assemble_generator(space7, rates7, ModelVariant.regular())
     reduced = assemble_generator(space7, rates7, ModelVariant.randomized(0.0, 50.0))
-    block = reduced.matrix[: space7.num_regular, : space7.num_regular]
+    block = reduced.matrix[: regular.dimension, : regular.dimension]
     assert abs((block - regular.matrix).toarray()).max() == 0.0
 
     dist = solve_stationary(reduced)
@@ -212,9 +217,9 @@ def test_reconfig_blocking_bounded_by_rate_ratio(space7, rates7):
 
 def test_flow_conservation_statewise(space7, rates7):
     variant = ModelVariant.randomized_defrag(0.7, 11.0)
-    rm = assemble_generator(space7, rates7, variant)
-    dist = solve_stationary(rm)
-    q = rm.matrix.toarray()
+    dist = solve_stationary(assemble_generator(space7, rates7, variant))
+    # every state of the unlumped chain balances
+    q = loop_generator(space7, rates7, variant).matrix.toarray()
     outflow = dist.pi * (-np.diag(q))
     inflow = dist.pi @ (q - np.diag(np.diag(q)))
     assert np.abs(outflow - inflow).max() <= 1e-12
@@ -262,7 +267,7 @@ def test_assembly_matches_loop_bit_for_bit(capacity, variant, space7, space14):
         tuple(1.0 + 0.5 * k for k in range(len(demands))),
     )
     got = assemble_generator(space, rates, variant).matrix
-    expected = loop_generator(space, rates, variant).matrix
+    expected = lumped_generator(space, loop_generator(space, rates, variant)).matrix
     for name in ("indptr", "indices", "data"):
         a, b = getattr(got, name), getattr(expected, name)
         assert a.dtype == b.dtype
@@ -275,7 +280,7 @@ def test_assembly_sums_blocked_classes_left_to_right(space14):
     rates = DemandProfile(14, (2, 3, 4), (0.1, 0.2, 0.3), (1.0, 1.5, 2.0))
     variant = ModelVariant.randomized_defrag(0.7, 11.0)
     got = assemble_generator(space14, rates, variant).matrix
-    expected = loop_generator(space14, rates, variant).matrix
+    expected = lumped_generator(space14, loop_generator(space14, rates, variant)).matrix
     assert (got.data == (0.1 + 0.2) + 0.3).any()
     for name in ("indptr", "indices", "data"):
         assert np.array_equal(getattr(got, name), getattr(expected, name)), name
@@ -286,7 +291,7 @@ def test_negative_mass_raises_typed_error(space7, rates7):
     rm = assemble_generator(space7, rates7, ModelVariant.randomized(0.7, 11.0))
     dist = solve_stationary(rm)
     with pytest.raises(NegativeStationaryMass, match="negative") as info:
-        ctmc._distribution(-dist.pi, rm.matrix, dist.sweeps)
+        ctmc._distribution(-rm.lump(dist.pi), rm, dist.sweeps)
     assert info.value.mass < 0.0
 
 
@@ -362,7 +367,7 @@ def test_stiff_chains_match_lu(load, variant, space20):
     # the chains on which BiCGSTAB without restarts stalls near 1e-11
     profile = DemandProfile.with_uniform_load(20, (4, 6, 8), load)
     rm = assemble_generator(space20, profile, variant)
-    lu, dist = lu_stationary(rm), solve_stationary(rm)
+    lu, dist = rm.expand(lu_stationary(rm)), solve_stationary(rm)
     assert dist.residual <= 1e-10 / ctmc.POWER_TOL_MARGIN
 
     def numbers(pi):
@@ -390,6 +395,7 @@ def test_power_route_matches_lu_at_c22(variant, space22):
     rm = assemble_generator(space, profile, variant)
     lu, power = lu_stationary(rm), solve_stationary(rm)
     assert np.abs(lu @ rm.matrix).max() <= 1e-10
+    lu = rm.expand(lu)
     assert power.residual <= 1e-10
     widths = (10, 15, 22) if variant.has_randomization else ()
 
@@ -428,11 +434,13 @@ def small_chains(draw):
 @given(small_chains())
 def test_power_route_matches_dense_oracle(chain):
     profile, variant = chain
-    rm = assemble_generator(build_state_space(profile), profile, variant)
-    dist = solve_stationary(rm)
+    space = build_state_space(profile)
+    dist = solve_stationary(assemble_generator(space, profile, variant))
     assert dist.method == ctmc.SOLVER_METHOD
     assert dist.residual <= 1e-10
-    assert np.abs(dist.pi - dense_stationary_oracle(rm)).max() <= 1e-10
+    # the unlumped chain's solution
+    full = dense_stationary_oracle(loop_generator(space, profile, variant))
+    assert np.abs(dist.pi - full).max() <= 1e-10
 
 
 @settings(max_examples=200, deadline=None)
@@ -479,26 +487,43 @@ def test_rescaling_matches_a_direct_solve(chain, mu_d):
 @settings(max_examples=200, deadline=None)
 @given(small_chains(), st.booleans())
 def test_chain_is_mirror_symmetric(chain, randomize_empty):
-    # reversing the slot order maps the chain onto itself: the basis of
-    # lumping each state with its mirror image
+    # reversing the slot order maps the unlumped chain onto itself: the
+    # basis of lumping each state with its mirror image
     profile, variant = chain
     space = build_state_space(profile, SpaceOptions(randomize_empty=randomize_empty))
-    states = arrangements(space)
-    index = {tokens: i for i, tokens in enumerate(states)}
-    rm = assemble_generator(space, profile, variant)
-    q = rm.matrix.tocsr()
+    q = loop_generator(space, profile, variant).matrix.tocsr()
     # the reconfiguration states, after the regular ones, are their own mirror
     mirror = np.arange(q.shape[0])
-    mirror[:len(states)] = [index[tokens[::-1]] for tokens in states]
+    mirror[:space.num_regular] = mirror_images(space)
 
     off = q - sp.diags(q.diagonal())
     assert (off[mirror][:, mirror] != off).nnz == 0
-    pi = solve_stationary(rm).pi
-    assert np.abs(pi[mirror] - pi).max() <= 1e-14
-    regular = mirror[:len(states)]
+    assert np.array_equal(space.lumped, mirror_classes(space))
+    pi = solve_stationary(assemble_generator(space, profile, variant)).pi
+    assert (pi[mirror] == pi).all()
+    regular = mirror[:space.num_regular]
     for width in range(1, profile.capacity + 1):
         scores = per_state_attack_success(space, width)
         assert (scores[regular] == scores).all()
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_chains(), st.booleans())
+def test_lumped_solution_is_the_unlumped_one(chain, randomize_empty):
+    # direct solves of the lumped and the unlumped generator agree, and the
+    # engine gives a state and its mirror image the same mass exactly
+    profile, variant = chain
+    space = build_state_space(profile, SpaceOptions(randomize_empty=randomize_empty))
+    rm = assemble_generator(space, profile, variant)
+    full = loop_generator(space, profile, variant)
+    for oracle in (lu_stationary, dense_stationary_oracle):
+        assert np.abs(rm.expand(oracle(rm)) - oracle(full)).max() <= 1e-12
+    pi = solve_stationary(rm).pi
+    regular = pi[:space.num_regular]
+    assert (regular[mirror_images(space)] == regular).all()
+    # expanding splits a class's mass exactly
+    lumped = rm.lump(pi)
+    assert np.array_equal(rm.lump(rm.expand(lumped)), lumped)
 
 
 @st.composite

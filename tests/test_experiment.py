@@ -1,6 +1,7 @@
 import json
 import logging
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -165,7 +166,7 @@ class TestLoadConfig:
         assert load_config(path) == ExperimentConfig(
             capacity=7, demands=(3, 4), service_rates=(1.0, 1.0), loads=(2.0,),
             arrival_rates=None, variants=("regular",), randomization_rates=(0.0,),
-            reconfig_rates=(1.0,), window_widths=(), engine="analytic", state_budget=163_312,
+            reconfig_rates=(1.0,), window_widths=(), engine="analytic", state_budget=364_606,
             randomize_empty=False, sim_arrivals=None, sim_horizon=None, sim_warmup=0.0,
             sim_replications=10, seed=1729, out_dir=Path("."), basename="results",
             timestamp=True, jobs=1,
@@ -394,7 +395,8 @@ class TestRunExperiments:
             .replace("demands: [3, 4]", "demands: [4, 6, 8]")
             .replace("window_widths: [3, 7]", "window_widths: [10, 22]")
         )
-        dims = {"regular": 15, "randomized": 15 + 4, "randomized-defrag": 15 + 4 + 2}
+        # the 15 regular states of C=7 form 9 mirror classes
+        dims = {"regular": 9, "randomized": 9 + 4, "randomized-defrag": 9 + 4 + 2}
         for path in (config_path, c22):
             summary = json.loads(run_experiments(load_config(path)).summary_path.read_text())
             assert len(summary["cells"]) == 6
@@ -453,6 +455,25 @@ class TestRunExperiments:
         parallel_cfg = load_config(config_path, jobs=2)
         parallel = run_experiments(parallel_cfg).csv_path.read_bytes()
         assert serial == parallel
+
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                        reason="workers share the parent's space only when forked")
+    def test_pool_workers_share_the_parents_space(self, config_path, tmp_path, monkeypatch):
+        # a forked worker that enumerated a space would record its own pid
+        calls = tmp_path / "build_calls"
+        build = experiment.build_state_space
+
+        def recorded(*args, **kwargs):
+            with open(calls, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(experiment, "build_state_space", recorded)
+        experiment._shared_space.cache_clear()
+        outcome = run_experiments(load_config(config_path, jobs=2))
+        assert outcome.num_rows == 6
+        assert calls.read_text().split() == [str(os.getpid())]
+        experiment._shared_space.cache_clear()
 
     def test_explicit_arrival_rates_mode(self, tmp_path):
         path = tmp_path / "explicit.yaml"
@@ -616,7 +637,7 @@ class TestCli:
         assert main(["validate", "--config", str(config_path)]) == EXIT_OK
         out = capsys.readouterr().out
         assert "config ok" in out
-        assert "15 regular states (budget 163312)" in out
+        assert "15 regular states (budget 364606)" in out
 
     def test_validate_bad_config(self, tmp_path, capsys):
         path = tmp_path / "bad.yaml"

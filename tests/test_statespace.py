@@ -17,7 +17,7 @@ from eolsec import (
     pattern_size,
 )
 from eolsec.statespace import feasible_patterns
-from oracles import arrangements, scalar_state_space, scalar_transitions
+from oracles import arrangements, lumped_transitions, mirror_classes, scalar_state_space, scalar_transitions
 
 
 def rows(t):
@@ -156,7 +156,7 @@ def test_long_link_builds_without_deep_recursion():
     space = build_state_space(profile)
     assert space.num_regular == 2
     assert [block.shape for block in space.blocks] == [(1, 1100), (1, 1)]
-    # arrival, departure, randomization and its return
+    # arrival, departure, randomization and its return; both states are palindromes
     t = space.transitions
     assert list(zip(rows(t).tolist(), t.col.tolist())) == [(0, 1), (1, 0), (1, 2), (2, 1)]
 
@@ -187,8 +187,9 @@ def small_space_options(draw):
     demands = tuple(draw(st.integers(1, capacity)) for _ in range(k))
     profile = DemandProfile(capacity, demands, (1.0,) * k, (1.0,) * k)
     options = SpaceOptions(randomize_empty=draw(st.booleans()))
-    # C=9 with demands (1, 1, 1) is the one profile here over the budget
-    assume(count_states(profile) <= options.state_budget)
+    # C=9 with demands (1, 1, 1), 262,144 states, is the one profile here
+    # over this cap, which keeps the state-by-state oracle to seconds
+    assume(count_states(profile) <= 163_312)
     return profile, options
 
 
@@ -207,22 +208,24 @@ def test_array_state_space_matches_scalar_oracle(po):
         for a, b in zip(got, want):
             assert a.dtype == b.dtype and np.array_equal(a, b), name
     assert space.num_regular == sum(map(len, expected["pattern_groups"].values()))
+    assert space.lumped.dtype == np.int32 and np.array_equal(space.lumped, mirror_classes(space))
     loop = scalar_transitions(space)
     assert (loop["mult"] == 1).all()  # no two departures ever reach the same state
-    # the loop's entries by row, then by column; a stable sort keeps the
-    # entries into one defrag state in class order
-    order = np.lexsort((loop["col"], loop["row"]))
+    # the loop's entries over the mirror classes, by row and then by column
+    lumped = lumped_transitions(space, loop)
     t = space.transitions
     assert (t.indptr.dtype, t.col.dtype, t.kind.dtype, t.div.dtype, t.diagonal.dtype) == (
         np.int64, np.int32, np.uint8, np.int32, np.int64)
+    assert t.regular == space.lumped.max() + 1
     for name, got in (("row", rows(t)), ("col", t.col), ("kind", t.kind), ("div", t.div)):
-        assert np.array_equal(got, loop[name][order]), name
+        assert np.array_equal(got, lumped[name]), name
     lower = np.bincount(rows(t), weights=t.col < rows(t), minlength=len(t.indptr) - 1)
     assert np.array_equal(t.diagonal, t.indptr[:-1] + lower)
 
 
 def assembly_order(t, num_classes):
-    """The entries of ``t`` in the order the pins below were recorded in.
+    """The entries of ``t`` (a ``scalar_transitions`` dict) in the order
+    the pins below were recorded in.
 
     Per source state: for each class its arrivals in slot order, its
     fragmentation-blocked arrival and its departures in token order, then
@@ -231,13 +234,13 @@ def assembly_order(t, num_classes):
     """
     K = num_classes
     group = np.concatenate([3 * np.arange(K), 3 * np.arange(K) + 1, 3 * np.arange(K) + 2, [3 * K] * 3])
-    col = t.col.astype(np.int64)
-    return np.lexsort((np.where(t.kind < K, -col, col), group[t.kind], rows(t)))
+    col = t["col"]
+    return np.lexsort((np.where(t["kind"] < K, -col, col), group[t["kind"]], t["row"]))
 
 
-# SHA-256 of the transition arrays, recorded from the state-by-state loop
-# that built them before the array layout (scalar_transitions in oracles);
-# each array in assembly order and as int64
+# SHA-256 of the unlumped transition arrays, recorded from the
+# state-by-state loop that built them before the array layout
+# (scalar_transitions in oracles); each array in assembly order and as int64
 TRANSITION_PINS = {
     (14, (2, 3, 4)): {
         "row": "2654c7893762af09ceca777c770901f3462f34dd5c1d981d3f14e92e294e4654",
@@ -262,11 +265,15 @@ TRANSITION_PINS = {
 
 @pytest.mark.parametrize("capacity,demands", list(TRANSITION_PINS))
 def test_transition_arrays_match_pins(capacity, demands):
+    # the pinned loop, and the structure its lumping
     k = len(demands)
     space = build_state_space(DemandProfile(capacity, demands, (1.0,) * k, (1.0,) * k))
     pins = TRANSITION_PINS[capacity, demands]
+    loop = scalar_transitions(space)
+    order = assembly_order(loop, k)
+    assert {name: hashlib.sha256(loop[name][order].astype(np.int64).tobytes()).hexdigest()
+            for name in pins} == pins
+    lumped = lumped_transitions(space, loop)
     t = space.transitions
-    order = assembly_order(t, k)
-    arrays = {"row": rows(t), "col": t.col, "kind": t.kind, "div": t.div}
-    assert {name: hashlib.sha256(a[order].astype(np.int64).tobytes()).hexdigest()
-            for name, a in arrays.items()} == pins
+    for name, got in (("row", rows(t)), ("col", t.col), ("kind", t.kind), ("div", t.div)):
+        assert np.array_equal(got, lumped[name]), name

@@ -268,7 +268,7 @@ def assemble_generator(space: StateSpace, profile: DemandProfile, variant: Model
     return RateMatrix(sp.csr_matrix((values, columns, indptr), shape=(dim, dim)), space.lumped)
 
 
-def _terminal_states(q: sp.csr_matrix, q_t: sp.csr_matrix | None = None) -> np.ndarray:
+def _terminal_states(q: sp.csr_matrix, q_t: sp.csr_matrix) -> np.ndarray:
     """Indices of the unique closed communicating class.
 
     States outside it are transient and carry zero stationary mass; more
@@ -279,11 +279,8 @@ def _terminal_states(q: sp.csr_matrix, q_t: sp.csr_matrix | None = None) -> np.n
     every state reaches it.  Every state of a model chain reaches state 0
     (departures empty the link, reconfigurations end), so there one pass
     each way finds the class.  The passes walk the rows of ``q`` forward
-    and those of its transpose ``q_t`` (in CSR, made here if not given)
-    backward.
+    and those of its transpose ``q_t`` (in CSR) backward.
     """
-    if q_t is None:
-        q_t = q.T.tocsr()
     s = 0
     while True:
         ahead, behind = _reached(q, s), _reached(q_t, s)

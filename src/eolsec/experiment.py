@@ -17,6 +17,7 @@ import json
 import logging
 import math
 import multiprocessing
+import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
@@ -543,12 +544,15 @@ def run_experiments(cfg: ExperimentConfig) -> ExperimentOutcome:
     log.info("%d grid cells, %d exact solves", len(specs), exact_solves(specs))
 
     if cfg.jobs > 1 and len(specs) > 1:
-        # Forked workers share the parent's space and its transitions copy
-        # on write, through the cache of state_space: one copy per run.
-        if any("analytic" in spec.engines for spec in specs):
-            state_space(cfg).transitions
-        fork = "fork" in multiprocessing.get_all_start_methods()
-        context = multiprocessing.get_context("fork") if fork else None
+        # On Linux, forked workers share the parent's space and its
+        # transitions copy on write, through the cache of state_space: one
+        # copy per run.  Elsewhere fork is unsafe or missing, so workers
+        # spawn and each builds its own.
+        context = None
+        if sys.platform.startswith("linux"):
+            context = multiprocessing.get_context("fork")
+            if any("analytic" in spec.engines for spec in specs):
+                state_space(cfg).transitions
         with ProcessPoolExecutor(max_workers=cfg.jobs, mp_context=context) as pool:
             # one chunk per randomized chain keeps its cells in one worker
             results = list(pool.map(_compute_cell, specs, chunksize=len(cfg.reconfig_rates)))

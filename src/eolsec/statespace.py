@@ -48,8 +48,10 @@ from .link import DemandProfile
 # at C=20, demands (2,3,4), 283,953 states, through `eolsec run` (jobs: 1)
 # on a 2-core VM; C=35 (544,785 states) takes 3.4 s and 246 MB, C=38
 # (1,817,347) 12 s and 730 MB.  Pool workers share the parent's space, but
-# each solves and scores its own cells, so the budget allows for most of a
-# cell's memory per worker.  Beyond it analytic falls back to Monte Carlo.
+# each solves and scores its own cells: two C=34 cells with jobs: 2 peak at
+# 298 MB of proportional set size over the parent and both workers (463 MB
+# summed RSS), against 199 MB with jobs: 1.  Beyond the budget analytic
+# falls back to Monte Carlo.
 DEFAULT_STATE_BUDGET = 364_606
 
 
@@ -355,10 +357,7 @@ class StateSpace:
             div[entries] = len(classes)
             indptr[n_sa + v + 1] = diagonal[n_sa + v] = len(into)
             at += len(into)
-        # no view of the three arrays is left; a profiler's reference to the
-        # bound method would trip the reference check
-        for a in (col, kind, div):
-            a.resize(at, refcheck=False)
+        col, kind, div = col[:at], kind[:at], div[:at]
         np.cumsum(indptr, out=indptr)
         diagonal += indptr[:-1]
         return TransitionStructure(regular=n_sa, indptr=indptr, col=col, kind=kind, div=div,

@@ -177,7 +177,9 @@ def test_balance_equation_coefficients(space7):
 def test_reconfig_states_outflow_is_reconfig_rate_only(space7, rates7):
     rm = assemble_generator(space7, rates7, ModelVariant.randomized_defrag(0.7, 11.0))
     q = rm.matrix.toarray()
-    for i in range(space7.num_regular, rm.dimension):
+    reconfig = range(space7.transitions.regular, rm.dimension)
+    assert len(reconfig) == space7.num_raas + space7.num_daas
+    for i in reconfig:
         assert -q[i, i] == pytest.approx(11.0, abs=1e-12)
 
 
@@ -550,10 +552,10 @@ def digraph_generators(draw):
 def check_terminal_states(q):
     classes = closed_classes(q)
     if len(classes) == 1:
-        assert np.array_equal(ctmc._terminal_states(q), classes[0])
+        assert np.array_equal(ctmc._terminal_states(q, q.T.tocsr()), classes[0])
     else:
         with pytest.raises(NotIrreducible, match="^more than one closed communicating class$"):
-            ctmc._terminal_states(q)
+            ctmc._terminal_states(q, q.T.tocsr())
     return classes
 
 
@@ -584,9 +586,9 @@ def test_terminal_states_cases():
         q = off - sp.diags(np.asarray(off.sum(axis=1)).ravel())
         if closed is None:
             with pytest.raises(NotIrreducible):
-                ctmc._terminal_states(q)
+                ctmc._terminal_states(q, q.T.tocsr())
         else:
-            assert ctmc._terminal_states(q).tolist() == closed, name
+            assert ctmc._terminal_states(q, q.T.tocsr()).tolist() == closed, name
         check_terminal_states(q)
 
 

@@ -1,7 +1,6 @@
 import json
 import logging
 import math
-import multiprocessing
 import os
 import subprocess
 import sys
@@ -456,8 +455,8 @@ class TestRunExperiments:
         parallel = run_experiments(parallel_cfg).csv_path.read_bytes()
         assert serial == parallel
 
-    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
-                        reason="workers share the parent's space only when forked")
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="workers fork, and share the parent's space, only on Linux")
     def test_pool_workers_share_the_parents_space(self, config_path, tmp_path, monkeypatch):
         # a forked worker that enumerated a space would record its own pid
         calls = tmp_path / "build_calls"

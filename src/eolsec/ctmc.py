@@ -15,11 +15,11 @@ Reconfiguration states have total outflow equal to the reconfiguration
 rate only: departures are frozen and further arrivals cause no transition.
 
 The generator is assembled and solved over mirror classes of regular
-states (``StateSpace.lumped``), about half of them: the chain is ordinarily
-lumpable over them, and a state and its mirror image have the same
-stationary mass, so each member of class ``a`` gets pi_hat(a) / |a|
-(Buchholz, *J. Appl. Prob.* 31(1), 1994).  Stationary distributions are
-reported in the full [regular | randomization | defrag] layout.
+states (``StateSpace.lumped``), about half of them, as the chain is
+ordinarily lumpable over them (Buchholz, *J. Appl. Prob.* 31(1), 1994).
+Every number stays over the generator's rows, [classes | randomization |
+defrag]: each reported figure is the mass of a mirror-closed set, which
+the lumped distribution gives directly.
 """
 
 from __future__ import annotations
@@ -142,34 +142,13 @@ class NegativeStationaryMass(RuntimeError):
 
 @dataclass
 class RateMatrix:
-    """Sparse generator; rows sum to zero, off-diagonal entries are rates.
-
-    ``lumped`` gives the row of each regular state where the rows are its
-    mirror classes; the states after the regular ones keep a row each.
-    Without it the rows are the states themselves.
-    """
+    """Sparse generator; rows sum to zero, off-diagonal entries are rates."""
 
     matrix: sp.csr_matrix
-    lumped: np.ndarray | None = None
 
     @property
     def dimension(self) -> int:
         return self.matrix.shape[0]
-
-    def expand(self, pi: np.ndarray) -> np.ndarray:
-        """A distribution over the rows as one over the states: each member
-        of a class gets an equal share, exactly, as a class has one or two."""
-        if self.lumped is None:
-            return pi
-        members = np.bincount(self.lumped)
-        return np.concatenate([(pi[:len(members)] / members)[self.lumped], pi[len(members):]])
-
-    def lump(self, pi: np.ndarray) -> np.ndarray:
-        """A distribution over the states as one over the rows."""
-        if self.lumped is None:
-            return pi
-        n = len(self.lumped)
-        return np.concatenate([np.bincount(self.lumped, weights=pi[:n]), pi[n:]])
 
 
 @dataclass(frozen=True)
@@ -177,9 +156,10 @@ class StationaryDistribution:
     """Solution of pi Q = 0 plus the solver's diagnostics: ``iterations``
     counts the BiCGSTAB iterations and ``sweeps`` the power sweeps behind it.
 
-    ``pi`` covers every state; ``residual``, ``dimension`` and ``nnz``
-    describe the generator that was solved, the lumped one for a chain
-    from ``assemble_generator``."""
+    ``pi`` has one mass per row of the generator that was solved, which
+    ``residual``, ``dimension`` and ``nnz`` describe: for a chain from
+    ``assemble_generator``, the mirror classes, then the reconfiguration
+    states."""
 
     pi: np.ndarray
     residual: float
@@ -265,7 +245,7 @@ def assemble_generator(space: StateSpace, profile: DemandProfile, variant: Model
     values[off], values[spots] = data, -total[rows]
     columns[off], columns[spots] = indices, rows
     indptr[1:] += np.cumsum(total != 0.0)
-    return RateMatrix(sp.csr_matrix((values, columns, indptr), shape=(dim, dim)), space.lumped)
+    return RateMatrix(sp.csr_matrix((values, columns, indptr), shape=(dim, dim)))
 
 
 def _terminal_states(q: sp.csr_matrix, q_t: sp.csr_matrix) -> np.ndarray:
@@ -330,10 +310,9 @@ def solve_stationary(rm: RateMatrix) -> StationaryDistribution:
     ``DEFAULT_SOLVER_TOL`` / ``POWER_TOL_MARGIN``; after
     ``POWER_MAX_SWEEPS`` sweeps NoConvergence is raised.  A clearly
     negative mass raises NegativeStationaryMass, and more than one closed
-    class raises NotIrreducible.  The gates apply to the generator's rows;
-    the result is expanded onto every state (``RateMatrix.expand``).
-    (Stewart, *Introduction to the Numerical Solution of Markov Chains*,
-    1994, ch. 3-4.)
+    class raises NotIrreducible.  The gates and the result apply to the
+    generator's rows.  (Stewart, *Introduction to the Numerical Solution
+    of Markov Chains*, 1994, ch. 3-4.)
     """
     q = rm.matrix
     n = q.shape[0]
@@ -446,7 +425,7 @@ def _bicgstab(step: sp.csr_matrix, scale: np.ndarray) -> tuple[np.ndarray, int]:
 def _distribution(pi: np.ndarray, rm: RateMatrix, sweeps: int,
                   iterations: int = 0) -> StationaryDistribution:
     """The gated distribution over ``rm``'s rows (no clearly negative
-    mass), clipped, renormalized and expanded onto every state."""
+    mass), clipped and renormalized."""
     worst = int(np.argmin(pi))
     if pi[worst] < -1e-14:
         raise NegativeStationaryMass(worst, float(pi[worst]))
@@ -454,7 +433,7 @@ def _distribution(pi: np.ndarray, rm: RateMatrix, sweeps: int,
     pi /= pi.sum()
     q = rm.matrix
     return StationaryDistribution(
-        pi=rm.expand(pi),
+        pi=pi,
         residual=_residual(pi, q),
         method=SOLVER_METHOD,
         dimension=q.shape[0],
@@ -469,7 +448,7 @@ def _residual(pi: np.ndarray, q: sp.csr_matrix) -> float:
 
 
 def rescale_reconfiguration(
-    dist: StationaryDistribution, rm: RateMatrix, num_regular: int, factor: float
+    dist: StationaryDistribution, rm: RateMatrix, regular_rows: int, factor: float
 ) -> StationaryDistribution:
     """The stationary distribution of ``rm`` from the solution ``dist`` of
     the same chain at ``factor`` times ``rm``'s reconfiguration rate.
@@ -479,31 +458,27 @@ def rescale_reconfiguration(
     So the chain censored to the regular states does not depend on it
     either (Meyer, "Stochastic complementation, uncoupling Markov chains",
     SIAM Review 31(2), 1989), and the mass of every reconfiguration state
-    scales with the inverse rate: multiply it by ``factor`` and
-    renormalize.  The residual is measured on ``rm``, over its rows; the
-    iteration and sweep counts are those of the solve behind ``dist``.
+    scales with the inverse rate: multiply the rows from ``regular_rows``
+    on by ``factor`` and renormalize.  The residual is measured on ``rm``;
+    the iteration and sweep counts are those of the solve behind ``dist``.
     """
     pi = dist.pi.copy()
-    pi[num_regular:] *= factor
+    pi[regular_rows:] *= factor
     pi /= pi.sum()
-    return replace(dist, pi=pi, residual=_residual(rm.lump(pi), rm.matrix), nnz=int(rm.matrix.nnz))
+    return replace(dist, pi=pi, residual=_residual(pi, rm.matrix), nnz=int(rm.matrix.nnz))
 
 
 def blocking_report(
-    dist: StationaryDistribution | np.ndarray,
-    space: StateSpace,
-    profile: DemandProfile,
-    variant: ModelVariant,
+    pi: np.ndarray, space: StateSpace, profile: DemandProfile, variant: ModelVariant
 ) -> BlockingReport:
-    """Blocking metrics of a solved variant.
+    """Blocking metrics of a solved variant from ``pi`` over its rows.
 
     Per-class resource/fragmentation blocking are stationary masses of the
-    corresponding state sets; reconfiguration blocking is the mass of all
-    reconfiguration states; the overall figure adds the arrival-weighted
-    per-class parts to it.
+    corresponding mirror classes; reconfiguration blocking is the mass of
+    all reconfiguration states; the overall figure adds the
+    arrival-weighted per-class parts to it.
     """
-    pi = dist.pi if isinstance(dist, StationaryDistribution) else dist
-    n_sa = space.num_regular
+    n_sa = space.num_mirror_classes
     rb = tuple(float(pi[s].sum()) for s in space.resource_blocked)
     fb = tuple(float(pi[s].sum()) for s in space.frag_blocked)
     rcb = float(pi[n_sa:].sum()) if variant.has_randomization else 0.0

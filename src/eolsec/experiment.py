@@ -447,13 +447,13 @@ def _analytic(spec: CellSpec, space, warnings: list[str]) -> EngineResult:
     if ref_model != variant:
         rm = assemble_generator(space, profile, variant)
         dist = rescale_reconfiguration(
-            dist, rm, space.num_regular, ref_model.reconfig_rate / variant.reconfig_rate
+            dist, rm, space.num_mirror_classes, ref_model.reconfig_rate / variant.reconfig_rate
         )
         if dist.residual > DEFAULT_SOLVER_TOL:
             dist = solve_stationary(rm)
         else:
             mu_ref = ref_model.reconfig_rate
-    report = blocking_report(dist, space, profile, variant)
+    report = blocking_report(dist.pi, space, profile, variant)
     solver = dist.diagnostics()
     if mu_ref is not None:
         solver["mu_ref"] = mu_ref

@@ -12,7 +12,8 @@ groups of pre-states that each share a pattern.  Per window position, the
 surviving arrangements are the inside orderings times the ways to split
 the outside tokens onto the two sides of the window (``_outside_splits``),
 and the exact integer counts are divided once, so each value is the
-correctly rounded probability.  The exact engine scores its state space
+correctly rounded probability.  The exact engine scores one
+representative per mirror class of its state space
 (``per_state_attack_success``), the simulator its measured pre-states in
 batches.  The references the tests check both against, a per-position
 count and a scalar kernel that scores one state at a time, live in
@@ -231,15 +232,16 @@ class WindowSurvival:
 
 
 def per_state_attack_success(space: StateSpace, width: int) -> np.ndarray:
-    """Per regular state: probability that an attack survives one randomization.
+    """Per mirror class of regular states: probability that an attack
+    survives one randomization.
 
     Averages, over the uniformly placed window, the fraction of the
     pattern's rearrangements that leave the window's observation intact.
     A state and its mirror image score the same (the window's position is
     uniform, so mirroring maps every observation onto one of the mirror
-    image), so only the representative of each mirror class is scored.
-    The values are kept in the space's ``survival``, read-only because every
-    cell of the link shares them.
+    image), so the class's representative is scored.  The values are kept
+    in the space's ``survival``, read-only because every cell of the link
+    shares them.
     """
     capacity = space.profile.capacity
     if not 1 <= width <= capacity:
@@ -251,20 +253,21 @@ def per_state_attack_success(space: StateSpace, width: int) -> np.ndarray:
     kernel, chunks, by_width = space.survival
     result = by_width.get(width)
     if result is None:
-        result = by_width[width] = kernel.scores(chunks, (width,))[width][space.lumped]
+        result = by_width[width] = kernel.scores(chunks, (width,))[width]
         result.flags.writeable = False
     return result
 
 
 def attack_success_probability(pi: np.ndarray, space: StateSpace, width: int) -> float:
-    """Stationary attack-success probability for one window width.
+    """Stationary attack-success probability for one window width, from
+    ``pi`` over the generator's rows.
 
     The expectation runs over the occupied regular states only (the all-free
     state is excluded and the weights renormalized over the rest).
     """
     per_state = per_state_attack_success(space, width)
-    weights = np.asarray(pi)[: space.num_regular].copy()
-    weights[0] = 0.0  # the canonical state order puts the all-free state first
+    weights = np.asarray(pi)[:len(per_state)].copy()
+    weights[0] = 0.0  # class 0 is the all-free state
     mass = weights.sum()
     if mass <= 0:
         raise NoOccupiedMass("no stationary mass on occupied states")

@@ -26,8 +26,9 @@ Reversing the slot order maps every transition, every blocked set and
 every defrag target set onto itself, so the chain is ordinarily lumpable
 over mirror classes (Kemeny & Snell, *Finite Markov Chains*, 1960, 6.3):
 a state and its mirror image form one class, a palindrome a class of one.
-``StateSpace.lumped`` numbers the classes, and ``transitions`` lays out
-the lumped chain, one row per class from its lesser member.
+``StateSpace.lumped`` numbers the classes, the blocked sets list
+classes, and ``transitions`` lays out the lumped chain, one row per class
+from its lesser member.
 """
 
 from __future__ import annotations
@@ -207,13 +208,20 @@ class TransitionStructure:
 class StateSpace:
     """Indexed regular states plus the derived randomization/defrag structure.
 
-    Global state indices follow the layout [regular | randomization | defrag]:
-    randomization state ``v`` has index ``num_regular + v`` and defrag state
-    ``v`` has index ``num_regular + num_raas + v`` (when the model variant
-    instantiates them).  ``blocks`` holds the token rows of each pattern in
-    ``pattern_groups`` order, and ``pattern_groups`` maps a pattern to the
-    range of its indices.  The blocked sets (per class) and the defrag
-    targets (per ``daas_patterns`` entry) are ascending ``int64`` arrays.
+    Regular states are indexed in canonical order: ``blocks`` holds the
+    token rows of each pattern in ``pattern_groups`` order, and
+    ``pattern_groups`` maps a pattern to the range of its indices.
+    ``lumped`` gives each regular state its mirror class: a state and its
+    mirror image (its token row reversed) share one, and a palindrome is a
+    class of its own.  Classes are numbered in the order of their lesser
+    member, the representative, so the classes of one pattern are
+    consecutive and the all-free state is class 0.  The chain's rows follow
+    the layout [classes | randomization | defrag]: randomization state
+    ``v`` is row ``num_mirror_classes + v`` and defrag state ``v`` row
+    ``num_mirror_classes + num_raas + v`` (when the model variant
+    instantiates them).  The blocked sets, one per demand class, list
+    mirror classes, and the defrag targets, one per ``daas_patterns``
+    entry, list states; both are ascending ``int64`` arrays.
     """
 
     profile: DemandProfile
@@ -224,6 +232,7 @@ class StateSpace:
     daas_patterns: tuple[tuple[int, ...], ...]
     defrag_targets: tuple[np.ndarray, ...]
     blocks: tuple[np.ndarray, ...] = field(repr=False)
+    lumped: np.ndarray = field(repr=False)  # int32
     # (security.WindowSurvival, its chunks of the representatives' rows, scores
     # by width), made on first use
     survival: object = field(default=None, repr=False)
@@ -240,25 +249,9 @@ class StateSpace:
     def num_daas(self) -> int:
         return len(self.daas_patterns)
 
-    @cached_property
-    def lumped(self) -> np.ndarray:
-        """Each regular state's mirror class, derived on first use.
-
-        A state and its mirror image (its token row reversed) share one
-        class, and a palindrome is a class of its own.  The classes are
-        numbered in the order of their lesser member, the representative,
-        so the classes of one pattern are consecutive and the all-free
-        state is class 0.
-        """
-        lumped = np.empty(self.num_regular, np.int32)
-        first = 0
-        for group, block in zip(self.pattern_groups.values(), self.blocks):
-            rows = np.arange(len(block))
-            lesser = np.minimum(rows, np.searchsorted(_keys(block), _keys(block[:, ::-1])))
-            number = np.cumsum(lesser == rows) - 1
-            lumped[group.start:group.stop] = first + number[lesser]
-            first += int(number[-1]) + 1
-        return lumped
+    @property
+    def num_mirror_classes(self) -> int:
+        return int(self.lumped.max()) + 1
 
     def representatives(self) -> Iterator[np.ndarray]:
         """Per block, the rows of its mirror classes' representatives, ascending."""
@@ -271,14 +264,15 @@ class StateSpace:
         demands = self.profile.demands
         K = len(demands)
         lumped = self.lumped
-        n_sa, n_r = int(lumped.max()) + 1, self.num_raas
+        n_sa, n_r = self.num_mirror_classes, self.num_raas
         keys = {pat: _keys(block) for pat, block in zip(self.pattern_groups, self.blocks)}
         raas_index = {pat: v for v, pat in enumerate(self.raas_patterns)}
         daas_index = {pat: v for v, pat in enumerate(self.daas_patterns)}
         # The entries of the unlumped chain in closed form bound the ones
         # written: a (row, slot) where class k fits is a row of the pattern
-        # with d_k of its free slots merged into one token.  Pages past the
-        # last entry written are never touched, and the arrays shrink to it.
+        # with d_k of its free slots merged into one token; the blocked sets
+        # count the rows that enter a defrag state.  Pages past the last
+        # entry written are never touched, and the arrays shrink to it.
         size = sum(map(len, self.frag_blocked)) + sum(map(len, self.defrag_targets))
         for pat, group in self.pattern_groups.items():
             frees = self.profile.capacity - sum(n * d for n, d in zip(pat, demands))
@@ -379,21 +373,31 @@ def build_state_space(profile: DemandProfile, options: SpaceOptions | None = Non
     memo: dict = {}
     blocks: list[np.ndarray] = []
     pattern_groups: dict[tuple[int, ...], range] = {}
-    frees: list[np.ndarray] = []  # per pattern, the free slots of each state
-    longest: list[np.ndarray] = []  # per pattern, the longest free run of each state
+    lumped = np.empty(predicted, np.int32)
+    frees: list[np.ndarray] = []  # per pattern, the free slots of each mirror class
+    longest: list[np.ndarray] = []  # per pattern, the longest free run of each mirror class
     daas_patterns: list[tuple[int, ...]] = []
     defrag_targets: list[np.ndarray] = []
-    first = 0
+    first = classes = 0
 
     for pat in feasible_patterns(profile):
         free = profile.capacity - sum(n * d for n, d in zip(pat, demands))
         block = _permutations((free,) + pat, memo)
         runs = _free_runs(block)
+        longest_run = runs.max(axis=1)
+        # a row and its reverse share the class of the lesser of the two
+        rows = np.arange(len(block))
+        lesser = np.minimum(rows, np.searchsorted(_keys(block), _keys(block[:, ::-1])))
+        representative = lesser == rows
+        number = np.cumsum(representative) - 1
+        lumped[first:first + len(block)] = classes + number[lesser]
+        classes += int(number[-1]) + 1
         blocks.append(block)
         pattern_groups[pat] = range(first, first + len(block))
-        frees.append(np.full(len(block), free))
-        longest.append(runs.max(axis=1))
-        if any(d <= free and (longest[-1] < d).any() for d in demands):  # a state is frag-blocked
+        # a state and its mirror image have the same free runs
+        longest.append(longest_run[representative])
+        frees.append(np.full(len(longest[-1]), free))
+        if any(d <= free and (longest_run < d).any() for d in demands):  # a state is frag-blocked
             daas_patterns.append(pat)
             # at most one free run: the free tokens start one run, or there are none
             defrag_targets.append(first + np.flatnonzero((runs == 1).sum(axis=1) <= 1))
@@ -410,6 +414,7 @@ def build_state_space(profile: DemandProfile, options: SpaceOptions | None = Non
         daas_patterns=tuple(daas_patterns),
         defrag_targets=tuple(defrag_targets),
         blocks=tuple(blocks),
+        lumped=lumped,
     )
 
 

@@ -18,7 +18,7 @@ from scipy.sparse.linalg import splu
 
 from eolsec.ctmc import ModelVariant, RateMatrix
 from eolsec.link import FREE, DemandProfile, fit_runs, pattern
-from eolsec.security import _outside_splits
+from eolsec.security import _outside_splits, per_state_attack_success
 from eolsec.statespace import (
     SpaceOptions,
     StateSpace,
@@ -180,8 +180,8 @@ def scalar_transitions(space: StateSpace) -> dict[str, np.ndarray]:
     index_of = {arr: i for i, arr in enumerate(states)}
     raas_index = {pat: v for v, pat in enumerate(space.raas_patterns)}
     daas_index = {pat: v for v, pat in enumerate(space.daas_patterns)}
-    frag_blocked = [set(s.tolist()) for s in space.frag_blocked]
-    resource_blocked = [set(s.tolist()) for s in space.resource_blocked]
+    frag_blocked = [set(class_members(space, s).tolist()) for s in space.frag_blocked]
+    resource_blocked = [set(class_members(space, s).tolist()) for s in space.resource_blocked]
     entries = array("q")  # flat (row, col, kind, mult, div) records
     for i, arr in enumerate(states):
         pat = pattern(arr, profile)
@@ -232,6 +232,30 @@ def lumped_rows(space: StateSpace) -> np.ndarray:
     return np.concatenate([classes, classes.max() + 1 + extra])
 
 
+def class_members(space: StateSpace, classes: np.ndarray) -> np.ndarray:
+    """The regular states of the given mirror classes, ascending."""
+    return np.flatnonzero(np.isin(mirror_classes(space), classes))
+
+
+def expand(space: StateSpace, pi: np.ndarray) -> np.ndarray:
+    """A distribution over the rows of a lumped generator as one over the
+    states of the [regular | randomization | defrag] layout: each member of
+    a class gets an equal share, exactly, as a class has one or two."""
+    rows = lumped_rows(space)
+    rows = rows[rows < len(pi)]
+    return pi[rows] / np.bincount(rows)[rows]
+
+
+def lump(space: StateSpace, pi: np.ndarray) -> np.ndarray:
+    """A distribution over the states as one over the rows of the lumped generator."""
+    return np.bincount(lumped_rows(space)[:len(pi)], weights=pi)
+
+
+def state_attack_success(space: StateSpace, width: int) -> np.ndarray:
+    """``per_state_attack_success`` on every regular state: its mirror class's score."""
+    return per_state_attack_success(space, width)[mirror_classes(space)]
+
+
 def lumped_generator(space: StateSpace, rm: RateMatrix) -> RateMatrix:
     """A generator over every state of ``space`` lumped over mirror classes.
 
@@ -247,7 +271,7 @@ def lumped_generator(space: StateSpace, rm: RateMatrix) -> RateMatrix:
     off = (q - sp.diags(q.diagonal())).tocsr()[first] @ members
     off.sum_duplicates()  # sorted columns, which the row sums add in
     off = off + sp.diags(-np.asarray(off.sum(axis=1)).ravel(), format="csr")
-    return RateMatrix(off, mirror_classes(space))
+    return RateMatrix(off)
 
 
 def lumped_transitions(space: StateSpace, loop: dict[str, np.ndarray]) -> dict[str, np.ndarray]:

@@ -33,10 +33,12 @@ from oracles import (
     _match_table,
     _outside_split_count,
     arrangements,
+    class_members,
     count_matching_rearrangements,
     dense_stationary_oracle,
     enumerated_matching_count,
     inside_pattern,
+    lump,
     lumped_rows,
     placement_count,
 )
@@ -87,7 +89,7 @@ def solutions20(space20):
             variant = ModelVariant.randomized_defrag(lam_s, mu_d)
         rm = assemble_generator(space20, profile, variant)
         dist = solve_stationary(rm)
-        report = blocking_report(dist, space20, profile, variant)
+        report = blocking_report(dist.pi, space20, profile, variant)
         out[(kind, load, lam_s, mu_d)] = (rm, dist, report)
     return out
 
@@ -121,9 +123,10 @@ def test_criterion_1_worked_example_fixtures():
     assert space.num_regular == 15
     assert placement_count((0,) * profile.capacity, 1, profile) == 5
     assert len(space.pattern_groups[(1, 0)]) == 5
-    assert len(space.frag_blocked[1]) == 3
-    assert len(space.frag_blocked[0]) == 3
-    assert len(np.intersect1d(space.frag_blocked[0], space.frag_blocked[1])) == 1
+    frag = [class_members(space, classes) for classes in space.frag_blocked]
+    assert len(frag[1]) == 3
+    assert len(frag[0]) == 3
+    assert len(np.intersect1d(frag[0], frag[1])) == 1
     assert space.num_daas == 2
     assert [len(t) for t in space.defrag_targets] == [2, 2]
     # uniform return over the two defragmented targets, which are mirror
@@ -148,11 +151,12 @@ def test_criterion_2_balance_equation_rows():
     rm = assemble_generator(space, profile, ModelVariant.randomized_defrag(lam_s, mu_d))
     q = rm.matrix.toarray()
     n_sa, n_r = space.num_regular, space.num_raas
-    # the rows are mirror classes: a state's row is at[state]
+    # the rows are mirror classes: a state's row is at[state]; the blocked
+    # sets list rows
     at = lumped_rows(space)
 
     # row of the state that is fragmentation-blocked for both classes
-    (shared,) = at[np.intersect1d(space.frag_blocked[0], space.frag_blocked[1])]
+    (shared,) = np.intersect1d(space.frag_blocked[0], space.frag_blocked[1])
     raas_10 = at[n_sa + space.raas_patterns.index((1, 0))]
     daas_10 = at[n_sa + n_r + space.daas_patterns.index((1, 0))]
     assert q[shared, shared] == -(lam1 + lam2 + mu1 + lam_s)
@@ -173,7 +177,7 @@ def test_criterion_2_balance_equation_rows():
 
     # defrag state of the one-class-1 pattern; the two states blocked for
     # class 2 alone are mirror images
-    (frag2_only,) = set(at[np.setdiff1d(space.frag_blocked[1], space.frag_blocked[0])])
+    (frag2_only,) = np.setdiff1d(space.frag_blocked[1], space.frag_blocked[0])
     inflows = {i: q[i, daas_10] for i in range(rm.dimension) if q[i, daas_10] != 0 and i != daas_10}
     assert inflows == {shared: lam1 + lam2, frag2_only: lam2}
     assert q[daas_10, daas_10] == -mu_d
@@ -201,6 +205,7 @@ def test_criterion_3_window_counting_fixtures(profile14):
     idx = arrangements(space).index(arr)
     pi = np.zeros(space.num_regular)
     pi[idx] = 1.0
+    pi = lump(space, pi)
     by_hand = sum(
         count_matching_rearrangements(arr, ObservationWindow(j, 4), profile14)
         for j in range(1, 12)
@@ -360,7 +365,7 @@ def test_criterion_8_solver_contract(solutions20):
         worst_residual = max(worst_residual, dist.residual)
         worst_norm = max(worst_norm, abs(float(dist.pi.sum()) - 1.0))
         assert float(dist.pi.min()) >= 0.0
-        oracle = rm.expand(dense_stationary_oracle(rm))
+        oracle = dense_stationary_oracle(rm)
         worst_oracle = max(worst_oracle, float(np.abs(dist.pi - oracle).max()))
     assert worst_residual <= 1e-10
     assert worst_norm <= 1e-12

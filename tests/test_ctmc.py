@@ -20,20 +20,23 @@ from eolsec import (
     blocking_report,
     attack_success_probability,
     build_state_space,
-    per_state_attack_success,
     solve_stationary,
 )
 from eolsec import ctmc
 from oracles import (
     closed_classes,
     dense_stationary_oracle,
+    expand,
     is_strongly_connected,
     loop_generator,
     lu_stationary,
+    lump,
     lumped_generator,
     lumped_rows,
     mirror_classes,
     mirror_images,
+    scalar_attack_success,
+    state_attack_success,
 )
 
 
@@ -85,8 +88,7 @@ def test_rejects_mismatched_profile(space7):
 )
 def test_generator_shape_and_row_sums(space7, rates7, variant, profile7):
     rm = assemble_generator(space7, rates7, variant)
-    assert np.array_equal(rm.lumped, mirror_classes(space7))
-    expected = int(rm.lumped.max()) + 1
+    expected = int(mirror_classes(space7).max()) + 1
     if variant.has_randomization:
         expected += space7.num_raas
     if variant.has_defrag:
@@ -118,8 +120,9 @@ def test_solution_matches_dense_oracle(space7, profile7):
     b = np.zeros(q.shape[0] + 1)
     b[-1] = 1.0
     expected, *_ = np.linalg.lstsq(a, b, rcond=None)
-    assert np.abs(dist.pi - expected).max() <= 1e-9
-    assert np.abs(dist.pi - dense_stationary_oracle(full)).max() <= 1e-9
+    pi = expand(space7, dist.pi)
+    assert np.abs(pi - expected).max() <= 1e-9
+    assert np.abs(pi - dense_stationary_oracle(full)).max() <= 1e-9
 
 
 def test_solution_contract(space7, rates7):
@@ -142,10 +145,11 @@ def test_balance_equation_coefficients(space7):
     rm = assemble_generator(space7, profile, ModelVariant.randomized_defrag(lam_s, mu_d))
     q = rm.matrix.toarray()
     n_sa, n_r = space7.num_regular, space7.num_raas
-    # the rows are mirror classes: a state's row is at[state]
+    # the rows are mirror classes: a state's row is at[state]; the blocked
+    # sets list rows
     at = lumped_rows(space7)
 
-    (shared,) = at[np.intersect1d(space7.frag_blocked[0], space7.frag_blocked[1])]
+    (shared,) = np.intersect1d(space7.frag_blocked[0], space7.frag_blocked[1])
     raas_10 = at[n_sa + space7.raas_patterns.index((1, 0))]
     daas_10 = at[n_sa + n_r + space7.daas_patterns.index((1, 0))]
     assert q[shared, shared] == -(lam1 + lam2 + mu1 + lam_s)
@@ -166,7 +170,7 @@ def test_balance_equation_coefficients(space7):
     # defrag state of the single-class-1 pattern: class-2 arrivals from the two
     # one-sided fragmented states (a mirror pair) plus both classes from the
     # shared state
-    (frag2_only,) = set(at[np.setdiff1d(space7.frag_blocked[1], space7.frag_blocked[0])])
+    (frag2_only,) = np.setdiff1d(space7.frag_blocked[1], space7.frag_blocked[0])
     assert q[frag2_only, daas_10] == lam2
     assert q[shared, daas_10] == lam1 + lam2
     (targets,) = set(at[space7.defrag_targets[space7.daas_patterns.index((1, 0))]])
@@ -190,15 +194,15 @@ def test_randomized_reduces_to_regular_without_randomization(space7, rates7):
     assert abs((block - regular.matrix).toarray()).max() == 0.0
 
     dist = solve_stationary(reduced)
-    report = blocking_report(dist, space7, rates7, ModelVariant.randomized(0.0, 50.0))
-    base = blocking_report(solve_stationary(regular), space7, rates7, ModelVariant.regular())
+    report = blocking_report(dist.pi, space7, rates7, ModelVariant.randomized(0.0, 50.0))
+    base = blocking_report(solve_stationary(regular).pi, space7, rates7, ModelVariant.regular())
     assert report.reconfiguration_blocking == 0.0
     assert report.overall_blocking == pytest.approx(base.overall_blocking, abs=1e-12)
 
 
 def test_regular_variant_has_no_reconfig_blocking(space7, rates7):
     rm = assemble_generator(space7, rates7, ModelVariant.regular())
-    report = blocking_report(solve_stationary(rm), space7, rates7, ModelVariant.regular())
+    report = blocking_report(solve_stationary(rm).pi, space7, rates7, ModelVariant.regular())
     assert report.reconfiguration_blocking == 0.0
     lam = rates7.arrival_rates
     recomposed = sum(
@@ -213,7 +217,7 @@ def test_reconfig_blocking_bounded_by_rate_ratio(space7, rates7):
     for lam_s, mu_d in [(0.5, 10.0), (2.0, 10.0), (5.0, 100.0)]:
         variant = ModelVariant.randomized(lam_s, mu_d)
         rm = assemble_generator(space7, rates7, variant)
-        report = blocking_report(solve_stationary(rm), space7, rates7, variant)
+        report = blocking_report(solve_stationary(rm).pi, space7, rates7, variant)
         assert report.reconfiguration_blocking <= lam_s / mu_d + 1e-12
 
 
@@ -222,8 +226,9 @@ def test_flow_conservation_statewise(space7, rates7):
     dist = solve_stationary(assemble_generator(space7, rates7, variant))
     # every state of the unlumped chain balances
     q = loop_generator(space7, rates7, variant).matrix.toarray()
-    outflow = dist.pi * (-np.diag(q))
-    inflow = dist.pi @ (q - np.diag(np.diag(q)))
+    pi = expand(space7, dist.pi)
+    outflow = pi * (-np.diag(q))
+    inflow = pi @ (q - np.diag(np.diag(q)))
     assert np.abs(outflow - inflow).max() <= 1e-12
 
 
@@ -245,7 +250,8 @@ def test_transient_reconfig_states_get_zero_mass(space7, rates7):
     rm = assemble_generator(space7, rates7, variant)
     assert not is_strongly_connected(rm)
     dist = solve_stationary(rm)
-    assert dist.pi[space7.num_regular:].max() == 0.0
+    assert dist.pi[space7.num_mirror_classes:].max() == 0.0
+    assert expand(space7, dist.pi)[space7.num_regular:].max() == 0.0
     assert dist.residual <= 1e-10
 
 
@@ -293,7 +299,7 @@ def test_negative_mass_raises_typed_error(space7, rates7):
     rm = assemble_generator(space7, rates7, ModelVariant.randomized(0.7, 11.0))
     dist = solve_stationary(rm)
     with pytest.raises(NegativeStationaryMass, match="negative") as info:
-        ctmc._distribution(-rm.lump(dist.pi), rm, dist.sweeps)
+        ctmc._distribution(-dist.pi, rm, dist.sweeps)
     assert info.value.mass < 0.0
 
 
@@ -369,7 +375,7 @@ def test_stiff_chains_match_lu(load, variant, space20):
     # the chains on which BiCGSTAB without restarts stalls near 1e-11
     profile = DemandProfile.with_uniform_load(20, (4, 6, 8), load)
     rm = assemble_generator(space20, profile, variant)
-    lu, dist = rm.expand(lu_stationary(rm)), solve_stationary(rm)
+    lu, dist = lu_stationary(rm), solve_stationary(rm)
     assert dist.residual <= 1e-10 / ctmc.POWER_TOL_MARGIN
 
     def numbers(pi):
@@ -397,7 +403,6 @@ def test_power_route_matches_lu_at_c22(variant, space22):
     rm = assemble_generator(space, profile, variant)
     lu, power = lu_stationary(rm), solve_stationary(rm)
     assert np.abs(lu @ rm.matrix).max() <= 1e-10
-    lu = rm.expand(lu)
     assert power.residual <= 1e-10
     widths = (10, 15, 22) if variant.has_randomization else ()
 
@@ -442,7 +447,7 @@ def test_power_route_matches_dense_oracle(chain):
     assert dist.residual <= 1e-10
     # the unlumped chain's solution
     full = dense_stationary_oracle(loop_generator(space, profile, variant))
-    assert np.abs(dist.pi - full).max() <= 1e-10
+    assert np.abs(expand(space, dist.pi) - full).max() <= 1e-10
 
 
 @settings(max_examples=200, deadline=None)
@@ -462,7 +467,7 @@ def test_randomized_without_randomization_reports_regular_blocking(chain, mu_d):
     profile, _ = chain
     space = build_state_space(profile)
     reports = [
-        blocking_report(solve_stationary(assemble_generator(space, profile, v)), space, profile, v)
+        blocking_report(solve_stationary(assemble_generator(space, profile, v)).pi, space, profile, v)
         for v in (ModelVariant.regular(), ModelVariant.randomized(0.0, mu_d))
     ]
     regular, randomized = reports
@@ -480,7 +485,7 @@ def test_rescaling_matches_a_direct_solve(chain, mu_d):
     rm = assemble_generator(space, profile, replace(variant, reconfig_rate=mu_d))
     reference = solve_stationary(assemble_generator(space, profile, variant))
     rescaled = ctmc.rescale_reconfiguration(
-        reference, rm, space.num_regular, variant.reconfig_rate / mu_d
+        reference, rm, space.num_mirror_classes, variant.reconfig_rate / mu_d
     )
     assert rescaled.residual <= 1e-10
     assert np.abs(rescaled.pi - solve_stationary(rm).pi).max() <= 1e-10
@@ -501,31 +506,31 @@ def test_chain_is_mirror_symmetric(chain, randomize_empty):
     off = q - sp.diags(q.diagonal())
     assert (off[mirror][:, mirror] != off).nnz == 0
     assert np.array_equal(space.lumped, mirror_classes(space))
-    pi = solve_stationary(assemble_generator(space, profile, variant)).pi
-    assert (pi[mirror] == pi).all()
+    # the scalar kernel's scores, and the engine's on every member of a class
     regular = mirror[:space.num_regular]
     for width in range(1, profile.capacity + 1):
-        scores = per_state_attack_success(space, width)
+        scores = scalar_attack_success(space, width)
         assert (scores[regular] == scores).all()
+        assert np.array_equal(state_attack_success(space, width), scores)
 
 
 @settings(max_examples=200, deadline=None)
 @given(small_chains(), st.booleans())
 def test_lumped_solution_is_the_unlumped_one(chain, randomize_empty):
-    # direct solves of the lumped and the unlumped generator agree, and the
-    # engine gives a state and its mirror image the same mass exactly
+    # direct solves of the lumped and the unlumped generator agree, and
+    # the solution on the states gives a state and its mirror image the
+    # same mass exactly
     profile, variant = chain
     space = build_state_space(profile, SpaceOptions(randomize_empty=randomize_empty))
     rm = assemble_generator(space, profile, variant)
     full = loop_generator(space, profile, variant)
     for oracle in (lu_stationary, dense_stationary_oracle):
-        assert np.abs(rm.expand(oracle(rm)) - oracle(full)).max() <= 1e-12
+        assert np.abs(expand(space, oracle(rm)) - oracle(full)).max() <= 1e-12
     pi = solve_stationary(rm).pi
-    regular = pi[:space.num_regular]
+    regular = expand(space, pi)[:space.num_regular]
     assert (regular[mirror_images(space)] == regular).all()
     # expanding splits a class's mass exactly
-    lumped = rm.lump(pi)
-    assert np.array_equal(rm.lump(rm.expand(lumped)), lumped)
+    assert np.array_equal(lump(space, expand(space, pi)), pi)
 
 
 @st.composite

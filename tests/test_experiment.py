@@ -548,7 +548,7 @@ class TestChainSolves:
             derived += 1
             assert result.solver["mu_ref"] == reconfig_rates[0]
             direct = solve_stationary(assemble_generator(space, spec.profile, spec.model))
-            report = blocking_report(direct, space, spec.profile, spec.model)
+            report = blocking_report(direct.pi, space, spec.profile, spec.model)
             expected = (
                 *report.resource_blocking, *report.fragmentation_blocking,
                 report.reconfiguration_blocking, report.overall_blocking,
@@ -601,7 +601,7 @@ class TestChainSolves:
                 direct = solve_stationary(assemble_generator(space, spec.profile, spec.model))
                 assert "mu_ref" not in result.solver
                 assert result.residual_or_ci == direct.residual <= 1e-10
-                assert result.bp == blocking_report(direct, space, spec.profile, spec.model).overall_blocking
+                assert result.bp == blocking_report(direct.pi, space, spec.profile, spec.model).overall_blocking
         # a reference per lambda_S, a direct solve per mu_d = 100 cell
         assert len(calls) == 2 + 2
 
@@ -637,6 +637,13 @@ class TestCli:
         out = capsys.readouterr().out
         assert "config ok" in out
         assert "15 regular states (budget 364606)" in out
+
+    def test_shipped_configs_validate(self, capsys):
+        configs = sorted((Path(__file__).parents[1] / "configs").glob("*.yaml"))
+        assert configs
+        for path in configs:
+            assert main(["validate", "--config", str(path)]) == EXIT_OK, path.name
+            assert capsys.readouterr().out.startswith("config ok: "), path.name
 
     def test_validate_bad_config(self, tmp_path, capsys):
         path = tmp_path / "bad.yaml"

@@ -1,7 +1,8 @@
-"""The benchmark worker (``perfbench/worker.py``) runs against this package.
+"""The benchmark (``perfbench/``) runs against this package.
 
 The worker imports and wraps names of ``eolsec``; a change that drops one
-fails here instead of in a benchmark run.
+fails here instead of in a benchmark run.  The exact workloads' outputs
+are held to the benchmark's recorded references.
 """
 
 import json
@@ -12,6 +13,8 @@ import time
 from pathlib import Path
 
 import pytest
+
+from eolsec.experiment import load_config, run_experiments
 
 ROOT = Path(__file__).resolve().parents[1]
 WORKER = ROOT / "perfbench" / "worker.py"
@@ -58,3 +61,14 @@ def test_worker_mode(tmp_path, mode, engine):
     if mode == "trace":
         names = {span["name"] for span in doc["spans"]}
         assert {"experiment.run", "experiment.cell"} | SPANS[engine] <= names
+
+
+@pytest.mark.parametrize("name", ["exact-reach", "exact-sweep"])
+def test_exact_workload_matches_references(tmp_path, monkeypatch, name):
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import workloads
+
+    outcome = run_experiments(load_config(workloads.write_config(name, 1, tmp_path)))
+    rows = workloads.read_rows(outcome.csv_path)
+    assert rows
+    assert workloads.check_rows(name, rows, workloads.load_references()) == []

@@ -36,7 +36,9 @@ from oracles import (
     enumerated_matching_count,
     group_table_attack_success,
     inside_pattern,
+    lump,
     scalar_attack_success,
+    state_attack_success,
     token_spans,
 )
 
@@ -196,7 +198,7 @@ class TestWindowSurvival:
         space = build_state_space(profile)
         for width in range(1, profile.capacity + 1):
             expected = group_table_attack_success(space, width)
-            got = per_state_attack_success(space, width)
+            got = state_attack_success(space, width)
             assert np.abs(got - expected).max() <= 1e-12, width
 
     def test_outside_splits_are_the_split_counts(self):
@@ -233,7 +235,7 @@ class TestWindowSurvival:
     def test_whole_space_equals_the_scalar_kernel(self, capacity, demands, widths):
         space = build_state_space(DemandProfile.with_uniform_load(capacity, demands, 1.0))
         for width in widths:
-            assert np.array_equal(per_state_attack_success(space, width), scalar_attack_success(space, width))
+            assert np.array_equal(state_attack_success(space, width), scalar_attack_success(space, width))
 
     def test_cached_scores_are_read_only(self, profile7):
         space = build_state_space(profile7)
@@ -275,7 +277,7 @@ class TestWindowSurvival:
             monkeypatch.setattr(security, "_FLOAT_EXACT", bound)
             space = build_state_space(profile14)
             for width in (1, 2, 7, 14):
-                assert np.array_equal(per_state_attack_success(space, width), scalar_attack_success(space, width))
+                assert np.array_equal(state_attack_success(space, width), scalar_attack_success(space, width))
 
 
 @settings(max_examples=40, deadline=None)
@@ -289,7 +291,7 @@ def test_window_survival_matches_group_tables(data):
     space = build_state_space(profile)
     width = data.draw(st.integers(1, capacity))
     expected = group_table_attack_success(space, width)
-    assert np.abs(per_state_attack_success(space, width) - expected).max() <= 1e-12
+    assert np.abs(state_attack_success(space, width) - expected).max() <= 1e-12
 
 
 @settings(max_examples=200, deadline=None)
@@ -307,7 +309,7 @@ def test_whole_space_scores_equal_the_scalar_kernel(data):
         space = build_state_space(profile)
         per_state_attack_success(space, 1)
     for width in range(1, capacity + 1):
-        assert np.array_equal(per_state_attack_success(space, width), scalar_attack_success(space, width))
+        assert np.array_equal(state_attack_success(space, width), scalar_attack_success(space, width))
 
 
 @settings(max_examples=40, deadline=None)
@@ -370,7 +372,7 @@ def test_partial_groups_score_as_their_states(data):
             groups = [(pat, np.array([states[i][1] for i in rows])) for pat, rows in members.items()]
             order = [i for rows in members.values() for i in rows]
             for width in widths:
-                expected = per_state_attack_success(space, width)[order]
+                expected = state_attack_success(space, width)[order]
                 assert np.array_equal(score_groups(kernel, groups, width), expected)
 
 
@@ -387,6 +389,7 @@ class TestAttackProbability:
         target = members[0]
         pi = np.zeros(space7.num_regular + space7.num_raas)
         pi[target] = 1.0
+        pi = lump(space7, pi)
         width = 3
         arr = arrangements(space7)[target]
         total = 0
@@ -403,7 +406,7 @@ class TestAttackProbability:
             assert values.max() <= 1.0
 
     def test_requires_occupied_mass(self, space7):
-        pi = np.zeros(space7.num_regular)
+        pi = np.zeros(space7.num_mirror_classes)
         pi[0] = 1.0
         with pytest.raises(ValueError):
             attack_success_probability(pi, space7, 3)

@@ -190,7 +190,7 @@ class TestRunSimulation:
     def test_estimates_within_ci_of_exact(self, profile7, space7):
         variant = ModelVariant.randomized_defrag(2.0, 10.0)
         dist = solve_stationary(assemble_generator(space7, profile7, variant))
-        exact = blocking_report(dist, space7, profile7, variant)
+        exact = blocking_report(dist.pi, space7, profile7, variant)
         cfg = SimConfig(
             profile=profile7,
             variant=variant,

@@ -17,7 +17,14 @@ from eolsec import (
     pattern_size,
 )
 from eolsec.statespace import feasible_patterns
-from oracles import arrangements, lumped_transitions, mirror_classes, scalar_state_space, scalar_transitions
+from oracles import (
+    arrangements,
+    class_members,
+    lumped_transitions,
+    mirror_classes,
+    scalar_state_space,
+    scalar_transitions,
+)
 
 
 def rows(t):
@@ -38,12 +45,15 @@ class TestWorkedExample:
         assert sizes == {(0, 0): 1, (1, 0): 5, (0, 1): 4, (2, 0): 3, (1, 1): 2}
 
     def test_frag_blocked_sets(self, space7):
-        assert len(space7.frag_blocked[0]) == 3
-        assert len(space7.frag_blocked[1]) == 3
-        shared = np.intersect1d(space7.frag_blocked[0], space7.frag_blocked[1])
+        frag = [class_members(space7, classes) for classes in space7.frag_blocked]
+        assert len(frag[0]) == 3
+        assert len(frag[1]) == 3
+        shared = np.intersect1d(frag[0], frag[1])
         assert len(shared) == 1
         # the shared state is the centered 3-slot connection
         assert arrangements(space7)[shared[0]] == (0, 0, 1, 0, 0)
+        # the blocked sets list its mirror class, a palindrome's
+        assert np.array_equal(np.intersect1d(*space7.frag_blocked), mirror_classes(space7)[shared])
 
     def test_defrag_targets(self, space7):
         assert [len(t) for t in space7.defrag_targets] == [2, 2]
@@ -206,6 +216,11 @@ def test_array_state_space_matches_scalar_oracle(po):
         got, want = getattr(space, name), expected[name]
         assert len(got) == len(want), name
         for a, b in zip(got, want):
+            if name.endswith("blocked"):
+                # mirror classes: blocking is mirror-invariant, so their
+                # members are the blocked states
+                assert a.dtype == np.int64 and np.array_equal(a, np.unique(mirror_classes(space)[b])), name
+                a = class_members(space, a)
             assert a.dtype == b.dtype and np.array_equal(a, b), name
     assert space.num_regular == sum(map(len, expected["pattern_groups"].values()))
     assert space.lumped.dtype == np.int32 and np.array_equal(space.lumped, mirror_classes(space))

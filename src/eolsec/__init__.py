@@ -38,6 +38,7 @@ from .simulate import (
     run_simulation,
 )
 from .statespace import (
+    RankOverflow,
     SpaceOptions,
     StateBudgetExceeded,
     StateSpace,
@@ -60,6 +61,7 @@ __all__ = [
     "NoOccupiedMass",
     "NonIntegerRpRatio",
     "NotIrreducible",
+    "RankOverflow",
     "RateMatrix",
     "SimConfig",
     "SimResult",

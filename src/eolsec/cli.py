@@ -24,7 +24,7 @@ from .experiment import (
     run_experiments,
     state_space,
 )
-from .statespace import StateBudgetExceeded, dump_states
+from .statespace import RankOverflow, StateBudgetExceeded, dump_states
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -121,7 +121,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "dump-states":
             return _cmd_dump_states(args)
         return _cmd_validate(args)
-    except (ConfigError, StateBudgetExceeded) as exc:
+    except (ConfigError, StateBudgetExceeded, RankOverflow) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (NoConvergence, NegativeStationaryMass, NotIrreducible) as exc:

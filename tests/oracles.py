@@ -90,6 +90,23 @@ def is_defragmented(tokens: Sequence[int]) -> bool:
     return len(fit_runs(tokens, 1)) <= 1
 
 
+def multiset_rank(tokens: Sequence[int]) -> int:
+    """The number of orderings of the multiset of ``tokens`` that come
+    before ``tokens`` lexicographically, counted in Python integers: at each
+    slot, the orderings that share the slots before it and hold a lesser
+    token there."""
+    left = [tokens.count(t) for t in range(max(tokens) + 1)]
+    rank = 0
+    for x in tokens:
+        for t in range(x):
+            if left[t]:
+                left[t] -= 1
+                rank += _permutation_count(0, tuple(left))
+                left[t] += 1
+        left[x] -= 1
+    return rank
+
+
 def token_sequences(counts: list[int]) -> Iterator[tuple[int, ...]]:
     """Multiset permutations of tokens {t: counts[t]}, lexicographically ascending."""
     total = sum(counts)

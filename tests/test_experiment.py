@@ -677,6 +677,22 @@ class TestCli:
         assert main(["run", "--config", str(path)]) == EXIT_CONFIG
         assert "budget is 5" in capsys.readouterr().err
 
+    def test_run_rank_overflow_is_config_error(self, tmp_path, capsys):
+        # a budget of 2**100 admits C=100 with one-slot connections, whose
+        # middle pattern has more states than an int64 rank numbers
+        path = tmp_path / "wide.yaml"
+        path.write_text(
+            "schema_version: 1\n"
+            "profile: {capacity: 100, demands: [1]}\n"
+            "traffic: {loads: [2.0]}\n"
+            "sweep: {variants: [regular]}\n"
+            "engine: analytic\n"
+            f"state_budget: {2**100}\n"
+            f"output: {{dir: '{tmp_path / 'out'}'}}\n"
+        )
+        assert main(["run", "--config", str(path)]) == EXIT_CONFIG
+        assert "more than an int64 rank can number" in capsys.readouterr().err
+
     @staticmethod
     def _over_budget_config(tmp_path, sim_block: str):
         path = tmp_path / "over_budget.yaml"
@@ -1045,6 +1061,26 @@ class TestCli:
             logging.getLogger("eolsec").setLevel(logging.NOTSET)
         messages = [r.getMessage() for r in caplog.records]
         assert ("6 grid cells, 6 exact solves" in messages) == shown
+
+    def test_debug_log_keeps_outputs_byte_identical(self, config_path, tmp_path, caplog):
+        # the transition build is logged at DEBUG, and no log level changes
+        # a byte of the --no-timestamp outputs
+        experiment._shared_space.cache_clear()  # build the space in this test
+        outputs = []
+        try:
+            for n, level in enumerate(("DEBUG", "INFO", "DEBUG")):
+                out = tmp_path / str(n)
+                with caplog.at_level(logging.DEBUG):
+                    assert main(["run", "--config", str(config_path), "--out-dir", str(out),
+                                 "--no-timestamp", "--log-level", level]) == EXIT_OK
+                outputs.append(sorted((p.name, p.read_bytes()) for p in out.iterdir()))
+        finally:
+            logging.getLogger("eolsec").setLevel(logging.NOTSET)
+        assert outputs[0] == outputs[1] == outputs[2]
+        assert [name for name, _ in outputs[0]] == ["grid.csv", "grid_summary.json"]
+        built = [r for r in caplog.records if r.name == "eolsec.statespace"]
+        assert len(built) == 1 and built[0].levelno == logging.DEBUG
+        assert built[0].getMessage().startswith("transitions: ")
 
     def test_run_engine_override(self, config_path, tmp_path):
         out_dir = tmp_path / "cli-mc"

@@ -1,6 +1,7 @@
 import hashlib
 import io
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -16,12 +17,14 @@ from eolsec import (
     dump_states,
     pattern_size,
 )
-from eolsec.statespace import feasible_patterns
+from eolsec.statespace import RankOverflow, _chunks, feasible_patterns, multiset_ranks
 from oracles import (
     arrangements,
     class_members,
     lumped_transitions,
     mirror_classes,
+    mirror_images,
+    multiset_rank,
     scalar_state_space,
     scalar_transitions,
 )
@@ -236,6 +239,57 @@ def test_array_state_space_matches_scalar_oracle(po):
         assert np.array_equal(got, lumped[name]), name
     lower = np.bincount(rows(t), weights=t.col < rows(t), minlength=len(t.indptr) - 1)
     assert np.array_equal(t.diagonal, t.indptr[:-1] + lower)
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_space_options())
+def test_rows_rank_to_their_index(po):
+    # the closed-form rank of a row is its index in its block, padded in a
+    # chunk or not, and the rank of its reverse the index of its mirror image
+    profile, _ = po
+    space = build_state_space(profile)
+    ranks = multiset_ranks(profile)
+    for block in space.blocks:
+        assert np.array_equal(ranks.rank(block.T), np.arange(len(block)))
+    starts = np.array([group.start for group in space.pattern_groups.values()])
+    mirror = mirror_images(space)
+    at = 0
+    for tokens, block in _chunks(space.blocks, 64, profile.num_classes + 1):
+        state = np.arange(at, at + tokens.shape[1])
+        assert np.array_equal(ranks.rank(tokens), state - starts[block])
+        assert np.array_equal(ranks.rank(tokens[::-1]), mirror[state] - starts[block])
+        at += tokens.shape[1]
+    assert at == space.num_regular
+
+
+def test_ranks_past_int32_match_python_integers():
+    # pattern (10, 10) of C=40, demands (1, 2): 30! / (10!)^3 orderings
+    profile = DemandProfile(40, (1, 2), (1.0, 1.0), (1.0, 1.0))
+    size = pattern_size((10, 10), profile)
+    assert size == math.factorial(30) // math.factorial(10) ** 3 > 2**31
+    ranks = multiset_ranks(profile)
+    assert ranks.terms.dtype == np.int64
+    tokens = [0] * 10 + [1] * 10 + [2] * 10
+    rng = np.random.default_rng(2016)
+    rows = [sorted(tokens), sorted(tokens, reverse=True)]
+    rows += [rng.permutation(tokens).tolist() for _ in range(200)]
+    got = ranks.rank(np.array(rows, np.int8).T).tolist()
+    assert got == [multiset_rank(row) for row in rows]
+    assert got[:2] == [0, size - 1]
+
+
+def test_ranks_are_int32_where_they_fit(profile7):
+    ranks = multiset_ranks(profile7)
+    assert (ranks.terms.dtype, ranks.weight.dtype) == (np.int32, np.int32)
+
+
+def test_rank_past_int64_is_a_typed_error():
+    # C(100, 50) orderings of 50 frees and 50 one-slot connections
+    profile = DemandProfile(100, (1,), (1.0,), (1.0,))
+    with pytest.raises(RankOverflow) as err:
+        build_state_space(profile, SpaceOptions(state_budget=2**100))
+    assert err.value.states == math.comb(100, 50)
+    assert pickle.loads(pickle.dumps(err.value)).states == err.value.states
 
 
 def assembly_order(t, num_classes):

@@ -190,6 +190,10 @@ def assemble_generator(space: StateSpace, profile: DemandProfile, variant: Model
     ``profile`` must structurally match the space (same capacity and
     demands); its rates drive the transition intensities, so one space can
     be reused across traffic points.
+
+    scipy sums each row's repeated columns and drops zero rates in place,
+    so it works on copies of the shared, read-only ``col`` and ``indptr``
+    of ``space.transitions``; the diagonal is minus ``q.sum(axis=1)``.
     """
     if profile.capacity != space.profile.capacity or profile.demands != space.profile.demands:
         raise ValueError("profile does not match the state space structure")
@@ -212,40 +216,12 @@ def assemble_generator(space: StateSpace, profile: DemandProfile, variant: Model
         variant.reconfig_rate,
         variant.reconfig_rate * defrag,
     )[:end]
-    col = t.col[:end]
-    # A column entered more than once in a row is one entry: its rates are
-    # summed left to right, in class order for a defrag state, as scipy
-    # sums duplicates, onto the first entry of the run.
-    repeat = np.zeros(end + 1, bool)  # entry e has the row and column of e - 1
-    np.equal(col[1:], col[:-1], out=repeat[1:end])
-    repeat[t.indptr[1:dim]] = False
-    heads = np.flatnonzero(repeat[1:] & ~repeat[:-1])
-    after = 1
-    while len(heads):
-        rates[heads] += rates[heads + after]
-        after += 1
-        heads = heads[repeat[heads + after]]
-    keep = rates != 0.0
-    keep &= ~repeat[:end]
-    kept = np.zeros(end + 1, np.int64)  # kept entries before each entry
-    np.cumsum(keep, out=kept[1:])
-    indptr, at = kept[t.indptr[:dim + 1]], kept[t.diagonal[:dim]]
-    del kept
-    data, indices = rates[keep], col[keep]
-    del rates, keep
-    # the diagonal is minus the row sum, added up as scipy's q.sum(axis=1) does
-    total = np.zeros(dim)
-    rows = np.flatnonzero(np.diff(indptr))
-    total[rows] = np.add.reduceat(data, indptr[rows])
-    rows = np.flatnonzero(total)
-    spots = at[rows] + np.arange(len(rows))  # the diagonal's place among its row's columns
-    off = np.ones(len(data) + len(rows), bool)
-    off[spots] = False
-    values, columns = np.empty(len(off)), np.empty(len(off), indices.dtype)
-    values[off], values[spots] = data, -total[rows]
-    columns[off], columns[spots] = indices, rows
-    indptr[1:] += np.cumsum(total != 0.0)
-    return RateMatrix(sp.csr_matrix((values, columns, indptr), shape=(dim, dim)))
+    q = sp.csr_matrix((rates, t.col[:end].copy(), t.indptr[:dim + 1].copy()), shape=(dim, dim))
+    q.sum_duplicates()  # the columns ascend, so repeats are summed left to right
+    q.eliminate_zeros()  # a zero rate is no transition
+    rows = np.arange(dim + 1)
+    diagonal = sp.csr_matrix((-np.asarray(q.sum(axis=1)).ravel(), rows[:-1], rows), shape=(dim, dim))
+    return RateMatrix(q + diagonal)  # the sum keeps no zero, so a row without outflow has no diagonal
 
 
 def _terminal_states(q: sp.csr_matrix, q_t: sp.csr_matrix) -> np.ndarray:

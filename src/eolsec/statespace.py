@@ -316,14 +316,15 @@ class TransitionStructure:
     ``StateSpace.lumped``); its entries, ``indptr[a]:indptr[a + 1]``, are
     the transitions of the class's lesser member, each to the class of its
     target.  Entry ``e`` moves the chain to ``col[e]`` at rate
-    ``base[kind[e]] / div[e]``, and ``rates`` lays out ``base``.  Within a
-    row the columns ascend.  A column repeats where a row enters it more
-    than once, and assembly sums those rates left to right: a defrag
-    state, entered once per fragmentation-blocked class in class order, or
-    a mirror class both of whose members one class's arrivals or
-    departures reach.  Row ``a``'s diagonal would go before entry
-    ``diagonal[a]``.  The randomization and defrag states follow the
-    classes, in that order.
+    ``base[kind[e]] / div[e]``, and ``rates`` lays out ``base``.  The
+    randomization and defrag states follow the classes, in that order.
+    Within a row the columns ascend: scipy's ``sum_duplicates`` sums a
+    repeated column left to right only in a sorted row (its sort is
+    unstable).  A column repeats where a row enters it more than once: a
+    defrag state, entered once per fragmentation-blocked class in class
+    order, or a mirror class both of whose members one class's arrivals or
+    departures reach.  The arrays are read-only, as every cell of a link
+    and every forked worker shares them.
     """
 
     regular: int  # mirror classes of regular states
@@ -331,7 +332,6 @@ class TransitionStructure:
     col: np.ndarray  # int32
     kind: np.ndarray  # the least unsigned type that holds 3K + 4
     div: np.ndarray  # int32
-    diagonal: np.ndarray  # int64
 
     def rates(
         self,
@@ -463,7 +463,6 @@ class StateSpace:
         kind = np.empty(size, np.min_scalar_type(3 * K + 4))
         kinds = 3 * K + 5
         indptr = np.zeros(states + 1, np.int64)  # first the entries of each state
-        diagonal = np.zeros(states, np.int64)  # first the entries of each state into a lesser one
 
         # The rows of the classes go in slot-major chunks.  A move changes a
         # row at one slot s, so the rank of its target needs no target row:
@@ -524,7 +523,6 @@ class StateSpace:
             entries = slice(at, at + len(key))
             col[entries], kind[entries], div[entries] = to, how, divisors.ravel().take(how * n + row)
             indptr[first + 1:first + n + 1] = np.bincount(row, minlength=n)
-            diagonal[first:first + n] = np.bincount(row[to < first + row], minlength=n)
             at += len(key)
             first += n
 
@@ -549,15 +547,14 @@ class StateSpace:
         for into, how, share, spans in returns:
             entries = slice(at, at + len(into))
             col[entries], kind[entries], div[entries] = into, how, share
-            indptr[row + 1:row + len(spans) + 1] = diagonal[row:row + len(spans)] = spans
+            indptr[row + 1:row + len(spans) + 1] = spans
             at += len(into)
             row += len(spans)
         col, kind, div = col[:at], kind[:at], div[:at]
         np.cumsum(indptr, out=indptr)
-        diagonal += indptr[:-1]
+        indptr.flags.writeable = col.flags.writeable = kind.flags.writeable = div.flags.writeable = False
         log.debug("transitions: %d entries over %d rows in %.3f s", at, states, time.perf_counter() - began)
-        return TransitionStructure(regular=n_sa, indptr=indptr, col=col, kind=kind, div=div,
-                                   diagonal=diagonal)
+        return TransitionStructure(regular=n_sa, indptr=indptr, col=col, kind=kind, div=div)
 
 
 def build_state_space(profile: DemandProfile, options: SpaceOptions | None = None) -> StateSpace:

@@ -461,6 +461,22 @@ def test_generator_rows_sum_to_zero(chain):
     assert (np.abs(np.asarray(q.sum(axis=1)).ravel()) <= 1e-13 * np.abs(diagonal)).all()
 
 
+@settings(max_examples=300, deadline=None)
+@given(small_chains(), st.booleans())
+def test_assembly_matches_loop_bit_for_bit_with_zero_rates(chain, randomize_empty):
+    # zero rates drop their entries, and rows without outflow their
+    # diagonal; assembling again from the shared structure gives the same
+    profile, variant = chain
+    space = build_state_space(profile, SpaceOptions(randomize_empty=randomize_empty))
+    expected = lumped_generator(space, loop_generator(space, profile, variant)).matrix
+    first, second = (assemble_generator(space, profile, variant).matrix for _ in range(2))
+    for got in (first, second):
+        for name in ("indptr", "indices", "data"):
+            a, b = getattr(got, name), getattr(expected, name)
+            assert a.dtype == b.dtype, name
+            assert np.array_equal(a, b), name
+
+
 @settings(max_examples=200, deadline=None)
 @given(small_chains(), st.floats(1.0, 1000.0))
 def test_randomized_without_randomization_reports_regular_blocking(chain, mu_d):

@@ -21,6 +21,7 @@ from .experiment import (
     cell_specs,
     exact_solves,
     load_config,
+    replaced_output,
     run_experiments,
     state_space,
 )
@@ -90,7 +91,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_dump_states(args: argparse.Namespace) -> int:
     space = state_space(load_config(args.config))
     if args.out:
-        with open(args.out, "w") as handle:
+        with replaced_output(args.out) as handle:
             dump_states(space, handle)
     else:
         dump_states(space, sys.stdout)

@@ -17,14 +17,17 @@ import json
 import logging
 import math
 import multiprocessing
+import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from datetime import datetime, timezone
 from functools import lru_cache
 from itertools import chain, product
 from pathlib import Path
+from typing import Iterator, TextIO
 
 import yaml
 
@@ -536,12 +539,42 @@ class ExperimentOutcome:
     num_disagreements: int
 
 
+@contextmanager
+def replaced_output(path: str | os.PathLike) -> Iterator[TextIO]:
+    """Open a text handle whose contents replace the file at ``path``.
+
+    The text goes to a fresh ``<path>.partial`` in the same directory,
+    created with the permissions ``open(path, "w")`` gives.  Once it is
+    closed, the old file is unlinked and the partial file renamed into
+    place.  Neither truncating a non-empty file nor renaming over one is
+    done: on ext4 (``auto_da_alloc``) both make the kernel write the old
+    file's pages back, and a rerun seconds later waits tens of ms for that.
+
+    If anything fails, the partial file is removed and the error
+    propagates; the old file is left as it was or, if the rename itself
+    failed, gone.  There is no fsync.
+    """
+    path = Path(path)
+    partial = path.with_name(path.name + ".partial")
+    partial.unlink(missing_ok=True)  # a killed run's leftover
+    try:
+        with open(partial, "x") as handle:
+            yield handle
+        path.unlink(missing_ok=True)
+        os.rename(partial, path)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
+
+
 def run_experiments(cfg: ExperimentConfig) -> ExperimentOutcome:
     """Evaluate the whole grid and write the CSV and JSON summary files."""
     specs, _ = cell_specs(cfg)
     if specs and specs[0].fallback:
         log.warning("%s; falling back to mc in all %d cells", specs[0].fallback, len(specs))
     log.info("%d grid cells, %d exact solves", len(specs), exact_solves(specs))
+    # a directory that cannot be made fails the run before the grid, not after
+    cfg.out_dir.mkdir(parents=True, exist_ok=True)
 
     if cfg.jobs > 1 and len(specs) > 1:
         # On Linux, forked workers share the parent's space and its
@@ -568,9 +601,10 @@ def run_experiments(cfg: ExperimentConfig) -> ExperimentOutcome:
         header += [f"p_sa_{w}", f"lambda_frac_{w}"]
     header += ["residual_or_ci", "wall_ms"]
 
+    generated = datetime.now(timezone.utc).isoformat() if cfg.timestamp else None
     lines = []
-    if cfg.timestamp:
-        lines.append(f"# generated: {datetime.now(timezone.utc).isoformat()}")
+    if generated:
+        lines.append(f"# generated: {generated}")
     lines.append(",".join(header))
     rows = [row for result in results for row in result.csv_rows()]
     lines += rows
@@ -587,12 +621,13 @@ def run_experiments(cfg: ExperimentConfig) -> ExperimentOutcome:
         "num_disagreements": disagreements,
         "cells": summaries,
     }
-    if cfg.timestamp:
-        summary_doc["generated"] = datetime.now(timezone.utc).isoformat()
+    if generated:
+        summary_doc["generated"] = generated
 
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = cfg.out_dir / f"{cfg.basename}.csv"
     summary_path = cfg.out_dir / f"{cfg.basename}_summary.json"
-    csv_path.write_text("\n".join(lines) + "\n")
-    summary_path.write_text(json.dumps(summary_doc, indent=2, sort_keys=True) + "\n")
+    with replaced_output(csv_path) as handle:
+        handle.write("\n".join(lines) + "\n")
+    with replaced_output(summary_path) as handle:
+        handle.write(json.dumps(summary_doc, indent=2, sort_keys=True) + "\n")
     return ExperimentOutcome(csv_path, summary_path, num_rows, disagreements)

@@ -11,7 +11,7 @@ import pytest
 import yaml
 
 from eolsec import ctmc, experiment
-from eolsec.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
+from eolsec.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERICAL, EXIT_OK, main
 from eolsec.ctmc import (
     NegativeStationaryMass,
     assemble_generator,
@@ -24,6 +24,7 @@ from eolsec.experiment import (
     cell_specs,
     exact_solves,
     load_config,
+    replaced_output,
     run_experiments,
 )
 from eolsec.link import DemandProfile
@@ -616,6 +617,95 @@ class TestChainSolves:
         assert outputs(jobs=2) == serial
 
 
+class TestOutputs:
+    def test_rerun_replaces_each_output_with_a_new_file(self, config_path):
+        # the outputs are renamed into place, never truncated and rewritten
+        cfg = load_config(config_path)
+        first = run_experiments(cfg)
+        paths = (first.csv_path, first.summary_path)
+        before = [(os.stat(p).st_ino, p.read_bytes()) for p in paths]
+        run_experiments(cfg)
+        after = [(os.stat(p).st_ino, p.read_bytes()) for p in paths]
+        for (ino, data), (new_ino, new_data) in zip(before, after):
+            assert new_ino != ino
+            assert new_data == data
+
+    def test_rerun_over_a_bigger_grid_leaves_no_stale_tail(self, config_path, tmp_path):
+        big = run_experiments(load_config(config_path, loads=(2.0, 3.5, 5.0)))
+        paths = (big.csv_path, big.summary_path)
+        big_sizes = [p.stat().st_size for p in paths]
+        run_experiments(load_config(config_path))
+        fresh = run_experiments(load_config(config_path, out_dir=tmp_path / "fresh"))
+        for path, fresh_path, big_size in zip(paths, (fresh.csv_path, fresh.summary_path), big_sizes):
+            assert path.read_bytes() == fresh_path.read_bytes()
+            assert path.stat().st_size < big_size
+
+    def test_no_partial_file_is_left(self, config_path):
+        cfg = load_config(config_path)
+        run_experiments(cfg)
+        run_experiments(cfg)
+        assert sorted(p.name for p in cfg.out_dir.iterdir()) == ["grid.csv", "grid_summary.json"]
+
+    def test_failed_replace_leaves_no_partial_file(self, config_path):
+        cfg = load_config(config_path)
+        blocker = cfg.out_dir / "grid.csv"
+        blocker.mkdir(parents=True)
+        with pytest.raises(OSError):
+            run_experiments(cfg)
+        assert blocker.is_dir()
+        assert [p.name for p in cfg.out_dir.iterdir()] == ["grid.csv"]
+
+    def test_unmakeable_out_dir_fails_before_any_cell(self, config_path, tmp_path, monkeypatch):
+        calls = []
+        monkeypatch.setattr(experiment, "_compute_cell", calls.append)
+        not_a_dir = tmp_path / "file"
+        not_a_dir.write_text("")
+        with pytest.raises(OSError):
+            run_experiments(load_config(config_path, out_dir=not_a_dir / "out"))
+        with pytest.raises(OSError):
+            run_experiments(load_config(config_path, out_dir=not_a_dir))
+        assert calls == []
+
+    def test_one_timestamp_per_run(self, config_path):
+        outcome = run_experiments(load_config(config_path, timestamp=True))
+        first_line = outcome.csv_path.read_text().splitlines()[0]
+        assert first_line.startswith("# generated: ")
+        generated = json.loads(outcome.summary_path.read_text())["generated"]
+        assert first_line == f"# generated: {generated}"
+
+    def test_failed_write_keeps_the_old_file(self, tmp_path):
+        target = tmp_path / "out.txt"
+        target.write_text("old\n")
+        ino = target.stat().st_ino
+        with pytest.raises(OSError, match="disk full"):
+            with replaced_output(target) as handle:
+                handle.write("new")
+                raise OSError("disk full")
+        assert target.read_text() == "old\n"
+        assert target.stat().st_ino == ino
+        assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+    def test_stale_partial_file_is_replaced(self, tmp_path):
+        target = tmp_path / "out.txt"
+        (tmp_path / "out.txt.partial").write_text("left by a killed run, and longer\n")
+        with replaced_output(target) as handle:
+            handle.write("new\n")
+        assert target.read_text() == "new\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+    def test_permissions_follow_the_umask(self, tmp_path):
+        old = os.umask(0o027)
+        try:
+            with open(tmp_path / "plain", "w") as handle:
+                handle.write("x")
+            with replaced_output(tmp_path / "replaced") as handle:
+                handle.write("x")
+        finally:
+            os.umask(old)
+        modes = [(tmp_path / name).stat().st_mode for name in ("plain", "replaced")]
+        assert modes[0] == modes[1] == 0o100640
+
+
 def test_readme_schema_loads(tmp_path):
     # every key the README documents is one the loader reads, since unknown
     # keys are config errors
@@ -663,6 +753,14 @@ class TestCli:
         assert code == EXIT_OK
         assert (out_dir / "grid.csv").exists()
         assert (out_dir / "grid_summary.json").exists()
+
+    def test_run_into_a_file_is_io_error(self, config_path, tmp_path, capsys):
+        not_a_dir = tmp_path / "file"
+        not_a_dir.write_text("")
+        code = main(["run", "--config", str(config_path), "--out-dir", str(not_a_dir)])
+        assert code == EXIT_IO
+        assert "i/o error" in capsys.readouterr().err
+        assert not_a_dir.read_text() == ""
 
     def test_run_over_budget_without_mc_budget(self, tmp_path, capsys):
         path = tmp_path / "no_sim.yaml"
@@ -1102,3 +1200,12 @@ class TestCli:
         target = tmp_path / "states.tsv"
         assert main(["dump-states", "--config", str(config_path), "--out", str(target)]) == EXIT_OK
         assert target.read_text().count("\n") == 21
+
+    def test_dump_states_replaces_a_longer_file(self, config_path, tmp_path):
+        target = tmp_path / "states.tsv"
+        target.write_text("stale\n" * 100)
+        ino = target.stat().st_ino
+        assert main(["dump-states", "--config", str(config_path), "--out", str(target)]) == EXIT_OK
+        assert target.read_text().count("\n") == 21
+        assert target.stat().st_ino != ino
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.yaml", "states.tsv"]

@@ -18,6 +18,7 @@ import logging
 import math
 import multiprocessing
 import os
+import stat
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -543,22 +544,33 @@ class ExperimentOutcome:
 def replaced_output(path: str | os.PathLike) -> Iterator[TextIO]:
     """Open a text handle whose contents replace the file at ``path``.
 
-    The text goes to a fresh ``<path>.partial`` in the same directory,
-    created with the permissions ``open(path, "w")`` gives.  Once it is
-    closed, the old file is unlinked and the partial file renamed into
-    place.  Neither truncating a non-empty file nor renaming over one is
-    done: on ext4 (``auto_da_alloc``) both make the kernel write the old
-    file's pages back, and a rerun seconds later waits tens of ms for that.
-
+    A missing or regular file is replaced: the text goes to
+    ``<path>.partial`` in the same directory, created with the permissions
+    ``open(path, "w")`` gives, and once that is closed the old file is
+    unlinked and the partial file renamed into place.  Neither truncating
+    a non-empty file nor renaming over one is done: on ext4
+    (``auto_da_alloc``) both make the kernel write the old file's pages
+    back, and a rewrite within a fraction of a second waits tens of ms.
     If anything fails, the partial file is removed and the error
     propagates; the old file is left as it was or, if the rename itself
-    failed, gone.  There is no fsync.
+    failed, gone.
+
+    Any other path (a symlink, a FIFO, a device such as ``/dev/null`` or
+    a ``/dev/fd/N`` pipe) is opened with ``open(path, "w")`` and written
+    through.  There is no fsync.
     """
     path = Path(path)
-    partial = path.with_name(path.name + ".partial")
-    partial.unlink(missing_ok=True)  # a killed run's leftover
     try:
-        with open(partial, "x") as handle:
+        regular = stat.S_ISREG(os.lstat(path).st_mode)
+    except FileNotFoundError:
+        regular = True
+    if not regular:
+        with open(path, "w") as handle:
+            yield handle
+        return
+    partial = path.with_name(path.name + ".partial")
+    try:
+        with open(partial, "w") as handle:
             yield handle
         path.unlink(missing_ok=True)
         os.rename(partial, path)

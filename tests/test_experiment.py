@@ -1209,3 +1209,30 @@ class TestCli:
         assert target.read_text().count("\n") == 21
         assert target.stat().st_ino != ino
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.yaml", "states.tsv"]
+
+    def test_dump_states_writes_through_a_symlink(self, config_path, tmp_path):
+        real = tmp_path / "real.tsv"
+        real.write_text("stale\n" * 100)
+        link = tmp_path / "link.tsv"
+        link.symlink_to(real)
+        assert main(["dump-states", "--config", str(config_path), "--out", str(link)]) == EXIT_OK
+        assert link.is_symlink()
+        assert real.read_text().count("\n") == 21
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.yaml", "link.tsv", "real.tsv"]
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_dump_states_writes_into_a_fifo(self, config_path, tmp_path):
+        # a pipe, like a device or a /dev/fd path, is written, never replaced
+        fifo = tmp_path / "states.fifo"
+        os.mkfifo(fifo)
+        reader = subprocess.Popen(["cat", str(fifo)], stdout=subprocess.PIPE)
+        try:
+            code = main(["dump-states", "--config", str(config_path), "--out", str(fifo)])
+            out, _ = reader.communicate(timeout=30)
+        finally:
+            reader.kill()
+            reader.wait()
+        assert code == EXIT_OK
+        assert out.count(b"\n") == 21
+        assert fifo.is_fifo()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.yaml", "states.fifo"]

@@ -256,15 +256,27 @@ def _reached(a: sp.csr_matrix, s: int) -> np.ndarray:
     A frontier walk: each state's row is read once, when it joins, so the
     edges cost O(nnz).  An edge is a nonzero entry.  The frontier is kept
     as a mask, a few passes over n bytes per step, which keeps it in index
-    order, so its rows are read in memory order.
+    order, so its rows are read in memory order.  The rows' columns are
+    gathered straight from the CSR arrays: slicing ``a`` would build and
+    check a submatrix at every step.  Explicit zeros, which are no edges,
+    are dropped once up front (generators hold none).
     """
+    if not a.data.all():
+        a = a.copy()
+        a.eliminate_zeros()
+    indptr, indices = a.indptr, a.indices
     seen = np.zeros(a.shape[0], bool)
     seen[s] = True
     fresh = np.zeros_like(seen)
     frontier = np.array([s])
     while len(frontier):
-        rows = a[frontier]
-        fresh[rows.indices[rows.data != 0.0]] = True
+        starts = indptr[frontier]
+        sizes = indptr[frontier + 1] - starts
+        ends = np.cumsum(sizes)
+        # the frontier rows' entries back to back: row r's run is starts[r] + 0..sizes[r]-1
+        at = np.repeat(starts - (ends - sizes), sizes)
+        at += np.arange(len(at), dtype=at.dtype)
+        fresh[indices[at]] = True
         fresh &= ~seen
         frontier = np.flatnonzero(fresh)
         seen |= fresh

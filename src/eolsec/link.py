@@ -21,6 +21,7 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 FREE = 0
+_OCCUPIED = bytes([0] + [1] * 255)  # bytes.translate table: free token -> 0, connection -> 1
 
 
 @dataclass(frozen=True)
@@ -111,22 +112,25 @@ def fit_runs(tokens: Sequence[int], need: int) -> list[tuple[int, int]]:
 
     Each entry is ``(first_token, fitting_starts)``: the token index where
     the run begins and how many block positions it offers (run length minus
-    ``need`` plus one).  Free tokens are one slot each, so the scan stops as
-    soon as the free slots not yet visited cannot fit the block.
+    ``need`` plus one).  The runs come from one C-level pass: the tokens
+    become an occupancy mask (byte 0 free, byte 1 a connection) that splits
+    on the connections into the free runs, one slot per free token.  A
+    token past 255, or a buffer wider than a byte per token such as an
+    int64 row, takes a slower but equal path to the mask.
     """
+    try:
+        mask = bytes(tokens).translate(_OCCUPIED)
+    except ValueError:  # a token past 255
+        mask = b""
+    if len(mask) != len(tokens):
+        mask = bytes(map(bool, tokens))
     runs: list[tuple[int, int]] = []
-    n = len(tokens)
-    remaining = tokens.count(FREE)
     i = 0
-    while remaining >= need:
-        i = tokens.index(FREE, i)
-        j = i + 1
-        while j < n and tokens[j] == FREE:
-            j += 1
-        remaining -= j - i
-        if j - i >= need:
-            runs.append((i, j - i - need + 1))
-        i = j
+    for free in mask.split(b"\x01"):
+        n = len(free)
+        if n >= need:
+            runs.append((i, n - need + 1))
+        i += n + 1
     return runs
 
 
@@ -140,7 +144,9 @@ def random_fit(tokens: Sequence[int], need: int, uniform: Callable[[], float]) -
     runs = fit_runs(tokens, need)
     if not runs:
         return None
-    m = sum(c for _, c in runs)
+    m = 0
+    for _, c in runs:  # cheaper than sum() over a generator on a few runs
+        m += c
     pick = int(uniform() * m)
     if pick >= m:
         pick = m - 1

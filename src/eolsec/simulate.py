@@ -24,6 +24,15 @@ trajectory.
 Confidence intervals come from independent replications, which differ only
 in their seed-derived random streams; results are bit-for-bit reproducible
 for a fixed config and seed.
+
+Every draw of a replication comes from its one ``random.Random``, and the
+hot ones are inlined in the event loop rather than called: the clock draws
+``-log(1.0 - random()) / rate``, which is ``Random.expovariate(rate)`` in
+CPython 3.10-3.13 (same number, same generator state afterwards), and the
+scrambling redraw is ``link.shuffle``, which replays ``Random.shuffle``.
+Placements take one ``random()`` in ``link.random_fit``, and a departure
+takes one to pick among the class's connections, whose token it finds
+with ``list.index``, so neither visits the tokens one by one in Python.
 """
 
 from __future__ import annotations
@@ -140,7 +149,11 @@ class _Replication:
 
 
 def _departure_rate(counts: list[int], mu: tuple[float, ...]) -> float:
-    """Sum of ``counts[k] * mu[k]``, accumulated in class order like the departure scan."""
+    """Sum of ``counts[k] * mu[k]``, accumulated in class order like the departure scan.
+
+    A plain loop, not ``sum()``: from Python 3.12 ``sum`` of floats is
+    compensated, which would change the rate's last bits and the trajectory.
+    """
     rate = 0.0
     for n, m in zip(counts, mu):
         rate += n * m
@@ -178,8 +191,8 @@ def _simulate_replication(cfg: SimConfig, rep: int, survival: WindowSurvival) ->
     debug = cfg.debug_checks
 
     rng = random.Random(f"{cfg.seed}:{rep}")
-    expovariate = rng.expovariate
     uniform = rng.random
+    log = math.log
     getrandbits = rng.getrandbits
 
     rec = _Replication(table=[[0] * K for _ in range(4)], rp_success={w: 0.0 for w in widths})
@@ -209,7 +222,7 @@ def _simulate_replication(cfg: SimConfig, rep: int, survival: WindowSurvival) ->
         total = lam_total + lam_s + (mu_d if reconfig else dep_rate)
         if total <= 0.0:
             break  # nothing can ever happen again
-        t += expovariate(total)
+        t += -log(1.0 - uniform()) / total  # rng.expovariate(total), inlined
         if t >= horizon:
             break
         measuring = t > warmup
@@ -302,12 +315,9 @@ def _simulate_replication(cfg: SimConfig, rep: int, survival: WindowSurvival) ->
             if pick >= counts[k]:
                 pick = counts[k] - 1
             target = k + 1
-            seen = 0
-            for i, x in enumerate(tokens):
-                if x == target:
-                    if seen == pick:
-                        break
-                    seen += 1
+            i = tokens.index(target)
+            for _ in range(pick):
+                i = tokens.index(target, i + 1)
             tokens[i:i + 1] = [0] * demands[k]
             counts[k] -= 1
             free_total += demands[k]

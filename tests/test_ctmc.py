@@ -613,6 +613,15 @@ def test_terminal_states_cases():
         check_terminal_states(q)
 
 
+def test_terminal_states_skip_explicit_zeros():
+    # 0 <-> 1 and 2 -> 0, with a stored zero at (0, 2): were it an edge,
+    # all three states would form one class
+    q = sp.csr_matrix(([-1.0, 1.0, 0.0, 1.0, -1.0, 1.0, -1.0], [0, 1, 2, 0, 1, 0, 2], [0, 3, 5, 7]), shape=(3, 3))
+    assert q.nnz == 7
+    assert ctmc._terminal_states(q, q.T.tocsr()).tolist() == [0, 1]
+    assert q.nnz == 7  # the caller's matrix keeps its entries
+
+
 def test_power_sweep_cap_raises_no_convergence(space7, rates7, monkeypatch):
     rm = assemble_generator(space7, rates7, ModelVariant.randomized_defrag(0.7, 11.0))
     monkeypatch.setattr(ctmc, "KRYLOV_MAX_ITERATIONS", 1)

@@ -1,12 +1,13 @@
 import math
 import random
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eolsec import DemandProfile, pattern
-from eolsec.link import check_arrangement, random_fit, shuffle
+from eolsec.link import check_arrangement, fit_runs, random_fit, shuffle
 from oracles import (
     Classification,
     classify,
@@ -277,8 +278,16 @@ def test_widths_always_sum_to_capacity(pa):
     check_arrangement(arr, profile)  # raises unless the widths sum to capacity
 
 
+# tokens up to 300, past what one byte holds; class k has demand 1 + (k - 1) % 3
+WIDE = (
+    DemandProfile(12, tuple(1 + k % 3 for k in range(300)), (1.0,) * 300, (1.0,) * 300),
+    (0, 300, 0, 0, 256, 0, 0, 0, 1, 0),
+)
+
+
 @settings(max_examples=200, deadline=None)
 @given(profile_and_arrangement())
+@example(WIDE)
 def test_random_fit_walks_placements_in_slot_order(pa):
     profile, arr = pa
     tokens = arr
@@ -306,6 +315,17 @@ def test_random_fit_walks_placements_in_slot_order(pa):
             assert slots[first_slot:first_slot + need] == [0] * need
             picked.append(tokens[:pos] + (k,) + tokens[pos + need:])
         assert picked == placements(arr, k, profile)
+
+
+def test_fit_runs_reads_any_token_sequence():
+    # a list, a tuple, bytes, an int64 row (eight bytes a token) and tokens
+    # past 255 give the same runs
+    small = [0, 1, 0, 0, 2, 0, 0, 0]
+    for tokens in (small, tuple(small), bytes(small), np.array(small), [t and t + 298 for t in small]):
+        assert fit_runs(tokens, 1) == [(0, 1), (2, 2), (5, 3)]
+        assert fit_runs(tokens, 2) == [(2, 1), (5, 2)]
+        assert fit_runs(tokens, 4) == []
+    assert fit_runs([], 1) == []
 
 
 def test_shuffle_replays_random_shuffle():

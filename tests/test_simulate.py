@@ -316,6 +316,52 @@ class TestRunSimulation:
         ))
         assert {w: repr(e.mean) for w, e in result.attack_success.items()} == means
 
+    @pytest.mark.parametrize("variant, counts, rb, fb, rcb, bp", [
+        (ModelVariant.regular(),
+         EventCounts((2017, 2002, 1981), (0, 1, 7), (24, 227, 558), (0, 0, 0), 0, 0, 0, 0, 0),
+         ("0.0", "0.0005076142131979696", "0.0035581039755351682"),
+         ("0.011912136318496013", "0.11302427264423581", "0.28177930682976554"),
+         "0.0", "0.13692714466041017"),
+        (ModelVariant.randomized_defrag(5.0, 1000.0),
+         EventCounts((2036, 1994, 1970), (7, 12, 25), (25, 191, 473), (11, 9, 16), 4950, 24, 24, 689, 5639),
+         ("0.0034091687960899055", "0.006024308507373942", "0.012623711340206185"),
+         ("0.012314614681387764", "0.09570934019334529", "0.2399639175257732"),
+         "0.006", "0.12934835368139208"),
+    ], ids=["regular", "randomized-defrag"])
+    def test_trajectory_is_pinned(self, variant, counts, rb, fb, rcb, bp):
+        # the counts and blocking means the simulator gave on the C=100 link
+        # when it drew its clock with rng.expovariate and scanned the tokens
+        # in Python, to the last bit: any change in the draws moves them
+        result = run_simulation(SimConfig(
+            profile=DemandProfile.with_uniform_load(100, (5, 10, 15), 60.0),
+            variant=variant,
+            arrivals=3000,
+            warmup=10.0,
+            replications=2,
+            seed=7,
+        ))
+        assert result.counts == counts
+        assert tuple(repr(e.mean) for e in result.resource_blocking) == rb
+        assert tuple(repr(e.mean) for e in result.fragmentation_blocking) == fb
+        assert repr(result.reconfiguration_blocking.mean) == rcb
+        assert repr(result.overall_blocking.mean) == bp
+
+    @pytest.mark.parametrize("variant", [ModelVariant.regular(), ModelVariant.randomized_defrag(1.0, 10.0)],
+                             ids=["regular", "randomized-defrag"])
+    def test_tokens_past_a_byte_are_placed_and_removed(self, variant):
+        # only class 300 has traffic; 2-slot blocks on a 10-slot link hold
+        # at most 5 at once, so more accepted calls mean some departed, and
+        # the debug checks validate the tokens after every move
+        profile = DemandProfile(10, (1,) * 299 + (2,), (0.0,) * 299 + (3.0,), (1.0,) * 300)
+        result = run_simulation(SimConfig(
+            profile=profile, variant=variant, arrivals=200, replications=2, seed=5,
+            debug_checks=True,
+        ))
+        counts = result.counts
+        assert counts.arrivals == (0,) * 299 + (400,)
+        blocked = counts.resource_blocked[299] + counts.frag_blocked[299] + counts.reconfig_blocked[299]
+        assert 400 - blocked > 5
+
     def test_many_classes_are_scored(self):
         # 256 classes: token rows wider than a byte, and far more inside
         # patterns than an int64 key holds in the link's radix; the means
@@ -365,6 +411,18 @@ class TestRunSimulation:
         )
         with pytest.raises(ValueError):
             run_simulation(cfg)
+
+def test_clock_replays_expovariate():
+    # the simulator's clock draws -log(1 - u) / rate inline, with u from
+    # rng.random(): the same number as rng.expovariate(rate), and the same
+    # generator state afterwards, so the next draw agrees
+    for seed in range(20):
+        reference, inlined = random.Random(f"{seed}:0"), random.Random(f"{seed}:0")
+        for rate in (1e-3, 0.5, 1.0, 3.0, 60.0, 1005.0, 2.5e6):
+            for _ in range(50):
+                assert -math.log(1.0 - inlined.random()) / rate == reference.expovariate(rate)
+        assert inlined.random() == reference.random()
+
 
 def test_t_quantile_matches_student_t():
     for n in (2, 3, 5, 10, 40, 1000):

@@ -105,7 +105,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
             f"engine={cfg.engine}, C={cfg.capacity}")
     if states is not None:
         line += f", {states} regular states (budget {cfg.state_budget})"
-        if states > cfg.state_budget:
+        if specs[0].fallback:
             line += ", analytic cells fall back to mc"
     print(line)
     return EXIT_OK

@@ -25,7 +25,7 @@ the lumped distribution gives directly.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -36,27 +36,19 @@ from .link import DemandProfile
 from .statespace import StateSpace
 
 DEFAULT_SOLVER_TOL = 1e-10
-SOLVER_METHOD = "bicgstab+power:jacobi-scaled"
-# Damping of the row-scaled step: every state keeps a self-loop of
-# 1 - 1/POWER_DAMPING, so the iteration matrix is aperiodic.
-POWER_DAMPING = 1.05
-POWER_CHECK_EVERY = 10
-# The residual target is DEFAULT_SOLVER_TOL / POWER_TOL_MARGIN, so that
-# closed-form rescaling (which amplifies the residual up to about 10x) still
-# meets the gate.
-POWER_TOL_MARGIN = 1000.0
-POWER_MAX_SWEEPS = 20_000
-# BiCGSTAB hands over to the sweeps ten times above their target: near the
-# rounding floor its residual stagnates, where a few sweeps still converge.
-KRYLOV_TOL = 1e-12
-# It restarts from its iterate whenever the residual has fallen this far
+SOLVER_METHOD = "bicgstab:jacobi-scaled"
+# The solve's residual target: a thousandth of the gate, so that closed-form
+# rescaling (which amplifies the residual up to about 10x) still meets it.
+SOLVER_TARGET = DEFAULT_SOLVER_TOL / 1000
+# BiCGSTAB restarts from its iterate whenever the residual has fallen this far
 # since the last start: a fresh shadow residual keeps it from stalling
 # around 1e-11 on chains with lambda_S = 50, mu_d = 1000.
 KRYLOV_RESTART = 1e-3
-# About twice the most any measured chain took (109 at C=24, lambda_S=50);
-# past it the sweeps take over.
+# Above the most any measured chain took: 95 over 72 chains at C=24 and 112
+# at C=34 (182,805 rows), both with lambda_S = 50, and 133 over 400 chains
+# at C=20 and 24 with 0.02-0.3 Erlang; past it the solve fails.
 KRYLOV_MAX_ITERATIONS = 200
-# Entries of the step matrix scaled per slice: 8 MB of gathered factors.
+# Entries of (D Q)^T scaled per slice: 8 MB of gathered factors.
 SCALE_SLICE = 1 << 20
 
 
@@ -115,15 +107,13 @@ class NotIrreducible(RuntimeError):
 class NoConvergence(RuntimeError):
     """The solve ended above its residual target."""
 
-    def __init__(self, iterations: int, sweeps: int, residual: float):
+    def __init__(self, iterations: int, residual: float):
         self.iterations = iterations
-        self.sweeps = sweeps
         self.residual = residual
-        super().__init__(f"solver residual {residual:.3e} after {iterations} BiCGSTAB "
-                         f"iterations and {sweeps} power sweeps")
+        super().__init__(f"solver residual {residual:.3e} after {iterations} BiCGSTAB iterations")
 
     def __reduce__(self):
-        return type(self), (self.iterations, self.sweeps, self.residual)
+        return type(self), (self.iterations, self.residual)
 
 
 class NegativeStationaryMass(RuntimeError):
@@ -154,7 +144,7 @@ class RateMatrix:
 @dataclass(frozen=True)
 class StationaryDistribution:
     """Solution of pi Q = 0 plus the solver's diagnostics: ``iterations``
-    counts the BiCGSTAB iterations and ``sweeps`` the power sweeps behind it.
+    counts the BiCGSTAB iterations behind it.
 
     ``pi`` has one mass per row of the generator that was solved, which
     ``residual``, ``dimension`` and ``nnz`` describe: for a chain from
@@ -167,11 +157,10 @@ class StationaryDistribution:
     dimension: int
     nnz: int
     iterations: int
-    sweeps: int
 
     def diagnostics(self) -> dict:
         """The solver's diagnostics by name."""
-        return {k: getattr(self, k) for k in ("method", "dimension", "nnz", "iterations", "sweeps")}
+        return {k: getattr(self, k) for k in ("method", "dimension", "nnz", "iterations")}
 
 
 @dataclass(frozen=True)
@@ -287,78 +276,85 @@ def _reached(a: sp.csr_matrix, s: int) -> np.ndarray:
 def solve_stationary(rm: RateMatrix) -> StationaryDistribution:
     """Solve pi Q = 0 with sum(pi) = 1 on the terminal class of ``rm``.
 
-    With D = diag(1 / |q_ii|), y <- y (I + D Q / POWER_DAMPING) is a
-    stochastic step whose fixed point gives pi = y D / |y D|.  Every state
-    leaves at the same scaled rate, so fast reconfiguration states do not
+    With D = diag(1 / |q_ii|), BiCGSTAB solves y D Q = 0 from y = 1
+    (``_bicgstab``), and pi = y D / |y D|.  Every state of the scaled
+    generator leaves at rate 1, so fast reconfiguration states do not
     stiffen it as they would a uniformized chain, and nothing fills in.
-    BiCGSTAB first solves the singular, consistent system y D Q = 0 from
-    y = 1 down to a residual of ``KRYLOV_TOL`` (``_bicgstab``); then the
-    damped sweeps polish that iterate.  The residual on the full generator
-    is checked every ``POWER_CHECK_EVERY`` sweeps until it is at most
-    ``DEFAULT_SOLVER_TOL`` / ``POWER_TOL_MARGIN``; after
-    ``POWER_MAX_SWEEPS`` sweeps NoConvergence is raised.  A clearly
-    negative mass raises NegativeStationaryMass, and more than one closed
-    class raises NotIrreducible.  The gates and the result apply to the
-    generator's rows.  (Stewart, *Introduction to the Numerical Solution
-    of Markov Chains*, 1994, ch. 3-4.)
+    The solve returns once the distribution, clipped at zero, has a true
+    residual max|pi Q| on the full generator of at most ``SOLVER_TARGET``
+    and no mass was clearly negative before the clip.  After
+    ``KRYLOV_MAX_ITERATIONS`` iterations a residual above the target
+    raises NoConvergence, and a clearly negative mass
+    NegativeStationaryMass.  More than one closed class raises
+    NotIrreducible.  The gates and the result apply to the generator's
+    rows.  (Stewart, *Introduction to the Numerical Solution of Markov
+    Chains*, 1994, ch. 3-4.)
     """
     q = rm.matrix
     n = q.shape[0]
-    # the transposed step, so that each sweep is one CSR product: first the
-    # plain transpose, whose rows the closed-class search walks backward
-    step = q.T.tocsr()
-    keep = _terminal_states(q, step)
+    # (D Q)^T, so that each product is one CSR product: first the plain
+    # transpose, whose rows the closed-class search walks backward
+    scaled = q.T.tocsr()
+    keep = _terminal_states(q, scaled)
     q_sub = q
     if len(keep) < n:
-        del step
+        del scaled
         q_sub = q[np.ix_(keep, keep)]
-        step = q_sub.T.tocsr()
+        scaled = q_sub.T.tocsr()
     m = q_sub.shape[0]
     # a one-state class has no outflow: its whole mass is the solution
     scale = 1.0 / -q_sub.diagonal() if m > 1 else np.ones(1)
-    # the step's entries are q_ij * scale_i / POWER_DAMPING, plus 1 on the
-    # diagonal, scaled a slice at a time to hold no gather of its whole length
-    factor = scale / POWER_DAMPING
-    for start in range(0, step.nnz, SCALE_SLICE):
+    # the entries are q_ij * scale_i, scaled a slice at a time to hold no
+    # gather of their whole length
+    for start in range(0, scaled.nnz, SCALE_SLICE):
         part = slice(start, start + SCALE_SLICE)
-        step.data[part] *= factor[step.indices[part]]
-    step.setdiag(step.diagonal() + 1.0)
-    y, iterations = _bicgstab(step, scale)
-    sweeps = 0
-    while True:
+        scaled.data[part] *= scale[scaled.indices[part]]
+
+    def spread(y: np.ndarray) -> np.ndarray:
         pi = np.zeros(n)
         pi[keep] = y * scale
         pi /= pi.sum()
-        res = _residual(pi, q)
-        if res <= DEFAULT_SOLVER_TOL / POWER_TOL_MARGIN:
-            return _distribution(pi, rm, sweeps, iterations)
-        if sweeps >= POWER_MAX_SWEEPS:
-            raise NoConvergence(iterations, sweeps, res)
-        burst = min(POWER_CHECK_EVERY, POWER_MAX_SWEEPS - sweeps)
-        for _ in range(burst):
-            y = step @ y
-        sweeps += burst
+        return pi
+
+    def accepted(y: np.ndarray) -> bool:
+        # the gates of the distribution that is returned: near the rounding
+        # floor a state of tiny mass can still read clearly negative, which
+        # further iterations mend
+        try:
+            return _distribution(spread(y), rm, 0).residual <= SOLVER_TARGET
+        except NegativeStationaryMass:
+            return False
+
+    y, iterations = _bicgstab(scaled, scale, accepted)
+    pi = spread(y)
+    residual = _residual(_clipped(pi), q)
+    if residual > SOLVER_TARGET:
+        raise NoConvergence(iterations, residual)
+    return _distribution(pi, rm, iterations)
 
 
-def _bicgstab(step: sp.csr_matrix, scale: np.ndarray) -> tuple[np.ndarray, int]:
-    """An iterate y with pi = y D / |y D| near the solution, and the
-    BiCGSTAB iterations it took (van der Vorst, *SIAM J. Sci. Stat.
-    Comput.* 13(2), 1992).
+def _bicgstab(scaled: sp.csr_matrix, scale: np.ndarray,
+              accepted: Callable[[np.ndarray], bool]) -> tuple[np.ndarray, int]:
+    """An ``accepted`` iterate y, whose pi = y D / |y D| passes the
+    solve's gates, and the BiCGSTAB iterations it took (van der Vorst,
+    *SIAM J. Sci. Stat. Comput.* 13(2), 1992); past
+    ``KRYLOV_MAX_ITERATIONS`` the iterate as it stands.
 
-    The system is (step - I) y = 0, i.e. y D Q = 0 up to the factor
-    POWER_DAMPING, so that the sweeps' one matrix serves both phases.  It
-    is singular and consistent: the iterate converges to its null vector
-    without a normalization row.  The recursive residual r gives
-    max|pi Q| = POWER_DAMPING max|r| / sum(y D) with no extra product.  A
-    breakdown (rho or omega zero), or a residual down to ``KRYLOV_RESTART``
-    times its size at the last start, restarts from the current iterate.
-    After ``KRYLOV_MAX_ITERATIONS`` the iterate is returned as it stands.
-    Inner products are pairwise sums, so the result does not depend on
-    the BLAS build or its threads.  The vectors are updated in place, each
-    operation as in the textbook form and in its order, so the iterates
-    are the same; only the two products per iteration allocate.
+    The system is ``scaled`` y = 0, with ``scaled`` = (D Q)^T.  It is
+    singular and consistent: the iterate converges to its null vector
+    without a normalization row.  The residual r = -``scaled`` y gives
+    max|pi Q| = max|r| / sum(y D) with no extra product.  Each start
+    computes r from the iterate, and only there, once r is down to
+    ``SOLVER_TARGET``, is the iterate offered to ``accepted``.  A
+    recursive residual at the target, a breakdown (rho or omega zero), or
+    a residual down to ``KRYLOV_RESTART`` times its size at the last
+    start, restarts from the current iterate.  A breakdown counts as an
+    iteration, so the loop ends at the cap.  Inner products are pairwise
+    sums, so the result does not depend on the BLAS build or its threads.
+    The vectors are updated in place, each operation as in the textbook
+    form and in its order, so the iterates are the same; only the two
+    products per iteration allocate.
     """
-    tol = KRYLOV_TOL / POWER_DAMPING
     n = len(scale)
     y = np.ones(n)
     r_hat, p, s, work = np.empty(n), np.empty(n), np.empty(n), np.empty(n)
@@ -370,55 +366,48 @@ def _bicgstab(step: sp.csr_matrix, scale: np.ndarray) -> tuple[np.ndarray, int]:
         return np.abs(a, out=work).max()
 
     iterations = 0
-    while iterations < KRYLOV_MAX_ITERATIONS:
-        r = step @ y
-        np.subtract(y, r, out=r)  # r = y - step y
+    while True:
+        r = scaled @ y
+        np.negative(r, out=r)
         start = size(r)
-        if start <= tol * dot(y, scale):
-            break
+        if start <= SOLVER_TARGET * dot(y, scale) and accepted(y) or iterations >= KRYLOV_MAX_ITERATIONS:
+            return y, iterations
         np.copyto(r_hat, r)
         rho = alpha = omega = 1.0
         p.fill(0.0)
         v = np.zeros(n)
         while iterations < KRYLOV_MAX_ITERATIONS:
+            iterations += 1
             rho_next = dot(r_hat, r)
             if rho_next == 0.0:
                 break
-            iterations += 1
             # p = r + (rho_next / rho) * (alpha / omega) * (p - omega * v)
             np.subtract(p, np.multiply(v, omega, out=work), out=p)
             p *= (rho_next / rho) * (alpha / omega)
             p += r
-            v = step @ p
-            v -= p
+            v = scaled @ p
             alpha = rho_next / dot(r_hat, v)
             y += np.multiply(p, alpha, out=work)
             np.subtract(r, np.multiply(v, alpha, out=s), out=s)  # s = r - alpha * v
-            if size(s) <= tol * dot(y, scale):
-                return y, iterations
-            t = step @ s
-            t -= s
+            if size(s) <= SOLVER_TARGET * dot(y, scale):
+                break
+            t = scaled @ s
             omega = dot(t, s) / dot(t, t)
             y += np.multiply(s, omega, out=work)
             np.subtract(s, np.multiply(t, omega, out=r), out=r)  # r = s - omega * t
             last = size(r)
-            if last <= tol * dot(y, scale):
-                return y, iterations
-            if omega == 0.0 or last <= KRYLOV_RESTART * start:
+            if omega == 0.0 or last <= KRYLOV_RESTART * start or last <= SOLVER_TARGET * dot(y, scale):
                 break
             rho = rho_next
-    return y, iterations
 
 
-def _distribution(pi: np.ndarray, rm: RateMatrix, sweeps: int,
-                  iterations: int = 0) -> StationaryDistribution:
+def _distribution(pi: np.ndarray, rm: RateMatrix, iterations: int) -> StationaryDistribution:
     """The gated distribution over ``rm``'s rows (no clearly negative
     mass), clipped and renormalized."""
     worst = int(np.argmin(pi))
     if pi[worst] < -1e-14:
         raise NegativeStationaryMass(worst, float(pi[worst]))
-    pi = np.clip(pi, 0.0, None)
-    pi /= pi.sum()
+    pi = _clipped(pi)
     q = rm.matrix
     return StationaryDistribution(
         pi=pi,
@@ -427,8 +416,13 @@ def _distribution(pi: np.ndarray, rm: RateMatrix, sweeps: int,
         dimension=q.shape[0],
         nnz=int(q.nnz),
         iterations=iterations,
-        sweeps=sweeps,
     )
+
+
+def _clipped(pi: np.ndarray) -> np.ndarray:
+    pi = np.clip(pi, 0.0, None)
+    pi /= pi.sum()
+    return pi
 
 
 def _residual(pi: np.ndarray, q: sp.csr_matrix) -> float:
@@ -447,8 +441,10 @@ def rescale_reconfiguration(
     either (Meyer, "Stochastic complementation, uncoupling Markov chains",
     SIAM Review 31(2), 1989), and the mass of every reconfiguration state
     scales with the inverse rate: multiply the rows from ``regular_rows``
-    on by ``factor`` and renormalize.  The residual is measured on ``rm``;
-    the iteration and sweep counts are those of the solve behind ``dist``.
+    on by ``factor`` and renormalize.  The residual is measured on ``rm``
+    and may be up to about 10 times ``dist``'s, which ``SOLVER_TARGET``
+    leaves room for; the iteration count is that of the solve behind
+    ``dist``.
     """
     pi = dist.pi.copy()
     pi[regular_rows:] *= factor

@@ -55,7 +55,7 @@ from .statespace import (
     SpaceOptions,
     StateBudgetExceeded,
     build_state_space,
-    count_states,
+    check_budget,
 )
 
 log = logging.getLogger(__name__)
@@ -282,9 +282,10 @@ def cell_specs(cfg: ExperimentConfig) -> tuple[list[CellSpec], int | None]:
     and the number of regular states of its link.
 
     The states are counted once per grid, and only when an analytic cell
-    runs (``None`` otherwise).  Over ``state_budget`` every analytic cell
-    falls back to mc.  Where the mc engine runs, the config needs a Monte
-    Carlo budget (``sim.arrivals`` or ``sim.horizon``), or else
+    runs (``None`` otherwise).  Over ``state_budget`` (in states or rank
+    table codes, ``check_budget``) every analytic cell falls back to mc.
+    Where the mc engine runs, the config needs a Monte Carlo budget
+    (``sim.arrivals`` or ``sim.horizon``), or else
     StateBudgetExceeded (after a fallback) or ConfigError is raised, and
     its ``sim`` block must pass the simulator's own checks in every cell.
     """
@@ -295,10 +296,11 @@ def cell_specs(cfg: ExperimentConfig) -> tuple[list[CellSpec], int | None]:
     states = None
     fallback = ""
     if "analytic" in engines and points:
-        states = count_states(structure_profile(cfg))
-        if states > cfg.state_budget:
-            over_budget = StateBudgetExceeded(states, cfg.state_budget)
-            engines, fallback = ("mc",), str(over_budget)
+        try:
+            states = check_budget(structure_profile(cfg), cfg.state_budget)
+        except StateBudgetExceeded as exc:
+            states, over_budget = exc.predicted_states, exc
+            engines, fallback = ("mc",), str(exc)
     if "mc" in engines and cfg.sim_arrivals is None and cfg.sim_horizon is None:
         # no Monte Carlo budget to run on, or to fall back on
         raise over_budget if fallback else ConfigError(

@@ -343,10 +343,12 @@ def _estimate(values: list[float], t_quantile: float) -> MetricEstimate:
 
 
 def _t_quantile(n: int) -> float:
+    """The two-sided 95% Student-t quantile over ``n`` replications
+    (``SimConfig`` asks for at least 2)."""
     # scipy.special imports in a fraction of the time scipy.stats takes
     from scipy.special import stdtrit
 
-    return float(stdtrit(n - 1, 0.975)) if n >= 2 else math.nan
+    return float(stdtrit(n - 1, 0.975))
 
 
 def _blocking_values(table: list[list[int]], lam: tuple[float, ...]) -> list[float]:

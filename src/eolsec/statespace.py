@@ -71,18 +71,20 @@ _CHUNK_ROWS = 1 << 11
 
 
 class StateBudgetExceeded(RuntimeError):
-    """Enumeration would produce more regular states than the budget allows."""
+    """Enumeration would produce more regular states than the budget allows,
+    or, where ``table_codes`` is set, a rank table (``multiset_ranks``) of
+    more codes."""
 
-    def __init__(self, predicted_states: int, budget: int):
+    def __init__(self, predicted_states: int, budget: int, table_codes: int | None = None):
         self.predicted_states = predicted_states
         self.budget = budget
-        super().__init__(
-            f"state space would hold {predicted_states} regular states, budget is {budget}; "
-            "use the Monte Carlo engine instead"
-        )
+        self.table_codes = table_codes
+        over = (f"state space would hold {predicted_states} regular states" if table_codes is None
+                else f"rank table would hold {table_codes} codes for {predicted_states} regular states")
+        super().__init__(f"{over}, budget is {budget}; use the Monte Carlo engine instead")
 
     def __reduce__(self):
-        return type(self), (self.predicted_states, self.budget)
+        return type(self), (self.predicted_states, self.budget, self.table_codes)
 
 
 @dataclass(frozen=True)
@@ -126,6 +128,29 @@ def pattern_size(pat: tuple[int, ...], profile: DemandProfile) -> int:
 def count_states(profile: DemandProfile) -> int:
     """Number of regular states, computed without enumerating them."""
     return sum(pattern_size(p, profile) for p in feasible_patterns(profile))
+
+
+def _radix(profile: DemandProfile) -> tuple[int, ...]:
+    """The digits' radixes of a multiset's code (``MultisetRanks``): frees,
+    then the count of each class."""
+    return (profile.capacity + 1,) + tuple(profile.capacity // d + 1 for d in profile.demands)
+
+
+def check_budget(profile: DemandProfile, budget: int) -> int:
+    """The number of regular states of ``profile``.
+
+    Raises StateBudgetExceeded, before anything is allocated, when that
+    number or the code count of the link's rank table is over ``budget``:
+    the table spans every mixed-radix code, and with many classes it
+    outgrows the state count by orders of magnitude.
+    """
+    states = count_states(profile)
+    if states > budget:
+        raise StateBudgetExceeded(states, budget)
+    codes = math.prod(_radix(profile))
+    if codes > budget:
+        raise StateBudgetExceeded(states, budget, codes)
+    return states
 
 
 def _permutations(counts: tuple[int, ...], memo: dict) -> np.ndarray:
@@ -273,7 +298,7 @@ def multiset_ranks(profile: DemandProfile) -> MultisetRanks:
     if largest > np.iinfo(np.int64).max:
         raise RankOverflow(largest)
     rank_type = _index_type(largest)
-    radix = (capacity + 1,) + tuple(capacity // d + 1 for d in demands)
+    radix = _radix(profile)
     codes = math.prod(radix)
     # a shifted code of a row may fall one radix step outside the table
     code_type = _index_type(2 * codes * (K + 2))
@@ -561,12 +586,11 @@ def build_state_space(profile: DemandProfile, options: SpaceOptions | None = Non
     """Enumerate the full state space for ``profile``.
 
     Raises StateBudgetExceeded before doing any enumeration work if the
-    closed-form state count is over ``options.state_budget``.
+    closed-form state count, or the code count of the rank table, is over
+    ``options.state_budget`` (``check_budget``).
     """
     options = options or SpaceOptions()
-    predicted = count_states(profile)
-    if predicted > options.state_budget:
-        raise StateBudgetExceeded(predicted, options.state_budget)
+    check_budget(profile, options.state_budget)
 
     demands = profile.demands
     ranks = multiset_ranks(profile)

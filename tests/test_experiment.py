@@ -402,22 +402,21 @@ class TestRunExperiments:
             assert len(summary["cells"]) == 6
             for cell in summary["cells"]:
                 solver = cell["analytic"]["solver"]
-                assert set(solver) == {"method", "dimension", "nnz", "iterations", "sweeps"}
+                assert set(solver) == {"method", "dimension", "nnz", "iterations"}
                 assert solver["method"] == ctmc.SOLVER_METHOD
                 if path == config_path:
                     assert solver["dimension"] == dims[cell["variant"]]
                 assert 0 < solver["dimension"] < solver["nnz"]
                 assert 0 < solver["iterations"] <= ctmc.KRYLOV_MAX_ITERATIONS
-                assert solver["sweeps"] % ctmc.POWER_CHECK_EVERY == 0
-                assert cell["analytic"]["residual"] <= 1e-10 / ctmc.POWER_TOL_MARGIN
+                assert cell["analytic"]["residual"] <= ctmc.SOLVER_TARGET
 
     def test_summary_names_the_power_route(self, config_path):
         summary = json.loads(run_experiments(load_config(config_path)).summary_path.read_text())
         for cell in summary["cells"]:
             solver = cell["analytic"]["solver"]
-            assert set(solver) == {"method", "dimension", "nnz", "iterations", "sweeps"}
-            assert solver["method"] == "bicgstab+power:jacobi-scaled"
-            assert solver["iterations"] > 0 and solver["sweeps"] >= 0
+            assert set(solver) == {"method", "dimension", "nnz", "iterations"}
+            assert solver["method"] == "bicgstab:jacobi-scaled"
+            assert solver["iterations"] > 0
             assert cell["analytic"]["residual"] <= 1e-10
 
     def test_wall_ms_excludes_the_shared_transitions(self, config_path, monkeypatch):
@@ -823,6 +822,57 @@ class TestCli:
         assert "fall back to mc" in out
         assert main(["run", "--config", str(path)]) == EXIT_OK
 
+    @staticmethod
+    def _many_classes_config(tmp_path, capacity: int, demands: range, sim_block: str):
+        path = tmp_path / "many_classes.yaml"
+        path.write_text(
+            "schema_version: 1\n"
+            f"profile: {{capacity: {capacity}, demands: {list(demands)}}}\n"
+            "traffic: {loads: [2.0]}\n"
+            "engine: analytic\n"
+            + sim_block
+            + f"output: {{dir: '{tmp_path / 'out'}'}}\n"
+        )
+        return path
+
+    def test_rank_table_over_budget_is_config_error(self, tmp_path, capsys):
+        # 63 classes of demand 64..126 on C=126: 2,017 regular states, but a
+        # rank table of 127 * 2**63 codes, which numpy cannot even shape
+        path = self._many_classes_config(tmp_path, 126, range(64, 127), "")
+        for command in ("validate", "run"):
+            assert main([command, "--config", str(path)]) == EXIT_CONFIG
+            err = capsys.readouterr().err
+            assert err.startswith("config error: rank table would hold ")
+            assert f"{127 * 2**63} codes for 2017 regular states, budget is 364606" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_rank_table_over_budget_falls_back_to_mc(self, tmp_path, capsys):
+        path = self._many_classes_config(tmp_path, 126, range(64, 127), "sim: {arrivals: 200, seed: 3}\n")
+        assert main(["validate", "--config", str(path)]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "config ok" in out
+        assert "2017 regular states (budget 364606), analytic cells fall back to mc" in out
+
+    def test_rank_table_budget_needs_no_table(self, tmp_path, monkeypatch):
+        # C=40 with 20 classes of demand 20..39 has 232 regular states, but
+        # its rank table spans 41 * 3 * 2**19 codes: some 5 GB, and twice that
+        # for the digits behind it.  cell_specs refuses it without a table.
+        def forbidden(profile):
+            raise AssertionError("the rank table was built")
+
+        monkeypatch.setattr("eolsec.statespace.multiset_ranks", forbidden)
+        path = self._many_classes_config(tmp_path, 40, range(20, 40), "sim: {arrivals: 200, seed: 3}\n")
+        specs, states = cell_specs(load_config(path))
+        assert states == 232
+        assert {spec.engines for spec in specs} == {("mc",)}
+        assert specs[0].fallback == (
+            f"rank table would hold {41 * 3 * 2**19} codes for 232 regular states, "
+            "budget is 364606; use the Monte Carlo engine instead"
+        )
+        with pytest.raises(StateBudgetExceeded) as err:
+            cell_specs(load_config(path, sim_arrivals=None))
+        assert (err.value.predicted_states, err.value.table_codes) == (232, 41 * 3 * 2**19)
+
     @pytest.mark.parametrize("sim_block, message", [
         ("sim: {horizon: 10, warmup: 20}", "sim: warmup must be smaller than the horizon"),
         ("sim: {arrivals: 200, replications: 0}", "sim: replications must be >= 2"),
@@ -1142,10 +1192,11 @@ class TestCli:
 
     def test_power_sweep_cap_is_numerical_failure(self, config_path, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(ctmc, "KRYLOV_MAX_ITERATIONS", 1)
-        monkeypatch.setattr(ctmc, "POWER_MAX_SWEEPS", 1)
         code = main(["run", "--config", str(config_path), "--out-dir", str(tmp_path / "o")])
         assert code == EXIT_NUMERICAL
-        assert "after 1 BiCGSTAB iterations and 1 power sweeps" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "after 1 BiCGSTAB iterations\n" in err
+        assert "power sweeps" not in err
 
     @pytest.mark.parametrize("level, shown", [(None, True), ("WARNING", False)])
     def test_run_log_level(self, config_path, tmp_path, caplog, level, shown):

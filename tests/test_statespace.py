@@ -163,6 +163,16 @@ def test_budget_checked_before_enumeration():
         build_state_space(big)  # finishes fast because nothing is enumerated
 
 
+def test_rank_table_budget_checked_before_enumeration():
+    # 63 classes of demand 64..126: 2,017 states, but 127 * 2**63 table codes
+    profile = DemandProfile.with_uniform_load(126, tuple(range(64, 127)), 2.0)
+    with pytest.raises(StateBudgetExceeded, match="rank table would hold") as err:
+        build_state_space(profile)
+    assert (err.value.predicted_states, err.value.table_codes) == (2017, 127 * 2**63)
+    again = pickle.loads(pickle.dumps(err.value))
+    assert (str(again), again.table_codes) == (str(err.value), err.value.table_codes)
+
+
 def test_long_link_builds_without_deep_recursion():
     # 1,100 free tokens in one row: block building must not recurse per token
     profile = DemandProfile(1100, (1100,), (1.0,), (1.0,))
